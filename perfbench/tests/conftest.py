@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+# The benchmark modules and the package sources, as perfbench/run.py sees them.
+_ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(_ROOT / "perfbench"), str(_ROOT / "src")]
