@@ -108,9 +108,114 @@ class SegmentSeparation:
 
 @dataclass(frozen=True)
 class PairSeparation:
-    """SegmentSeparation per trajectory segment, for one agent of a pair."""
+    """Separating half-spaces of one agent against one neighbor, all segments.
 
-    segments: tuple[SegmentSeparation, ...]
+    Row m holds segment m's SegmentSeparation: normals (M, 3), anchors
+    (M, n+1, 3) and margins (M, n+1). The arrays are read-only views into
+    the arrays the builder computed for every pair at once.
+    """
+
+    normals: np.ndarray
+    anchors: np.ndarray
+    margins: np.ndarray
+
+    @property
+    def segments(self) -> tuple[SegmentSeparation, ...]:
+        return tuple(
+            SegmentSeparation(normal, anchors, margins)
+            for normal, anchors, margins in zip(self.normals, self.anchors, self.margins)
+        )
+
+
+def separate_pairs(
+    trajectories: list[PiecewiseTrajectory],
+    low: np.ndarray,
+    high: np.ndarray,
+    radius_sums: np.ndarray,
+    downwash: float,
+    safety_buffer: float,
+    ids,
+) -> list[tuple[PairSeparation, PairSeparation]]:
+    """Separating half-spaces for many pairs, one normal per pair and segment.
+
+    `trajectories` are the N agents' shifted plans, all of one shape, and
+    `ids` names them in errors. Pair p joins trajectories low[p] and high[p]
+    with collision radius radius_sums[p]. Per pair and segment: transform
+    the control-point differences low-high into the frame where the
+    collision model is a sphere, take the closest hull point to the origin
+    as the separating direction, map it back, and split the required
+    separation evenly between the two agents. All P*M hulls go through one
+    closest_points_to_origin call. Each hull's arithmetic does not depend on
+    the batch it sits in, so a pair's result is bit-identical whether it is
+    built alone or with the whole swarm.
+
+    Returns (constraints for low, for high) per pair. The two are exact
+    mirrors (negated normals, identical margins), computed once from the
+    shared data; swapping low and high yields bit-identical constraints
+    because every geometric step is deterministic and odd under negation.
+
+    Raises SafetyDegeneracyError, naming ids[low[p]], ids[high[p]] and the
+    segment, for the first pair whose hull clears the model by less than
+    1e-9, i.e. whose feasibility premise is already violated.
+    """
+    if len(low) == 0:
+        return []
+    points = np.stack(
+        [np.stack([seg.control_points for seg in traj.segments]) for traj in trajectories]
+    )
+    pair_count, seg_count = len(low), points.shape[1]
+    frame = EllipsoidModel(1.0, downwash)  # only the scaling E is used
+    diffs = (points[low] - points[high]).reshape(pair_count * seg_count, -1, 3)
+    sphere_diffs = to_sphere_frame(diffs, frame)
+    witnesses, dists = closest_points_to_origin(sphere_diffs)
+    radius_rows = np.repeat(radius_sums, seg_count)
+
+    def check(worst, failed, message):
+        """Raise for the first pair with a failed segment, at its worst one."""
+        bad = np.flatnonzero(np.any(failed.reshape(pair_count, seg_count), axis=1))
+        if len(bad):
+            p = int(bad[0])
+            per_seg = worst.reshape(pair_count, seg_count)[p]
+            m = int(np.argmin(per_seg))
+            raise SafetyDegeneracyError(
+                f"agents {ids[low[p]]} and {ids[high[p]]}, segment {m}: "
+                + message.format(per_seg[m])
+            )
+
+    clearance = dists - radius_rows
+    check(
+        clearance,
+        clearance <= _DEGENERACY_EPS,
+        "relative control-point hull clears the collision model by {:.3e} m",
+    )
+    sphere_normals = witnesses / dists[:, None]
+    supports = np.einsum("mld,md->ml", sphere_diffs, sphere_normals)
+    support_gap = np.min(supports - dists[:, None], axis=1)
+    check(
+        support_gap,
+        support_gap < -1e-9,
+        "closest-point direction fails to support the hull",
+    )
+    normals = sphere_normals * frame.scale
+    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    reach = radius_rows * np.linalg.norm(normals * frame.inverse_scale, axis=1)
+    projections = np.einsum("mld,md->ml", diffs, normals)
+    margins = 0.5 * (reach[:, None] + projections)
+    slack = np.min(0.5 * (projections - reach[:, None]), axis=1)
+    check(slack, slack <= 0.0, "non-positive separation slack {:.3e}")
+
+    normals = normals.reshape(pair_count, seg_count, 3)
+    mirrored = -normals
+    margins = (margins + safety_buffer).reshape(pair_count, seg_count, -1)
+    for arr in (points, normals, mirrored, margins):
+        arr.setflags(write=False)
+    return [
+        (
+            PairSeparation(normals[p], points[high[p]], margins[p]),
+            PairSeparation(mirrored[p], points[low[p]], margins[p]),
+        )
+        for p in range(pair_count)
+    ]
 
 
 def build_pair_separations(
@@ -118,66 +223,24 @@ def build_pair_separations(
     init_b: PiecewiseTrajectory,
     model: EllipsoidModel,
     safety_buffer: float = 0.0,
+    ids=("a", "b"),
 ) -> tuple[PairSeparation, PairSeparation]:
-    """Separating half-spaces for both agents of a pair, one normal per segment.
+    """Separating half-spaces for both agents of one pair (see separate_pairs).
 
-    Per segment: transform the control-point differences a-b into the frame
-    where the collision model is a sphere, take the closest hull point to the
-    origin as the separating direction, map it back, and split the required
-    separation evenly between the two agents. The two outputs are exact
-    mirrors (negated normals, identical margins), computed once from the
-    shared data; recomputing with swapped arguments yields bit-identical
-    constraints because every geometric step is deterministic and odd under
-    negation.
-
-    Raises SafetyDegeneracyError if a hull clears the model by less than
-    1e-9, i.e. the feasibility premise is already violated.
+    `ids` names the two agents in degeneracy errors.
     """
     if init_a.segment_count != init_b.segment_count:
         raise ValueError("trajectories must have the same segment count")
     if init_a.degree != init_b.degree:
         raise ValueError("trajectories must have the same degree")
-    pts_a = np.stack([seg.control_points for seg in init_a.segments])
-    pts_b = np.stack([seg.control_points for seg in init_b.segments])
-    diffs = pts_a - pts_b  # (M, n+1, 3)
-    witnesses, dists = closest_points_to_origin(to_sphere_frame(diffs, model))
+    (pair,) = separate_pairs(
+        [init_a, init_b],
+        np.array([0]),
+        np.array([1]),
+        np.array([model.radius_sum]),
+        model.downwash,
+        safety_buffer,
+        ids,
+    )
+    return pair
 
-    clearance = dists - model.radius_sum
-    if np.min(clearance) <= _DEGENERACY_EPS:
-        m = int(np.argmin(clearance))
-        raise SafetyDegeneracyError(
-            f"segment {m}: relative control-point hull clears the collision "
-            f"model by {clearance[m]:.3e} m"
-        )
-    sphere_normals = witnesses / dists[:, None]
-    supports = np.einsum(
-        "mld,md->ml", to_sphere_frame(diffs, model), sphere_normals
-    )
-    if np.min(supports - dists[:, None]) < -1e-9:
-        m = int(np.argmin(np.min(supports - dists[:, None], axis=1)))
-        raise SafetyDegeneracyError(
-            f"segment {m}: closest-point direction fails to support the hull"
-        )
-    normals = sphere_normals * model.scale
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    reach = model.radius_sum * np.linalg.norm(
-        normals * model.inverse_scale, axis=1
-    )
-    projections = np.einsum("mld,md->ml", diffs, normals)
-    margins = 0.5 * (reach[:, None] + projections)
-    slack = 0.5 * (projections - reach[:, None])
-    if np.min(slack) <= 0.0:
-        m = int(np.argmin(np.min(slack, axis=1)))
-        raise SafetyDegeneracyError(
-            f"segment {m}: non-positive separation slack {np.min(slack):.3e}"
-        )
-    segs_a = []
-    segs_b = []
-    for m in range(init_a.segment_count):
-        segs_a.append(
-            SegmentSeparation(normals[m], pts_b[m], margins[m] + safety_buffer)
-        )
-        segs_b.append(
-            SegmentSeparation(-normals[m], pts_a[m], margins[m] + safety_buffer)
-        )
-    return PairSeparation(tuple(segs_a)), PairSeparation(tuple(segs_b))

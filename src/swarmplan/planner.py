@@ -21,6 +21,7 @@ from swarmplan.corridor import (
     SafeBoxCorridor,
     advance_corridor,
     build_pair_separations,
+    separate_pairs,
 )
 from swarmplan.errors import (
     PlannerError,
@@ -122,16 +123,22 @@ def shared_pair_separations(
     """Separating half-spaces for every unordered pair, computed once.
 
     Keyed (low_id, high_id); values are (constraints for low, for high).
+    All pairs go through one batched separate_pairs call; each pair's result
+    is bit-identical to build_pair_separations on that pair alone.
     """
     ids = sorted(inits)
-    out = {}
-    for pos, a in enumerate(ids):
-        for b in ids[pos + 1 :]:
-            model = EllipsoidModel(radii[a] + radii[b], params.downwash)
-            out[(a, b)] = build_pair_separations(
-                inits[a], inits[b], model, params.safety_buffer
-            )
-    return out
+    low, high = np.triu_indices(len(ids), k=1)
+    radius = np.array([radii[i] for i in ids], dtype=float)
+    pairs = separate_pairs(
+        [inits[i] for i in ids],
+        low,
+        high,
+        radius[low] + radius[high],
+        params.downwash,
+        params.safety_buffer,
+        ids,
+    )
+    return {(ids[a], ids[b]): pair for a, b, pair in zip(low, high, pairs)}
 
 
 def plan_step(
@@ -178,7 +185,7 @@ def plan_step(
                     state.radius + by_id[other].radius, params.downwash
                 )
                 pair = build_pair_separations(
-                    inits[low], inits[high], model, params.safety_buffer
+                    inits[low], inits[high], model, params.safety_buffer, (low, high)
                 )
             mine.append(pair[0] if me == low else pair[1])
 

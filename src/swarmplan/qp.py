@@ -355,17 +355,19 @@ def assemble(
     ineq_rhs = np.empty(n_dyn + n_box + n_sep)
     ineq_rhs[:n_dyn] = mats.dyn_rhs
     ineq_rhs[n_dyn : n_dyn + n_box] = box_rhs
-    for p, pair in enumerate(separations):
-        if len(pair.segments) != m_count:
+    if separations:
+        normals = np.stack([pair.normals for pair in separations])  # (K, M, 3)
+        anchors = np.stack([pair.anchors for pair in separations])  # (K, M, n+1, 3)
+        margins = np.stack([pair.margins for pair in separations])  # (K, M, n+1)
+        if anchors.shape[1:] != (m_count, pts_per_seg, 3):
             raise ValueError("separation constraint length does not match parameters")
-        normals = np.stack([seg.normal for seg in pair.segments])  # (M, 3)
-        offsets = np.stack(
-            [seg.anchors @ seg.normal + seg.margins for seg in pair.segments]
-        )  # (M, n+1)
-        base = n_dyn + n_box + p * rows_per_pair
-        row_idx = base + np.arange(rows_per_pair)
-        ineq[row_idx[:, None], mats.sep_cols] = -np.repeat(normals, pts_per_seg, axis=0)
-        ineq_rhs[row_idx] = -offsets.reshape(-1)
+        # A batched matrix-vector product per segment: bit-identical to
+        # anchors[k, m] @ normals[k, m], which einsum is not.
+        offsets = (anchors @ normals[..., None])[..., 0] + margins
+        rows = n_dyn + n_box + np.arange(n_sep)
+        cols = np.tile(mats.sep_cols, (len(separations), 1))
+        ineq[rows[:, None], cols] = -np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0)
+        ineq_rhs[rows] = -offsets.reshape(-1)
 
     groups = {
         "velocity": slice(mats.velocity_rows.start, mats.velocity_rows.stop),

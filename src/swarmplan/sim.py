@@ -50,6 +50,7 @@ class RunMetrics:
     max_candidate_violation: float
     mean_plan_ms: float
     max_plan_ms: float
+    pair_ms_per_step: float
     error: str | None = None
     verified: bool = False
     safety_ok: bool = False
@@ -69,6 +70,7 @@ class RunMetrics:
             "max_candidate_violation": self.max_candidate_violation,
             "mean_plan_ms": self.mean_plan_ms,
             "max_plan_ms": self.max_plan_ms,
+            "pair_ms_per_step": self.pair_ms_per_step,
             "error": self.error,
             "verified": self.verified,
             "safety_ok": self.safety_ok,
@@ -112,6 +114,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     history: list[list[np.ndarray]] = [[p.copy()] for p in positions]
 
     plan_times: list[float] = []
+    pair_times: list[float] = []
     fallback_count = 0
     max_candidate_violation = 0.0
     error: str | None = None
@@ -138,8 +141,11 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             ]
             shared_start = time.perf_counter()
             inits = initial_trajectories(snapshots, params, now)
+            pair_start = time.perf_counter()
             pairs = shared_pair_separations(inits, radii, params)
-            shared_ms = (time.perf_counter() - shared_start) * 1e3 / n_agents
+            pair_end = time.perf_counter()
+            pair_times.append((pair_end - pair_start) * 1e3)
+            shared_ms = (pair_end - shared_start) * 1e3 / n_agents
 
             def plan_one(state):
                 begin = time.perf_counter()
@@ -230,6 +236,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
         max_candidate_violation=max_candidate_violation,
         mean_plan_ms=float(np.mean(plan_times)) if plan_times else 0.0,
         max_plan_ms=float(np.max(plan_times)) if plan_times else 0.0,
+        pair_ms_per_step=float(np.mean(pair_times)) if pair_times else 0.0,
         error=error,
     )
     if step > 0:

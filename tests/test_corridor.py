@@ -1,7 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import constant_segment, shift_for_initial
+from swarmplan.bernstein import (
+    BernsteinSegment,
+    PiecewiseTrajectory,
+    constant_segment,
+    shift_for_initial,
+)
 from swarmplan.corridor import (
     SafeBoxCorridor,
     advance_corridor,
@@ -9,6 +16,8 @@ from swarmplan.corridor import (
 )
 from swarmplan.errors import SafetyDegeneracyError
 from swarmplan.geometry import EllipsoidModel
+from swarmplan.params import PlanningParams
+from swarmplan.planner import shared_pair_separations
 from swarmplan.world import OccupancyGrid
 
 from helpers import random_trajectory
@@ -245,3 +254,57 @@ class TestPairSeparations:
         b = hover_trajectory((-0.15, 0.0, 0.0))
         with pytest.raises(SafetyDegeneracyError):
             build_pair_separations(a, b, model)
+
+
+def random_swarm(rng, ids):
+    """Random trajectories for `ids` on distinct lattice sites 2 m apart in
+    x/y and 3 m in z, so pairs lie in every direction and none degenerates."""
+    sites = rng.permutation(list(itertools.product(range(3), repeat=3)))
+    inits = {}
+    for agent_id, site in zip(ids, sites):
+        base = random_trajectory(rng, scale=0.2)
+        offset = site * np.array([2.0, 2.0, 3.0]) + rng.normal(size=3) * 0.2
+        inits[agent_id] = PiecewiseTrajectory(
+            [BernsteinSegment(s.control_points + offset, s.duration) for s in base.segments],
+            base.start_time,
+        )
+    return inits
+
+
+class TestBatchedSeparations:
+    @pytest.mark.parametrize(
+        "ids", [[0], [4, 9], [0, 3, 7], [1, 2, 5, 11, 12, 20]], ids=lambda v: f"n{len(v)}"
+    )
+    @pytest.mark.parametrize("seed", [60, 61, 62])
+    def test_batch_bit_identical_to_single_pairs(self, ids, seed):
+        rng = np.random.default_rng(seed)
+        params = PlanningParams(safety_buffer=1e-3)
+        inits = random_swarm(rng, ids)
+        radii = {i: float(rng.uniform(0.08, 0.3)) for i in ids}
+        shared = shared_pair_separations(inits, radii, params)
+        assert list(shared) == list(itertools.combinations(ids, 2))
+        for (a, b), (for_a, for_b) in shared.items():
+            model = EllipsoidModel(radii[a] + radii[b], params.downwash)
+            ref_a, ref_b = build_pair_separations(
+                inits[a], inits[b], model, params.safety_buffer
+            )
+            for got, ref in ((for_a, ref_a), (for_b, ref_b)):
+                for name in ("normals", "anchors", "margins"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name))
+            shape = for_a.anchors.shape
+            assert np.array_equal(for_a.anchors, inits[b].control_point_stack().reshape(shape))
+            assert np.array_equal(for_b.anchors, inits[a].control_point_stack().reshape(shape))
+            assert np.array_equal(for_b.normals, -for_a.normals)
+            assert np.array_equal(for_b.margins, for_a.margins)
+
+    def test_segments_view_rows(self):
+        rng = np.random.default_rng(63)
+        inits = random_swarm(rng, [0, 1])
+        for_a, _ = build_pair_separations(inits[0], inits[1], EllipsoidModel(0.3, 2.0))
+        assert len(for_a.segments) == len(for_a.normals)
+        for m, seg in enumerate(for_a.segments):
+            assert np.array_equal(seg.normal, for_a.normals[m])
+            assert np.array_equal(seg.anchors, for_a.anchors[m])
+            assert np.array_equal(seg.margins, for_a.margins[m])
+        for name in ("normals", "anchors", "margins"):
+            assert not getattr(for_a, name).flags.writeable

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from swarmplan.errors import StepAbortError, UnsupportedDisturbanceError
+from swarmplan.errors import (
+    SafetyDegeneracyError,
+    StepAbortError,
+    UnsupportedDisturbanceError,
+)
 from swarmplan.params import PlanningParams
 from swarmplan.planner import (
     AgentSnapshot,
@@ -156,6 +160,35 @@ class TestTwoAgents:
         # plan_step, which wraps it as a step abort.
         with pytest.raises(StepAbortError):
             swarm.step(share_pairs=False)
+
+
+class TestDegeneracyNaming:
+    # Agents 5 and 9 hover with touching hulls (0.3 m apart on x, radius sum
+    # 0.3); agent 2 is clear of both.
+    POSITIONS = {2: (0.5, 0.5, 1.0), 5: (1.5, 1.5, 1.0), 9: (1.8, 1.5, 1.0)}
+
+    def snapshots(self, ids):
+        return [
+            AgentSnapshot(i, PARAMS.agent_radius, self.POSITIONS[i], (1.5, 2.5, 1.0), None)
+            for i in ids
+        ]
+
+    def test_shared_builder_names_the_pair(self):
+        snaps = self.snapshots([2, 5, 9])
+        inits = initial_trajectories(snaps, PARAMS)
+        radii = {s.agent_id: s.radius for s in snaps}
+        with pytest.raises(SafetyDegeneracyError, match=r"^agents 5 and 9, segment 0: "):
+            shared_pair_separations(inits, radii, PARAMS)
+        for clean in ([2, 5], [2, 9]):
+            shared_pair_separations({i: inits[i] for i in clean}, radii, PARAMS)
+
+    def test_local_path_names_the_pair_and_clean_agent_plans(self):
+        snaps = self.snapshots([2, 5, 9])
+        grid = empty_grid()
+        with pytest.raises(StepAbortError, match=r"^agent 9: agents 5 and 9, segment 0: "):
+            plan_step(PlannerState(9, PARAMS.agent_radius, PARAMS), snaps, grid)
+        result = plan_step(PlannerState(2, PARAMS.agent_radius, PARAMS), snaps, grid)
+        assert result.diagnostics.candidate_violation <= 1e-9
 
 
 class TestFallback:

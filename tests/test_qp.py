@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import shift_for_initial
+from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, shift_for_initial
 from swarmplan.corridor import advance_corridor, build_pair_separations
 from swarmplan.errors import QpInfeasibleError
 from swarmplan.geometry import EllipsoidModel
@@ -17,6 +17,7 @@ from swarmplan.qp import (
 )
 from swarmplan.world import OccupancyGrid
 
+from helpers import random_trajectory
 from oracles import gauss_legendre_integral
 
 
@@ -171,6 +172,42 @@ class TestAssemble:
         assert sl.stop - sl.start == 30
         report = problem.check(candidate)
         assert report.max_inequality_violation <= 0.0
+
+    def test_separation_rows_match_per_segment_expression(self):
+        # The batched fill must write exactly the rows and right-hand side
+        # of -(c_l . normal) <= -(anchors[l] . normal + margins[l]).
+        rng = np.random.default_rng(54)
+        grid = empty_grid()
+        mine = random_trajectory(rng, scale=0.05)
+        mine = PiecewiseTrajectory(
+            [
+                BernsteinSegment(s.control_points + [1.5, 1.5, 1.0], s.duration)
+                for s in mine.segments
+            ],
+            0.0,
+        )
+        separations = []
+        for _ in range(4):
+            direction = rng.normal(size=3)
+            other = hover(np.array([1.5, 1.5, 1.0]) + 1.5 * direction / np.linalg.norm(direction))
+            model = EllipsoidModel(float(rng.uniform(0.2, 0.5)), 2.0)
+            separations.append(build_pair_separations(mine, other, model, 1e-6)[0])
+        corridor = advance_corridor(None, mine, grid, PARAMS.agent_radius)
+        problem, _ = assemble(mine, (2.0, 1.0, 1.0), corridor, separations, PARAMS)
+        mats = param_matrices(PARAMS)
+        rows = []
+        rhs = []
+        for pair in separations:
+            for seg_index, seg in enumerate(pair.segments):
+                offsets = seg.anchors @ seg.normal + seg.margins
+                for l, offset in enumerate(offsets):
+                    row = np.zeros(mats.dim)
+                    row[mats.sep_cols[seg_index * (PARAMS.degree + 1) + l]] = -seg.normal
+                    rows.append(row)
+                    rhs.append(-offset)
+        sl = problem.groups["separation"]
+        assert np.array_equal(problem.ineq_matrix[sl], np.array(rows))
+        assert np.array_equal(problem.ineq_rhs[sl], np.array(rhs))
 
     def test_goal_only_changes_linear_term(self):
         # The repulsion goal shapes the objective, never the constraints.

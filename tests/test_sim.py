@@ -112,7 +112,8 @@ class TestRun:
         sc = generate_scenario("empty", 3, seed=8, timeout=20.0)
         m1 = run(sc, tmp_path / "a").to_dict()
         m2 = run(sc, tmp_path / "b").to_dict()
-        for key in ("mean_plan_ms", "max_plan_ms"):
+        assert m1["pair_ms_per_step"] > 0.0
+        for key in ("mean_plan_ms", "max_plan_ms", "pair_ms_per_step"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
         csv1 = (tmp_path / "a" / "trajectories" / "agent_000.csv").read_bytes()
@@ -123,7 +124,7 @@ class TestRun:
         sc = generate_scenario("empty", 4, seed=12, timeout=20.0)
         m1 = run(sc, tmp_path / "a", threads=1).to_dict()
         m2 = run(sc, tmp_path / "b", threads=2).to_dict()
-        for key in ("mean_plan_ms", "max_plan_ms"):
+        for key in ("mean_plan_ms", "max_plan_ms", "pair_ms_per_step"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
 
