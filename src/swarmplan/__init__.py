@@ -18,7 +18,6 @@ from swarmplan.errors import (
     SafetyDegeneracyError,
     ScenarioGenerationError,
     StepAbortError,
-    UnsupportedDisturbanceError,
 )
 from swarmplan.params import PlanningParams
 
@@ -32,7 +31,6 @@ __all__ = [
     "SafetyDegeneracyError",
     "ScenarioGenerationError",
     "StepAbortError",
-    "UnsupportedDisturbanceError",
 ]
 
 __version__ = "0.1.0"

@@ -21,17 +21,6 @@ _BINOMIAL = tuple(
 )
 
 
-def basis_eval(l: int, n: int, tau: float) -> float:
-    """Evaluate the Bernstein basis polynomial B_{l,n} at tau in [0, 1]."""
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_DEGREE}], got {n}")
-    if not 0 <= l <= n:
-        raise ValueError(f"basis index {l} out of range for degree {n}")
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must be in [0, 1], got {tau}")
-    return _BINOMIAL[n][l] * tau**l * (1.0 - tau) ** (n - l)
-
-
 def basis_row(n: int, tau: float) -> np.ndarray:
     """All basis values B_{0..n,n}(tau) as one vector (non-negative, sums to 1)."""
     if not 0 <= n <= MAX_DEGREE:
@@ -74,9 +63,6 @@ class BernsteinSegment:
     def eval(self, tau: float) -> np.ndarray:
         """Position at local parameter tau in [0, 1]."""
         return basis_row(self.degree, tau) @ self.control_points
-
-    def constant(self) -> bool:
-        return bool(np.all(self.control_points == self.control_points[0]))
 
     def __repr__(self):
         return f"BernsteinSegment(degree={self.degree}, duration={self.duration})"

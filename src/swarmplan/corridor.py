@@ -16,12 +16,7 @@ import numpy as np
 
 from swarmplan.bernstein import PiecewiseTrajectory
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
-from swarmplan.geometry import (
-    EllipsoidModel,
-    HalfSpaceConstraint,
-    closest_points_to_origin,
-    to_sphere_frame,
-)
+from swarmplan.geometry import EllipsoidModel, closest_points_to_origin, to_sphere_frame
 from swarmplan.world import AxisBox, OccupancyGrid
 
 _DEGENERACY_EPS = 1e-9  # minimum hull-to-model clearance in the sphere frame
@@ -94,16 +89,6 @@ class SegmentSeparation:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def residuals(self, control_points) -> np.ndarray:
-        pts = np.asarray(control_points, dtype=float)
-        return (pts - self.anchors) @ self.normal - self.margins
-
-    def halfspaces(self) -> list[HalfSpaceConstraint]:
-        return [
-            HalfSpaceConstraint(tuple(self.normal), tuple(a), float(m))
-            for a, m in zip(self.anchors, self.margins)
-        ]
 
 
 @dataclass(frozen=True)

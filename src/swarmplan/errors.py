@@ -26,7 +26,10 @@ class GoalUnreachableError(PlannerError):
 
 
 class QpInfeasibleError(PlannerError):
-    """The QP solver exhausted its iteration budget without a point within tolerance.
+    """The QP solver returned no point within tolerance.
+
+    Causes: an infeasible start, inconsistent equalities, a singular linear
+    system, an exhausted iteration budget, or a result outside tolerance.
 
     Under the planner's construction this indicates a numerical failure, not a
     genuinely infeasible problem; callers fall back to the shifted previous
@@ -44,10 +47,6 @@ class StepAbortError(PlannerError):
     def __init__(self, message, agent_id=None):
         super().__init__(message)
         self.agent_id = agent_id
-
-
-class UnsupportedDisturbanceError(PlannerError):
-    """Tracking error too large for event-triggered replanning; no recovery planner here."""
 
 
 class ScenarioGenerationError(PlannerError):

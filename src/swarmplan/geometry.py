@@ -16,28 +16,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class HalfSpaceConstraint:
-    """One affine separation constraint: (x - anchor) . normal - margin >= 0."""
-
-    normal: tuple[float, float, float]
-    anchor: tuple[float, float, float]
-    margin: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        a = np.asarray(self.anchor, dtype=float).reshape(3)
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise ValueError("normal must be unit length")
-        object.__setattr__(self, "normal", (float(n[0]), float(n[1]), float(n[2])))
-        object.__setattr__(self, "anchor", (float(a[0]), float(a[1]), float(a[2])))
-
-    def residual(self, point) -> float:
-        """Signed slack of the constraint at a point (>= 0 means satisfied)."""
-        p = np.asarray(point, dtype=float)
-        return float((p - np.array(self.anchor)) @ np.array(self.normal) - self.margin)
-
-
-@dataclass(frozen=True)
 class EllipsoidModel:
     """Origin-centered inter-agent collision volume.
 
@@ -66,25 +44,10 @@ class EllipsoidModel:
         return np.array([1.0, 1.0, self.downwash])
 
 
-def support(model: EllipsoidModel, direction) -> float:
-    """Largest dot product of the model with direction: R * ||E^-1 n||."""
-    n = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(model.inverse_scale * n)
-    if norm == 0.0:
-        raise ValueError("support direction must be non-zero")
-    return model.radius_sum * norm
-
-
 def to_sphere_frame(points, model: EllipsoidModel) -> np.ndarray:
     """Apply E to each point; the model becomes a sphere of radius radius_sum."""
     pts = np.asarray(points, dtype=float)
     return pts * model.scale
-
-
-def from_sphere_frame(points, model: EllipsoidModel) -> np.ndarray:
-    """Inverse of to_sphere_frame."""
-    pts = np.asarray(points, dtype=float)
-    return pts * model.inverse_scale
 
 
 # Subset index tables for the hull query, cached per point count. The
@@ -163,15 +126,3 @@ def closest_points_to_origin(point_sets) -> tuple[np.ndarray, np.ndarray]:
 
     return best_witness, np.sqrt(best_dist2)
 
-
-def closest_point_to_origin(points) -> tuple[np.ndarray, float]:
-    """Closest point of the convex hull of `points` to the origin.
-
-    Single-hull view of closest_points_to_origin; returns (witness,
-    distance), distance 0 meaning the origin lies inside the hull.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError("points must be a non-empty (k, 3) array")
-    witness, dist = closest_points_to_origin(pts[None, :, :])
-    return witness[0], float(dist[0])

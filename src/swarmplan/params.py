@@ -46,8 +46,6 @@ class PlanningParams:
             separation the feasibility argument needs.
         qp_tolerance: feasibility/stationarity tolerance of the QP solver.
         qp_max_iterations: active-set iteration budget (None = automatic).
-        disturbance_large_threshold: tracking error beyond which replanning
-            is unsupported (no fidelity claim; recovery is out of scope).
         astar_budget: node-expansion cap of the grid search before it gives
             up and the caller falls back to the agent-free retry.
     """
@@ -67,7 +65,6 @@ class PlanningParams:
     safety_buffer: float = 1e-6
     qp_tolerance: float = 1e-6
     qp_max_iterations: int | None = None
-    disturbance_large_threshold: float = 0.3
     astar_budget: int = 20000
     grid_resolution: float = 0.1
 

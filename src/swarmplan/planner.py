@@ -10,7 +10,6 @@ flies the shifted plan; safety never depends on the solver succeeding.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +22,7 @@ from swarmplan.corridor import (
     build_pair_separations,
     separate_pairs,
 )
-from swarmplan.errors import (
-    PlannerError,
-    QpInfeasibleError,
-    StepAbortError,
-    UnsupportedDisturbanceError,
-)
+from swarmplan.errors import PlannerError, QpInfeasibleError, StepAbortError
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.goalplan import AgentMotion, GoalContext, plan_current_goal
 from swarmplan.params import PlanningParams
@@ -89,12 +83,6 @@ class PlanStepResult:
     trajectory: PiecewiseTrajectory
     corridor: SafeBoxCorridor
     diagnostics: StepDiagnostics
-
-
-class DisturbanceLevel(enum.Enum):
-    NONE = "none"
-    SMALL = "small"
-    LARGE = "large"
 
 
 def initial_trajectories(
@@ -241,37 +229,3 @@ def plan_step(
     trajectory = trajectory_from_values(solution.values, params, now)
     return PlanStepResult(trajectory, corridor, diagnostics)
 
-
-def detect_disturbance(
-    state: PlannerState, measured_position, threshold: float | None = None
-) -> DisturbanceLevel:
-    """Classify tracking error against the previously planned desired state.
-
-    NONE means the measurement matches the desired position to numerical
-    noise; SMALL means a deviation within `threshold` (default: the
-    disturbance_large_threshold parameter), which replanning absorbs by
-    keeping the desired state as its initial condition; LARGE deviations are
-    out of scope for this planner and the caller should raise via
-    `require_supported`.
-    """
-    if state.previous_trajectory is None:
-        raise ValueError("no previous trajectory to compare against")
-    if threshold is None:
-        threshold = state.params.disturbance_large_threshold
-    now = state.previous_trajectory.start_time + state.params.segment_time
-    desired = state.previous_trajectory.eval(now)
-    error = float(np.linalg.norm(np.asarray(measured_position, dtype=float) - desired))
-    if error <= 1e-9:
-        return DisturbanceLevel.NONE
-    if error <= threshold:
-        return DisturbanceLevel.SMALL
-    return DisturbanceLevel.LARGE
-
-
-def require_supported(level: DisturbanceLevel, agent_id: int | None = None):
-    """Raise when the tracking error exceeds what replanning can absorb."""
-    if level is DisturbanceLevel.LARGE:
-        raise UnsupportedDisturbanceError(
-            f"agent {agent_id}: tracking error too large; recovery planning "
-            "is not part of this system"
-        )

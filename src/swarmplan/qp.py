@@ -7,13 +7,15 @@ enforce acceleration-level continuity at interior knots, and hold the final
 segment constant; inequalities bound derivative control points per axis and
 confine control points to the safe boxes and separating half-spaces.
 
-The solver eliminates equalities through an orthonormal nullspace basis and
-runs a primal active-set method on the reduced strictly convex problem. A
-feasible warm start always exists for planner problems (the shifted previous
-trajectory), every linear solve is direct with one step of iterative
-refinement, and all tie-breaks are by lowest row index, so results are
-deterministic and residuals reach solver precision rather than a first-order
-method's tolerance floor.
+The solver eliminates equalities through an orthonormal nullspace basis,
+built once per parameter set, and runs a primal active-set method on the
+reduced strictly convex problem. It needs a feasible start and has no phase
+one: for planner problems the shifted previous trajectory is that start, and
+any numerical failure raises QpInfeasibleError, which the planner absorbs by
+flying the shifted plan. Every linear solve is direct with one step of
+iterative refinement and all tie-breaks are by lowest row index, so results
+are deterministic and residuals reach solver precision rather than a
+first-order method's tolerance floor.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from swarmplan.bernstein import PiecewiseTrajectory
+from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
 from swarmplan.errors import QpInfeasibleError
 
 _ZERO_ROW_TOL = 1e-300
@@ -78,16 +80,70 @@ class ResidualReport:
 
     max_equality_residual: float
     max_inequality_violation: float
-    group_violations: dict[str, float]
 
     def max_violation(self) -> float:
         return max(self.max_equality_residual, self.max_inequality_violation)
 
 
+@dataclass(frozen=True)
+class EqualityReduction:
+    """Equality elimination x = pinv @ eq_rhs + nullspace @ y, for one pair
+    of quadratic cost and equality matrix.
+
+    `hessian` is the reduced Hessian scaled by 1/sigma and symmetrised, with
+    a ridge added only if its Cholesky factorisation fails. `static_rows`
+    are the unnormalised reduced rows of the leading inequality rows that
+    every problem sharing this reduction carries (none for generic
+    problems).
+    """
+
+    pinv: np.ndarray
+    nullspace: np.ndarray
+    sigma: float
+    hessian: np.ndarray
+    static_rows: np.ndarray
+
+
+def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReduction:
+    """Build the nullspace reduction; each static block is reduced on its own.
+
+    Raises QpInfeasibleError when the reduced cost is not positive definite
+    even after a small ridge.
+    """
+    dim = quadratic.shape[0]
+    pinv = np.linalg.pinv(eq_matrix)
+    _, s, vt = np.linalg.svd(eq_matrix)
+    rank = int(np.sum(s > s[0] * 1e-12)) if len(s) else 0
+    null = vt[rank:].T
+    k = null.shape[1]
+    # Relative scaling keeps stationarity measures meaningful when the jerk
+    # Gram entries are large.
+    sigma = max(1.0, float(np.max(np.abs(quadratic))) if dim else 1.0)
+    h_red = null.T @ quadratic @ null / sigma
+    h_red = 0.5 * (h_red + h_red.T)
+    reg = 1e-13 * max(1.0, float(np.trace(h_red)) / max(k, 1))
+    while True:
+        try:
+            np.linalg.cholesky(h_red)
+            break
+        except np.linalg.LinAlgError:
+            h_red = h_red + reg * np.eye(k)
+            reg *= 100.0
+            if reg > 1e-3:
+                raise QpInfeasibleError("quadratic cost is not positive definite", 0)
+    static_rows = np.vstack([np.zeros((0, k))] + [block @ null for block in static_blocks])
+    return EqualityReduction(pinv, null, sigma, h_red, static_rows)
+
+
 @dataclass
 class QpProblem:
     """Dense convex QP: minimize 0.5 x'Px + q'x + c0 subject to
-    eq_matrix x = eq_rhs and ineq_matrix x <= ineq_rhs."""
+    eq_matrix x = eq_rhs and ineq_matrix x <= ineq_rhs.
+
+    `reduction`, when given, must have been built from this problem's
+    quadratic and eq_matrix, and its static rows must be the leading rows of
+    ineq_matrix; without one, solve builds a generic reduction.
+    """
 
     quadratic: np.ndarray
     linear: np.ndarray
@@ -97,7 +153,7 @@ class QpProblem:
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
     groups: dict[str, slice] = field(default_factory=dict)
-    cache: "ParamMatrices | None" = None
+    reduction: EqualityReduction | None = None
 
     @property
     def dimension(self) -> int:
@@ -116,22 +172,8 @@ class QpProblem:
         if len(self.eq_rhs):
             eq = float(np.max(np.abs(self.eq_matrix @ x - self.eq_rhs)))
         viol = self.ineq_matrix @ x - self.ineq_rhs if len(self.ineq_rhs) else np.zeros(0)
-        groups = {
-            name: float(np.max(viol[sl])) if viol[sl].size else 0.0
-            for name, sl in self.groups.items()
-        }
         max_ineq = float(np.max(viol)) if viol.size else 0.0
-        return ResidualReport(eq, max_ineq, groups)
-
-    def validate(self):
-        """Check the structural invariants (symmetry, positive semidefiniteness)."""
-        scale = max(1.0, float(np.max(np.abs(self.quadratic))))
-        asym = float(np.max(np.abs(self.quadratic - self.quadratic.T)))
-        if asym > 1e-12 * scale:
-            raise ValueError(f"quadratic cost asymmetric by {asym:.3e}")
-        eigmin = float(np.linalg.eigvalsh(self.quadratic)[0])
-        if eigmin < -1e-9 * scale:
-            raise ValueError(f"quadratic cost indefinite, min eigenvalue {eigmin:.3e}")
+        return ResidualReport(eq, max_ineq)
 
 
 @dataclass
@@ -151,14 +193,11 @@ class ParamMatrices:
         n = params.degree
         m_count = params.segment_count
         dt = params.segment_time
-        self.params = params
         self.dim = 3 * m_count * (n + 1)
         pts_per_seg = n + 1
 
         def idx(m, l, axis):
             return ((m * pts_per_seg + l) * 3) + axis
-
-        self.idx = idx
 
         # Quadratic cost: jerk energy plus goal-endpoint weights (static; the
         # goal position only enters the linear term).
@@ -259,34 +298,23 @@ class ParamMatrices:
                     box_rows.append(-row)
         self.box_matrix = np.vstack(box_rows)
 
-        # Nullspace machinery for the solver, shared across steps.
-        self.eq_pinv = np.linalg.pinv(self.eq_matrix)
-        u, s, vt = np.linalg.svd(self.eq_matrix)
-        rank = int(np.sum(s > s[0] * 1e-12))
-        self.nullspace = vt[rank:].T
-        self.reduced_quadratic = self.nullspace.T @ self.quadratic @ self.nullspace
-        self.dyn_reduced = self.dyn_matrix @ self.nullspace
-        self.box_reduced = self.box_matrix @ self.nullspace
+        # Equality elimination for the solver, shared across steps; the
+        # dynamic and box rows lead every step's inequality matrix.
+        self.reduction = reduce_equalities(
+            self.quadratic, self.eq_matrix, (self.dyn_matrix, self.box_matrix)
+        )
 
         # Column triples of each (segment, point) block, for fast separation
         # row fills, plus cached full inequality templates per neighbor count.
-        self.sep_cols = np.array(
-            [
-                [idx(m, l, axis) for axis in range(3)]
-                for m in range(m_count)
-                for l in range(pts_per_seg)
-            ]
-        )
+        self.sep_cols = np.arange(self.dim).reshape(-1, 3)
         self._ineq_templates: dict[int, np.ndarray] = {}
 
     def ineq_template(self, separation_rows: int) -> np.ndarray:
         """Full inequality matrix with zeroed separation rows (copy per use)."""
         cached = self._ineq_templates.get(separation_rows)
         if cached is None:
-            n_static = self.dyn_matrix.shape[0] + self.box_matrix.shape[0]
-            cached = np.zeros((n_static + separation_rows, self.dim))
-            cached[: self.dyn_matrix.shape[0]] = self.dyn_matrix
-            cached[self.dyn_matrix.shape[0] : n_static] = self.box_matrix
+            separation = np.zeros((separation_rows, self.dim))
+            cached = np.vstack([self.dyn_matrix, self.box_matrix, separation])
             cached.setflags(write=False)
             self._ineq_templates[separation_rows] = cached
         return cached.copy()
@@ -384,15 +412,13 @@ def assemble(
         ineq_matrix=ineq,
         ineq_rhs=ineq_rhs,
         groups=groups,
-        cache=mats,
+        reduction=mats.reduction,
     )
     return problem, candidate
 
 
 def trajectory_from_values(values, params, start_time: float) -> PiecewiseTrajectory:
     """Decode a decision vector back into a piecewise trajectory."""
-    from swarmplan.bernstein import BernsteinSegment
-
     n = params.degree
     pts = np.asarray(values, dtype=float).reshape(params.segment_count, n + 1, 3)
     segs = [BernsteinSegment(p, params.segment_time) for p in pts]
@@ -412,110 +438,58 @@ def solve(
 ) -> QpSolution:
     """Solve the QP to within tol on feasibility and relative stationarity.
 
-    Equalities are eliminated through an orthonormal nullspace; the reduced
-    problem is handled by a primal active-set iteration warm-started at
-    `warm_start` when given (a phase-1 subproblem constructs a feasible point
-    otherwise). Raises QpInfeasibleError when the iteration budget is
-    exhausted or no point within tolerance exists.
+    Equalities are eliminated through the problem's nullspace reduction; the
+    reduced problem is handled by a primal active-set iteration that starts
+    at `warm_start`, or at the unconstrained minimum when it is None. The
+    start must be feasible: there is no phase one, and a start more than
+    1e-7 outside any normalised inequality row raises QpInfeasibleError, as
+    do inconsistent equalities, an exhausted iteration budget, a singular
+    linear system and a result outside tolerance. The planner absorbs all of
+    these by flying its shifted plan.
     """
-    dim = problem.dimension
-    me = len(problem.eq_rhs)
     mi = len(problem.ineq_rhs)
     if max_iterations is None:
         max_iterations = 3 * mi + 120
     if max_iterations <= 0:
         raise QpInfeasibleError("iteration budget exhausted before solving", 0)
 
-    # Relative scaling keeps stationarity measures meaningful when the jerk
-    # Gram entries are large.
-    sigma = max(1.0, float(np.max(np.abs(problem.quadratic))) if dim else 1.0)
-
-    if me:
-        cache = problem.cache
-        if cache is not None and cache.eq_matrix is problem.eq_matrix:
-            x_part = cache.eq_pinv @ problem.eq_rhs
-            null = cache.nullspace
-        else:
-            pinv = np.linalg.pinv(problem.eq_matrix)
-            x_part = pinv @ problem.eq_rhs
-            u, s, vt = np.linalg.svd(problem.eq_matrix)
-            rank = int(np.sum(s > s[0] * 1e-12)) if len(s) else 0
-            null = vt[rank:].T
-        eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs)))
-        if eq_err > max(tol, 1e-9) * (1.0 + float(np.max(np.abs(problem.eq_rhs)))):
-            raise QpInfeasibleError(f"inconsistent equality constraints ({eq_err:.3e})", 0)
-    else:
-        x_part = np.zeros(dim)
-        null = np.eye(dim)
+    red = problem.reduction or reduce_equalities(problem.quadratic, problem.eq_matrix)
+    null = red.nullspace
+    x_part = red.pinv @ problem.eq_rhs
+    eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs), initial=0.0))
+    eq_scale = 1.0 + float(np.max(np.abs(problem.eq_rhs), initial=0.0))
+    if eq_err > max(tol, 1e-9) * eq_scale:
+        raise QpInfeasibleError(f"inconsistent equality constraints ({eq_err:.3e})", 0)
 
     k = null.shape[1]
     if k == 0:
         return _package(problem, x_part, 0, tol, stationarity=0.0)
 
-    if me and problem.cache is not None and problem.cache.eq_matrix is problem.eq_matrix:
-        h_red = problem.cache.reduced_quadratic / sigma
-    else:
-        h_red = null.T @ problem.quadratic @ null / sigma
-    h_red = 0.5 * (h_red + h_red.T)
-    reg = 1e-13 * max(1.0, float(np.trace(h_red)) / k)
-    while True:
-        try:
-            np.linalg.cholesky(h_red)
-            break
-        except np.linalg.LinAlgError:
-            h_red = h_red + reg * np.eye(k)
-            reg *= 100.0
-            if reg > 1e-3:
-                raise QpInfeasibleError("quadratic cost is not positive definite", 0)
-    f_red = null.T @ (problem.quadratic @ x_part + problem.linear) / sigma
+    h_red = red.hessian
+    f_red = null.T @ (problem.quadratic @ x_part + problem.linear) / red.sigma
 
-    if mi:
-        cache = problem.cache
-        if cache is not None and cache.eq_matrix is problem.eq_matrix:
-            n_static = len(cache.dyn_rhs) + cache.box_matrix.shape[0]
-            extra = problem.ineq_matrix[n_static:]
-            c_red = np.vstack([cache.dyn_reduced, cache.box_reduced, extra @ null])
-        else:
-            c_red = problem.ineq_matrix @ null
-        d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
-        row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
-        if np.any(row_norms <= _ZERO_ROW_TOL):
-            bad = np.nonzero(row_norms <= _ZERO_ROW_TOL)[0]
-            if np.any(problem.ineq_rhs[bad] < -tol):
-                raise QpInfeasibleError("zero inequality row with negative bound", 0)
-            keep = row_norms > _ZERO_ROW_TOL
-            c_red, d_red, row_norms = c_red[keep], d_red[keep], row_norms[keep]
-        c_red = c_red / row_norms[:, None]
-        d_red = d_red / row_norms
-    else:
-        c_red = np.zeros((0, k))
-        d_red = np.zeros(0)
+    n_static = red.static_rows.shape[0]
+    c_red = np.vstack([red.static_rows, problem.ineq_matrix[n_static:] @ null])
+    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
+    row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
+    if np.any(row_norms <= _ZERO_ROW_TOL):
+        bad = np.nonzero(row_norms <= _ZERO_ROW_TOL)[0]
+        if np.any(problem.ineq_rhs[bad] < -tol):
+            raise QpInfeasibleError("zero inequality row with negative bound", 0)
+        keep = row_norms > _ZERO_ROW_TOL
+        c_red, d_red, row_norms = c_red[keep], d_red[keep], row_norms[keep]
+    c_red = c_red / row_norms[:, None]
+    d_red = d_red / row_norms
 
-    iterations = 0
     if warm_start is not None:
         y0 = null.T @ (np.asarray(warm_start, dtype=float) - x_part)
     else:
         y0 = _refined_solve(h_red, -f_red)
-    if len(d_red):
-        worst = float(np.max(c_red @ y0 - d_red))
-        # The slack subproblem anchors softly at the previous point, which
-        # biases its optimum off feasibility in proportion to that distance;
-        # re-anchoring shrinks the bias geometrically.
-        for _ in range(4):
-            if worst <= 1e-7:
-                break
-            y0, phase_iters = _phase_one(h_red, c_red, d_red, y0, max_iterations)
-            iterations += phase_iters
-            worst = float(np.max(c_red @ y0 - d_red))
-        if worst > 1e-7:
-            raise QpInfeasibleError(
-                f"no feasible point found (violation {worst:.3e})", iterations
-            )
+    worst = float(np.max(c_red @ y0 - d_red, initial=0.0))
+    if worst > 1e-7:
+        raise QpInfeasibleError(f"start point is infeasible (violation {worst:.3e})", 0)
 
-    y, working, lam, used, ok = _active_set(h_red, f_red, c_red, d_red, y0, max_iterations)
-    iterations += used
-    if not ok:
-        raise QpInfeasibleError("active-set iteration budget exhausted", iterations)
+    y, working, lam, iterations = _active_set(h_red, f_red, c_red, d_red, y0, max_iterations)
 
     # Stationarity straight from the terminating KKT system of the scaled
     # reduced problem; tiny negative multipliers within the optimality
@@ -565,6 +539,8 @@ def _active_set(h, f, c, d, y0, max_iterations):
     Requires a feasible y0. Blocking constraints enter by lowest row index
     among minimal step ratios; constraints leave by most negative multiplier,
     switching to lowest-index (Bland-style) after a long degenerate streak.
+    Returns (y, working rows, multipliers, iterations); raises
+    QpInfeasibleError on a singular linear system or an exhausted budget.
     """
     k = len(y0)
     mi = len(d)
@@ -586,30 +562,29 @@ def _active_set(h, f, c, d, y0, max_iterations):
             kkt[:k, k:] = rows.T
             kkt[k:, :k] = rows
             # The lower block restores working rows to their boundaries, so
-            # epsilon-level drift (e.g. from phase 1) cannot persist.
+            # epsilon-level drift of the start cannot persist.
             rhs = np.concatenate([-grad, d[working] - rows @ y])
-            try:
-                z = _refined_solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                z, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            p = z[:k]
-            lam = z[k:]
         else:
-            p = _refined_solve(h, -grad)
-            lam = np.zeros(0)
+            kkt, rhs = h, -grad
+        try:
+            z = _refined_solve(kkt, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise QpInfeasibleError(f"singular active-set system ({exc})", iterations) from exc
+        p = z[:k]
+        lam = z[k:]
 
         if float(np.max(np.abs(p))) <= 1e-11 * (1.0 + float(np.max(np.abs(y)))):
             if nw == 0:
-                return y, working, lam, iterations, True
+                return y, working, lam, iterations
             if bland:
                 negative = [i for i, v in enumerate(lam) if v < -1e-9]
                 if not negative:
-                    return y, working, lam, iterations, True
+                    return y, working, lam, iterations
                 drop = min(negative, key=lambda i: working[i])
             else:
                 drop = int(np.argmin(lam))
                 if lam[drop] >= -1e-9:
-                    return y, working, lam, iterations, True
+                    return y, working, lam, iterations
             in_working[working[drop]] = False
             working.pop(drop)
             continue
@@ -637,46 +612,5 @@ def _active_set(h, f, c, d, y0, max_iterations):
                     bland = True
             else:
                 zero_streak = 0
-    return y, working, np.zeros(len(working)), iterations, False
+    raise QpInfeasibleError("active-set iteration budget exhausted", iterations)
 
-
-def _phase_one(h, c, d, y0, max_iterations):
-    """Feasible point of {Cy <= d} via a strictly convex slack problem."""
-    k = len(y0)
-    viol = c @ y0 - d
-    violated = np.nonzero(viol > 0.0)[0]
-    nv = len(violated)
-    if nv == 0:
-        return y0, 0
-    scale = max(1.0, float(np.trace(h)) / k)
-    eps = 1e-10 * scale
-    h1 = np.zeros((k + nv, k + nv))
-    h1[:k, :k] = eps * np.eye(k)
-    h1[k:, k:] = np.eye(nv)
-    f1 = np.concatenate([-eps * y0, np.zeros(nv)])
-
-    rows = []
-    rhs = []
-    for slot, row_idx in enumerate(violated):
-        row = np.zeros(k + nv)
-        row[:k] = c[row_idx]
-        row[k + slot] = -1.0
-        rows.append(row)
-        rhs.append(d[row_idx])
-        srow = np.zeros(k + nv)
-        srow[k + slot] = -1.0
-        rows.append(srow)
-        rhs.append(0.0)
-    satisfied = np.nonzero(viol <= 0.0)[0]
-    for row_idx in satisfied:
-        row = np.zeros(k + nv)
-        row[:k] = c[row_idx]
-        rows.append(row)
-        rhs.append(d[row_idx])
-    c1 = np.vstack(rows)
-    d1 = np.array(rhs)
-    u0 = np.concatenate([y0, viol[violated] + 1.0])
-    u, _, _, iterations, ok = _active_set(h1, f1, c1, d1, u0, max(max_iterations, 4 * len(d1)))
-    if not ok:
-        raise QpInfeasibleError("phase-1 iteration budget exhausted", iterations)
-    return u[:k], iterations

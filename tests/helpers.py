@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
+from swarmplan.geometry import closest_points_to_origin
 
 
 def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
@@ -27,3 +28,15 @@ def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
         segs.append(BernsteinSegment(pts, dt))
         prev = pts
     return PiecewiseTrajectory(segs, start)
+
+
+def closest_point_to_origin(points):
+    """Single-hull view of closest_points_to_origin: (witness, distance)."""
+    witness, dist = closest_points_to_origin(np.asarray(points, dtype=float)[None])
+    return witness[0], float(dist[0])
+
+
+def separation_residuals(seg, control_points):
+    """Slack (c_l - anchors[l]) . normal - margins[l] of each control point
+    against one SegmentSeparation; positive means strictly satisfied."""
+    return (np.asarray(control_points, dtype=float) - seg.anchors) @ seg.normal - seg.margins

@@ -106,3 +106,16 @@ def dijkstra_grid(free: np.ndarray, start_idx, goal_idx):
                     dist[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
     return None
+
+
+def support(model, direction) -> float:
+    """Largest dot product of the collision model with direction.
+
+    Closed form R * ||E^-1 n||; separate_pairs computes the same quantity
+    inline as each plane's reach.
+    """
+    n = np.asarray(direction, dtype=float).reshape(3)
+    norm = np.linalg.norm(model.inverse_scale * n)
+    if norm == 0.0:
+        raise ValueError("support direction must be non-zero")
+    return model.radius_sum * norm

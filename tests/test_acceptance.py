@@ -12,13 +12,14 @@ import pytest
 
 from swarmplan.bernstein import BernsteinSegment, basis_row, shift_for_initial
 from swarmplan.corridor import build_pair_separations
-from swarmplan.geometry import EllipsoidModel, closest_point_to_origin
+from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.qp import QpProblem, jerk_gram_matrix, solve
 from swarmplan.scenarios import generate_scenario
 from swarmplan.sim import run
 from swarmplan.verify import verify
 
+from helpers import closest_point_to_origin
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
 
 EMPTY_RUNS = 30
@@ -267,10 +268,10 @@ class TestCriterion5OracleEquivalences:
             ok &= bool(np.all(seg_i.margins == 0.5 * (0.3 + 2.0)))
             ok &= bool(np.array_equal(seg_j.normal, [-1.0, 0.0, 0.0]))
             ok &= bool(np.all(seg_j.margins == seg_i.margins))
-            for hs in seg_i.halfspaces():
-                ok &= abs((hs.anchor[0] + hs.margin * hs.normal[0]) - 0.15) < 1e-12
-            for hs in seg_j.halfspaces():
-                ok &= abs((hs.anchor[0] + hs.margin * hs.normal[0]) + 0.15) < 1e-12
+            boundary_i = seg_i.anchors[:, 0] + seg_i.margins * seg_i.normal[0]
+            boundary_j = seg_j.anchors[:, 0] + seg_j.margins * seg_j.normal[0]
+            ok &= bool(np.all(np.abs(boundary_i - 0.15) < 1e-12))
+            ok &= bool(np.all(np.abs(boundary_j + 0.15) < 1e-12))
         _report(
             "criterion 5 (separating plane hand example)",
             ok,

@@ -20,7 +20,7 @@ from swarmplan.params import PlanningParams
 from swarmplan.planner import shared_pair_separations
 from swarmplan.world import OccupancyGrid
 
-from helpers import random_trajectory
+from helpers import random_trajectory, separation_residuals
 
 
 def hover_trajectory(position, segments=5, degree=5, dt=0.2):
@@ -103,12 +103,10 @@ class TestPairSeparations:
             assert np.all(seg_i.margins == 0.5 * (0.3 + 2.0))
             assert np.all(seg_j.margins == seg_i.margins)
             # Boundary of the feasible half-space for i: x = -1 + 1.15.
-            for hs in seg_i.halfspaces():
-                boundary = hs.anchor[0] + hs.margin * hs.normal[0]
-                assert boundary == pytest.approx(0.15, abs=1e-12)
-            for hs in seg_j.halfspaces():
-                boundary = hs.anchor[0] + hs.margin * hs.normal[0]
-                assert boundary == pytest.approx(-0.15, abs=1e-12)
+            boundary_i = seg_i.anchors[:, 0] + seg_i.margins * seg_i.normal[0]
+            boundary_j = seg_j.anchors[:, 0] + seg_j.margins * seg_j.normal[0]
+            assert np.all(np.abs(boundary_i - 0.15) <= 1e-12)
+            assert np.all(np.abs(boundary_j + 0.15) <= 1e-12)
 
     def test_constant_offset_gives_identical_segments(self):
         rng = np.random.default_rng(41)
@@ -207,10 +205,10 @@ class TestPairSeparations:
             built += 1
             for m in range(a.segment_count):
                 assert np.all(
-                    for_a.segments[m].residuals(a.segments[m].control_points) > 0
+                    separation_residuals(for_a.segments[m], a.segments[m].control_points) > 0
                 )
                 assert np.all(
-                    for_b.segments[m].residuals(b.segments[m].control_points) > 0
+                    separation_residuals(for_b.segments[m], b.segments[m].control_points) > 0
                 )
         assert built > 20
 
@@ -241,8 +239,8 @@ class TestPairSeparations:
             for m in range(a.segment_count):
                 sa = a.segments[m]
                 sb = b.segments[m]
-                assert np.all(for_a.segments[m].residuals(sa.control_points) > 0)
-                assert np.all(for_b.segments[m].residuals(sb.control_points) > 0)
+                assert np.all(separation_residuals(for_a.segments[m], sa.control_points) > 0)
+                assert np.all(separation_residuals(for_b.segments[m], sb.control_points) > 0)
                 for tau in np.linspace(0, 1, 200):
                     delta = (sa.eval(float(tau)) - sb.eval(float(tau))) * scale
                     assert np.linalg.norm(delta) >= model.radius_sum - 1e-6

@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from swarmplan.errors import (
-    SafetyDegeneracyError,
-    StepAbortError,
-    UnsupportedDisturbanceError,
-)
+from swarmplan import qp
+from swarmplan.errors import SafetyDegeneracyError, StepAbortError
 from swarmplan.params import PlanningParams
 from swarmplan.planner import (
     AgentSnapshot,
-    DisturbanceLevel,
     PlannerState,
-    detect_disturbance,
     initial_trajectories,
     plan_step,
-    require_supported,
     shared_pair_separations,
 )
 from swarmplan.world import OccupancyGrid
@@ -205,6 +199,20 @@ class TestFallback:
             result.trajectory.control_point_stack(), inits[0].control_point_stack()
         )
 
+    def test_singular_active_set_system_returns_shifted_plan(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qp, "_refined_solve", singular)
+        grid = empty_grid()
+        swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], grid)
+        snaps = swarm.snapshots()
+        inits = initial_trajectories(snaps, PARAMS, 0.0)
+        result = plan_step(swarm.states[0], snaps, grid, inits=inits)
+        assert result.diagnostics.used_fallback
+        assert "singular active-set system" in result.diagnostics.fallback_reason
+        assert result.trajectory is inits[0]
+
     def test_fallback_is_flyable_over_steps(self):
         params = PlanningParams(qp_max_iterations=0)
         swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], empty_grid(), params)
@@ -213,32 +221,6 @@ class TestFallback:
         # aborts either: the shifted plan stays feasible step after step.
         assert all(d.used_fallback for d in swarm.diagnostics)
         assert swarm.goal_distances()[0] > 1.0
-
-
-class TestDisturbance:
-    def _state_with_history(self):
-        swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], empty_grid())
-        swarm.step()
-        return swarm.states[0], swarm.positions[0]
-
-    def test_exact_match_is_none(self):
-        state, desired = self._state_with_history()
-        assert detect_disturbance(state, desired, 0.05) is DisturbanceLevel.NONE
-
-    def test_small_offset(self):
-        state, desired = self._state_with_history()
-        measured = desired + np.array([0.01, 0.0, 0.0])
-        level = detect_disturbance(state, measured, 0.05)
-        assert level is DisturbanceLevel.SMALL
-        require_supported(level)  # no raise: replanning keeps the desired state
-
-    def test_large_offset_raises_on_require(self):
-        state, desired = self._state_with_history()
-        measured = desired + np.array([1.0, 0.0, 0.0])
-        level = detect_disturbance(state, measured, 0.05)
-        assert level is DisturbanceLevel.LARGE
-        with pytest.raises(UnsupportedDisturbanceError):
-            require_supported(level, agent_id=0)
 
 
 class TestStaticSafety:

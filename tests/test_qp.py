@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from swarmplan.corridor import advance_corridor, build_pair_separations
 from swarmplan.errors import QpInfeasibleError
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
+from swarmplan import qp
 from swarmplan.qp import (
     QpProblem,
     assemble,
@@ -123,7 +126,8 @@ class TestAssemble:
         assert mats.eq_matrix.shape == (60, 90)  # 9 initial + 36 continuity + 15 terminal
         assert mats.dyn_matrix.shape[0] == 270  # 150 velocity + 120 acceleration
         assert mats.box_matrix.shape[0] == 180
-        assert mats.nullspace.shape == (90, 30)
+        assert mats.reduction.nullspace.shape == (90, 30)
+        assert mats.reduction.static_rows.shape == (450, 30)
 
     def test_candidate_satisfies_own_problem(self):
         grid = empty_grid()
@@ -140,7 +144,10 @@ class TestAssemble:
         traj = hover(goal)
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, goal, corridor, [], PARAMS)
-        problem.validate()
+        p = problem.quadratic
+        scale = np.max(np.abs(p))
+        assert np.max(np.abs(p - p.T)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(p)[0] >= -1e-9 * scale
         # The jerk-block matvec cancels to absolute noise ~1e-9 at this scale.
         assert problem.objective(candidate) == pytest.approx(0.0, abs=1e-8)
         solution = solve(problem, warm_start=candidate)
@@ -270,7 +277,7 @@ class TestSolve:
                 np.concatenate([hi, -lo]),
             )
             problem = simple_problem(p, q, eq=None, ineq=ineq)
-            solution = solve(problem)
+            solution = solve(problem, warm_start=np.zeros(dim))
             oracle = np.clip(target, lo, hi)
             assert np.max(np.abs(solution.values - oracle)) < 1e-8
 
@@ -279,7 +286,7 @@ class TestSolve:
         problem = simple_problem(
             [[2.0]], [-6.0], 9.0, ineq=(np.array([[1.0]]), np.array([1.0]))
         )
-        solution = solve(problem)
+        solution = solve(problem, warm_start=np.zeros(1))
         assert solution.values[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_residuals_recomputed(self):
@@ -406,7 +413,62 @@ class TestSolve:
                     if best is None or val < best[0]:
                         best = (val, x)
             problem = simple_problem(p, q, ineq=(g, h))
-            solution = solve(problem)
+            solution = solve(problem, warm_start=np.zeros(dim))
             assert best is not None
             assert solution.objective == pytest.approx(best[0], abs=1e-8)
             assert np.max(np.abs(solution.values - best[1])) < 1e-6
+
+    def test_infeasible_warm_start_raises(self):
+        # There is no phase one: a start outside the constraints is refused,
+        # not repaired.
+        problem = simple_problem(
+            [[2.0]], [-6.0], 9.0, ineq=(np.array([[1.0]]), np.array([1.0]))
+        )
+        with pytest.raises(QpInfeasibleError, match=r"violation 1\.000e\+00"):
+            solve(problem, warm_start=np.array([2.0]))
+        grid = empty_grid()
+        traj = hover((0.5, 0.5, 1.0))
+        corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        outside = candidate.copy()
+        outside[0::3] = corridor.boxes[0].hi[0] + 0.5  # every point, same x
+        with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
+            solve(problem, warm_start=outside)
+
+    def test_singular_active_set_system_raises(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(qp, "_refined_solve", singular)
+        grid = empty_grid()
+        traj = hover((0.5, 0.5, 1.0))
+        corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        with pytest.raises(QpInfeasibleError, match="singular active-set system"):
+            solve(problem, warm_start=candidate)
+
+    def test_shared_reduction_matches_generic(self):
+        # Planner problems carry the parameter set's reduction with its
+        # static rows; solving them with a reduction built from the problem
+        # alone must give the same point.
+        rng = np.random.default_rng(55)
+        grid = empty_grid()
+        model = EllipsoidModel(0.3, 2.0)
+        solved = 0
+        for _ in range(8):
+            pa = rng.uniform([0.5, 0.5, 0.5], [2.5, 2.5, 1.5])
+            pb = rng.uniform([0.5, 0.5, 0.5], [2.5, 2.5, 1.5])
+            if np.linalg.norm((pa - pb) * [1, 1, 0.5]) < 0.4:
+                continue
+            a = hover(pa)
+            separations = [build_pair_separations(a, hover(pb), model, 1e-6)[0]]
+            corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
+            goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
+            problem, candidate = assemble(a, goal, corridor, separations, PARAMS)
+            assert problem.reduction is param_matrices(PARAMS).reduction
+            shared = solve(problem, warm_start=candidate)
+            generic = solve(replace(problem, reduction=None), warm_start=candidate)
+            assert np.max(np.abs(shared.values - generic.values)) <= 1e-9
+            assert shared.objective == pytest.approx(generic.objective, abs=1e-9)
+            solved += 1
+        assert solved >= 5
