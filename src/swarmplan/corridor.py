@@ -72,44 +72,20 @@ def advance_corridor(
 
 
 @dataclass(frozen=True)
-class SegmentSeparation:
-    """Separating half-spaces for one segment of one agent against one neighbor.
-
-    The constrained agent's control point l must satisfy
-    (c_l - anchors[l]) . normal - margins[l] >= 0, where anchors are the
-    neighbor's shifted control points. One normal serves all l of a segment.
-    """
-
-    normal: np.ndarray
-    anchors: np.ndarray
-    margins: np.ndarray
-
-    def __post_init__(self):
-        for name in ("normal", "anchors", "margins"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class PairSeparation:
     """Separating half-spaces of one agent against one neighbor, all segments.
 
-    Row m holds segment m's SegmentSeparation: normals (M, 3), anchors
-    (M, n+1, 3) and margins (M, n+1). The arrays are read-only views into
-    the arrays the builder computed for every pair at once.
+    Row m holds segment m's half-spaces: normals (M, 3), anchors
+    (M, n+1, 3) and margins (M, n+1). The constrained agent's control point
+    l of segment m must satisfy
+    (c_l - anchors[m, l]) . normals[m] - margins[m, l] >= 0, where anchors
+    are the neighbor's shifted control points. The arrays are read-only
+    views into the arrays separate_pairs computed for every pair at once.
     """
 
     normals: np.ndarray
     anchors: np.ndarray
     margins: np.ndarray
-
-    @property
-    def segments(self) -> tuple[SegmentSeparation, ...]:
-        return tuple(
-            SegmentSeparation(normal, anchors, margins)
-            for normal, anchors, margins in zip(self.normals, self.anchors, self.margins)
-        )
 
 
 def separate_pairs(

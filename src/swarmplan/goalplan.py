@@ -100,7 +100,7 @@ def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
     If the nearest higher-priority agent is too close, the target pushes
     straight away from it. Otherwise plan a grid path to the final goal with
     higher-priority agents as obstacles (retrying without them if blocked)
-    and return the farthest point along it with a clear line of sight; when
+    and return the farthest waypoint along it with a clear line of sight; when
     nothing is visible, hold position. The returned point only shapes the
     objective; it never generates constraints.
     """
@@ -157,10 +157,13 @@ def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
         raise GoalUnreachableError(
             f"agent {ctx.self_id}: no grid path to goal {me.goal.tolist()}"
         )
-    candidates = list(path.waypoints) + [me.goal]
-    for waypoint in reversed(candidates):
-        if grid.line_of_sight_free(
-            me.position, waypoint, seeing, obstacles, downwash=params.downwash
-        ):
-            return np.asarray(waypoint, dtype=float).copy()
+    # The goal itself was just found blocked from here, so only the path's
+    # waypoints remain; one batched query tests every sight line.
+    visible = np.flatnonzero(
+        grid.sight_lines_free(
+            me.position, path.waypoints, seeing, obstacles, downwash=params.downwash
+        )
+    )
+    if visible.size:
+        return path.waypoints[visible[-1]].copy()
     return me.position.copy()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
@@ -34,6 +36,28 @@ def closest_point_to_origin(points):
     """Single-hull view of closest_points_to_origin: (witness, distance)."""
     witness, dist = closest_points_to_origin(np.asarray(points, dtype=float)[None])
     return witness[0], float(dist[0])
+
+
+@dataclass(frozen=True)
+class SegmentSeparation:
+    """Separating half-spaces for one segment of one agent against one neighbor.
+
+    The constrained agent's control point l must satisfy
+    (c_l - anchors[l]) . normal - margins[l] >= 0, where anchors are the
+    neighbor's shifted control points. One normal serves all l of a segment.
+    """
+
+    normal: np.ndarray
+    anchors: np.ndarray
+    margins: np.ndarray
+
+
+def pair_segments(pair) -> tuple[SegmentSeparation, ...]:
+    """Row m of a PairSeparation as segment m's SegmentSeparation."""
+    return tuple(
+        SegmentSeparation(normal, anchors, margins)
+        for normal, anchors, margins in zip(pair.normals, pair.anchors, pair.margins)
+    )
 
 
 def separation_residuals(seg, control_points):

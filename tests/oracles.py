@@ -119,3 +119,132 @@ def support(model, direction) -> float:
     if norm == 0.0:
         raise ValueError("support direction must be non-zero")
     return model.radius_sum * norm
+
+
+# -- occupancy-grid referees ---------------------------------------------------
+# Straightforward implementations of the grid queries, which the production
+# code must reproduce bit for bit: the summed-area table by chained cumsums,
+# the blocked mask by points_free over every cell centre, the distance
+# field by full-grid frontier sweeps, box growth by one vectorized count per
+# layer and sight lines one np.linspace at a time.
+
+
+def prefix_by_cumsum(occupied) -> np.ndarray:
+    """Summed-area table with a zero first plane on every axis."""
+    occupied = np.asarray(occupied, dtype=bool)
+    prefix = np.zeros(tuple(d + 1 for d in occupied.shape), dtype=np.int64)
+    prefix[1:, 1:, 1:] = np.cumsum(np.cumsum(np.cumsum(occupied, axis=0), axis=1), axis=2)
+    return prefix
+
+
+def blocked_by_points(grid, inflation: float) -> np.ndarray:
+    """Cells whose inflated centre fails grid.points_free."""
+    centers = [
+        grid.bounds_min[a] + (np.arange(grid.dims[a]) + 0.5) * grid.resolution
+        for a in range(3)
+    ]
+    pts = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, 3)
+    return ~grid.points_free(pts, inflation).reshape(grid.dims)
+
+
+def distance_field_by_sweeps(grid, goal_idx, inflation: float) -> np.ndarray:
+    """6-connected hop counts to goal_idx (-1 where unreachable), one
+    whole-grid shifted-OR sweep per hop."""
+    free = ~blocked_by_points(grid, inflation)
+    goal_idx = tuple(goal_idx)
+    dist = np.full(grid.dims, -1, dtype=np.int32)
+    if not free[goal_idx]:
+        return dist
+    frontier = np.zeros(grid.dims, dtype=bool)
+    frontier[goal_idx] = True
+    dist[goal_idx] = 0
+    unseen = free & (dist < 0)
+    hops = 0
+    while frontier.any():
+        hops += 1
+        grown = np.zeros_like(frontier)
+        grown[1:, :, :] |= frontier[:-1, :, :]
+        grown[:-1, :, :] |= frontier[1:, :, :]
+        grown[:, 1:, :] |= frontier[:, :-1, :]
+        grown[:, :-1, :] |= frontier[:, 1:, :]
+        grown[:, :, 1:] |= frontier[:, :, :-1]
+        grown[:, :, :-1] |= frontier[:, :, 1:]
+        grown &= unseen
+        dist[grown] = hops
+        unseen &= ~grown
+        frontier = grown
+    return dist
+
+
+def grow_box_by_layers(grid, seed, inflation: float, toward=None):
+    """Round-robin box growth, one occupied-count query per layer; returns
+    the (min_corner, max_corner) tuples of the eroded box."""
+    seed = np.asarray(seed, dtype=float).reshape(3)
+    lo_idx, hi_idx = grid._overlap_range(seed - inflation, seed + inflation)
+    lo_idx = np.maximum(lo_idx, 0)
+    hi_idx = np.minimum(hi_idx, np.array(grid.dims) - 1)
+    order = list(range(6))
+    if toward is not None:
+        toward = np.asarray(toward, dtype=float).reshape(3)
+        scores = [(1.0 if d % 2 == 0 else -1.0) * toward[d // 2] for d in range(6)]
+        order.sort(key=lambda d: (-scores[d], d))
+    blocked = [False] * 6
+    while not all(blocked):
+        for d in order:
+            if blocked[d]:
+                continue
+            axis = d // 2
+            layer_lo = lo_idx.copy()
+            layer_hi = hi_idx.copy()
+            new = hi_idx[axis] + 1 if d % 2 == 0 else lo_idx[axis] - 1
+            if not 0 <= new < grid.dims[axis]:
+                blocked[d] = True
+                continue
+            layer_lo[axis] = layer_hi[axis] = new
+            if int(grid._count_occupied(layer_lo, layer_hi)) > 0:
+                blocked[d] = True
+                continue
+            if d % 2 == 0:
+                hi_idx[axis] = new
+            else:
+                lo_idx[axis] = new
+    region_lo = grid.bounds_min + lo_idx * grid.resolution
+    region_hi = grid.bounds_min + (hi_idx + 1) * grid.resolution
+    return tuple(region_lo + inflation), tuple(region_hi - inflation)
+
+
+def sight_line_by_linspace(grid, p, q, inflation, agent_obstacles=(), downwash=1.0) -> bool:
+    """Segment pq sampled every resolution/2 by np.linspace, each sample
+    tested with grid.points_free and against every agent obstacle."""
+    p = np.asarray(p, dtype=float).reshape(3)
+    q = np.asarray(q, dtype=float).reshape(3)
+    dist = float(np.linalg.norm(q - p))
+    count = max(2, int(np.ceil(dist / (grid.resolution / 2))) + 1) if dist > 0 else 1
+    samples = np.linspace(p, q, count)
+    if not np.all(grid.points_free(samples, inflation)):
+        return False
+    scale = np.array([1.0, 1.0, 1.0 / downwash])
+    for pos, radius in agent_obstacles:
+        delta = (samples - np.asarray(pos, dtype=float)) * scale
+        if np.any(np.linalg.norm(delta, axis=1) <= inflation + radius):
+            return False
+    return True
+
+
+def box_free_by_counts(grid, box, inflation: float) -> bool:
+    """Inflated box inside the bounds and overlapping no occupied cell, by
+    one vectorized summed-area count."""
+    lo = box.lo - inflation
+    hi = box.hi + inflation
+    if np.any(lo < grid.bounds_min - 1e-9) or np.any(hi > grid.bounds_max + 1e-9):
+        return False
+    return int(grid._count_occupied(*grid._overlap_range(lo, hi))) == 0
+
+
+def farthest_visible_by_scan(grid, p, candidates, inflation, agent_obstacles, downwash):
+    """The last candidate with a clear sight line from p, scanning from
+    the far end one sight line at a time; p itself when none is visible."""
+    for q in reversed(list(candidates)):
+        if sight_line_by_linspace(grid, p, q, inflation, agent_obstacles, downwash):
+            return np.asarray(q, dtype=float).copy()
+    return np.asarray(p, dtype=float).copy()

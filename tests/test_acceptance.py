@@ -19,7 +19,7 @@ from swarmplan.scenarios import generate_scenario
 from swarmplan.sim import run
 from swarmplan.verify import verify
 
-from helpers import closest_point_to_origin
+from helpers import closest_point_to_origin, pair_segments
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
 
 EMPTY_RUNS = 30
@@ -263,7 +263,7 @@ class TestCriterion5OracleEquivalences:
         )
         for_i, for_j = build_pair_separations(hover((1, 0, 0)), hover((-1, 0, 0)), model)
         ok = True
-        for seg_i, seg_j in zip(for_i.segments, for_j.segments):
+        for seg_i, seg_j in zip(pair_segments(for_i), pair_segments(for_j)):
             ok &= bool(np.array_equal(seg_i.normal, [1.0, 0.0, 0.0]))
             ok &= bool(np.all(seg_i.margins == 0.5 * (0.3 + 2.0)))
             ok &= bool(np.array_equal(seg_j.normal, [-1.0, 0.0, 0.0]))
@@ -308,7 +308,7 @@ class TestCriterion6InvariantSuite:
                 segment_time=0.2,
             )
             for_a, for_b = build_pair_separations(a, b, model)
-            for sa, sb in zip(for_a.segments, for_b.segments):
+            for sa, sb in zip(pair_segments(for_a), pair_segments(for_b)):
                 assert np.array_equal(sa.normal, -sb.normal)
                 assert np.array_equal(sa.margins, sb.margins)
             checked += 1

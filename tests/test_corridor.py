@@ -20,7 +20,7 @@ from swarmplan.params import PlanningParams
 from swarmplan.planner import shared_pair_separations
 from swarmplan.world import OccupancyGrid
 
-from helpers import random_trajectory, separation_residuals
+from helpers import pair_segments, random_trajectory, separation_residuals
 
 
 def hover_trajectory(position, segments=5, degree=5, dt=0.2):
@@ -97,7 +97,7 @@ class TestPairSeparations:
         traj_i = hover_trajectory((1.0, 0.0, 0.0))
         traj_j = hover_trajectory((-1.0, 0.0, 0.0))
         for_i, for_j = build_pair_separations(traj_i, traj_j, model)
-        for seg_i, seg_j in zip(for_i.segments, for_j.segments):
+        for seg_i, seg_j in zip(pair_segments(for_i), pair_segments(for_j)):
             assert np.array_equal(seg_i.normal, [1.0, 0.0, 0.0])
             assert np.array_equal(seg_j.normal, [-1.0, 0.0, 0.0])
             assert np.all(seg_i.margins == 0.5 * (0.3 + 2.0))
@@ -130,8 +130,8 @@ class TestPairSeparations:
         # The construction sees only difference points; with a constant
         # offset all segments agree (up to the float noise of re-deriving
         # the offset from differently-valued control points).
-        first = for_a.segments[0]
-        for seg in for_a.segments[1:]:
+        first = pair_segments(for_a)[0]
+        for seg in pair_segments(for_a)[1:]:
             assert np.allclose(seg.normal, first.normal, atol=1e-12)
             assert np.allclose(seg.margins, first.margins, atol=1e-12)
 
@@ -150,7 +150,7 @@ class TestPairSeparations:
             b_pts.start_time,
         )
         for_a, for_b = build_pair_separations(a, b, model)
-        for seg_a, seg_b in zip(for_a.segments, for_b.segments):
+        for seg_a, seg_b in zip(pair_segments(for_a), pair_segments(for_b)):
             assert np.array_equal(seg_a.normal, -seg_b.normal)
             assert np.array_equal(seg_a.margins, seg_b.margins)
 
@@ -174,11 +174,11 @@ class TestPairSeparations:
         )
         for_a1, for_b1 = build_pair_separations(a, b, model)
         for_b2, for_a2 = build_pair_separations(b, a, model)
-        for s1, s2 in zip(for_a1.segments, for_a2.segments):
+        for s1, s2 in zip(pair_segments(for_a1), pair_segments(for_a2)):
             assert np.array_equal(s1.normal, s2.normal)
             assert np.array_equal(s1.margins, s2.margins)
             assert np.array_equal(s1.anchors, s2.anchors)
-        for s1, s2 in zip(for_b1.segments, for_b2.segments):
+        for s1, s2 in zip(pair_segments(for_b1), pair_segments(for_b2)):
             assert np.array_equal(s1.normal, s2.normal)
             assert np.array_equal(s1.margins, s2.margins)
 
@@ -205,10 +205,10 @@ class TestPairSeparations:
             built += 1
             for m in range(a.segment_count):
                 assert np.all(
-                    separation_residuals(for_a.segments[m], a.segments[m].control_points) > 0
+                    separation_residuals(pair_segments(for_a)[m], a.segments[m].control_points) > 0
                 )
                 assert np.all(
-                    separation_residuals(for_b.segments[m], b.segments[m].control_points) > 0
+                    separation_residuals(pair_segments(for_b)[m], b.segments[m].control_points) > 0
                 )
         assert built > 20
 
@@ -239,8 +239,8 @@ class TestPairSeparations:
             for m in range(a.segment_count):
                 sa = a.segments[m]
                 sb = b.segments[m]
-                assert np.all(separation_residuals(for_a.segments[m], sa.control_points) > 0)
-                assert np.all(separation_residuals(for_b.segments[m], sb.control_points) > 0)
+                assert np.all(separation_residuals(pair_segments(for_a)[m], sa.control_points) > 0)
+                assert np.all(separation_residuals(pair_segments(for_b)[m], sb.control_points) > 0)
                 for tau in np.linspace(0, 1, 200):
                     delta = (sa.eval(float(tau)) - sb.eval(float(tau))) * scale
                     assert np.linalg.norm(delta) >= model.radius_sum - 1e-6
@@ -299,8 +299,8 @@ class TestBatchedSeparations:
         rng = np.random.default_rng(63)
         inits = random_swarm(rng, [0, 1])
         for_a, _ = build_pair_separations(inits[0], inits[1], EllipsoidModel(0.3, 2.0))
-        assert len(for_a.segments) == len(for_a.normals)
-        for m, seg in enumerate(for_a.segments):
+        assert len(pair_segments(for_a)) == len(for_a.normals)
+        for m, seg in enumerate(pair_segments(for_a)):
             assert np.array_equal(seg.normal, for_a.normals[m])
             assert np.array_equal(seg.anchors, for_a.anchors[m])
             assert np.array_equal(seg.margins, for_a.margins[m])

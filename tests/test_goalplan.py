@@ -4,7 +4,10 @@ import pytest
 from swarmplan.errors import GoalUnreachableError
 from swarmplan.goalplan import AgentMotion, GoalContext, higher_priority_ids, plan_current_goal
 from swarmplan.params import PlanningParams
+from swarmplan.scenarios import generate_scenario
 from swarmplan.world import OccupancyGrid
+
+from oracles import farthest_visible_by_scan
 
 PARAMS = PlanningParams()
 
@@ -194,3 +197,41 @@ class TestPlanCurrentGoal:
             a = plan_current_goal(ctx, grid)
             b = plan_current_goal(ctx, grid)
             assert np.array_equal(a, b)
+
+    def test_waypoint_scan_matches_per_candidate_scan(self):
+        # The batched sight scan picks the waypoint a one-line-at-a-time
+        # scan from the goal inward picks, with and without agent obstacles.
+        grid = OccupancyGrid.from_dict(generate_scenario("indoor", 2, seed=5).map_data)
+        rng = np.random.default_rng(62)
+        pad = grid.resolution / 4
+        scanned = 0
+        while scanned < 12:
+            points = rng.uniform(grid.bounds_min + 0.3, grid.bounds_max - 0.3, size=(4, 3))
+            if not np.all(grid.points_free(points, 0.15 + pad)):
+                continue
+            agents = {
+                0: motion(points[0], points[1]),
+                1: motion(points[2], points[2] + 0.3, horizon_end=points[0]),
+                2: motion(points[3], points[3] + 0.3, horizon_end=points[0]),
+            }
+            ctx = GoalContext(0, agents, PARAMS)
+            prio = sorted(higher_priority_ids(ctx))
+            gaps = [np.linalg.norm(points[0] - agents[j].position) for j in prio]
+            if min(gaps, default=np.inf) < PARAMS.repulsion_trigger_dist:
+                continue
+            obstacles = [(agents[j].position, agents[j].radius) for j in prio]
+            seeing = 0.15 - pad
+            if grid.line_of_sight_free(points[0], points[1], seeing, obstacles, PARAMS.downwash):
+                continue
+            path = grid.astar(
+                points[0], points[1], 0.15 + pad, obstacles, PARAMS.astar_budget, PARAMS.downwash
+            )
+            if path is None:
+                path = grid.astar(points[0], points[1], 0.15 + pad, (), PARAMS.astar_budget)
+            expected = farthest_visible_by_scan(
+                grid, points[0], list(path.waypoints) + [points[1]], seeing, obstacles,
+                PARAMS.downwash,
+            )
+            got = plan_current_goal(ctx, grid)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            scanned += 1

@@ -20,7 +20,7 @@ from swarmplan.qp import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import random_trajectory
+from helpers import pair_segments, random_trajectory
 from oracles import gauss_legendre_integral
 
 
@@ -205,7 +205,7 @@ class TestAssemble:
         rows = []
         rhs = []
         for pair in separations:
-            for seg_index, seg in enumerate(pair.segments):
+            for seg_index, seg in enumerate(pair_segments(pair)):
                 offsets = seg.anchors @ seg.normal + seg.margins
                 for l, offset in enumerate(offsets):
                     row = np.zeros(mats.dim)

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from swarmplan.params import PlanningParams
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import run
 from swarmplan.verify import verify
+from swarmplan.world import OccupancyGrid
 
 
 def narrow_corridor_scenario(timeout=6.0):
@@ -200,6 +202,33 @@ class TestVerify:
     def test_missing_artifacts_is_format_error(self, tmp_path):
         with pytest.raises(LogFormatError):
             verify(tmp_path)
+
+    def test_independent_of_planner_geometry(self):
+        # The verifier must re-derive safety with its own math: from the
+        # package it may import only errors and scenarios, and it never
+        # calls the grid's free-space, search or box methods.
+        import swarmplan.verify as verify_module
+
+        tree = ast.parse(Path(verify_module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("swarmplan"):
+                if node.module == "swarmplan":
+                    imported.update(f"swarmplan.{alias.name}" for alias in node.names)
+                else:
+                    imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names if a.name.startswith("swarmplan"))
+        assert imported == {"swarmplan.errors", "swarmplan.scenarios"}
+        grid_methods = {
+            name
+            for name, value in vars(OccupancyGrid).items()
+            if callable(value) and name not in ("__init__", "from_dict", "to_dict")
+        }
+        assert "grow_free_box" in grid_methods and "sight_lines_free" in grid_methods
+        used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not used & (grid_methods | {"OccupancyGrid"})
 
 
 class TestCli:

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 from swarmplan.errors import InfeasibleSeedError
+from swarmplan.scenarios import generate_scenario
 from swarmplan.world import AxisBox, OccupancyGrid
 
-from oracles import dijkstra_grid
+from oracles import (
+    blocked_by_points,
+    box_free_by_counts,
+    dijkstra_grid,
+    distance_field_by_sweeps,
+    grow_box_by_layers,
+    prefix_by_cumsum,
+    sight_line_by_linspace,
+)
 
 
 def empty_grid(extent=(3.0, 3.0, 2.0), resolution=0.1):
@@ -131,6 +140,22 @@ class TestGrowFreeBox:
         b = grid.grow_free_box((0.8, 0.8, 1.0), 0.15)
         assert a == b
 
+    def test_obstacle_free_map_costs_one_query(self, monkeypatch):
+        grid = empty_grid()
+        queries = []
+        count = grid._cells_occupied
+        monkeypatch.setattr(
+            grid, "_cells_occupied", lambda lo, hi: queries.append(1) or count(lo, hi)
+        )
+        box = grid.grow_free_box((1.5, 1.5, 1.0), 0.15, toward=(1.0, 0.0, 0.0))
+        assert len(queries) == 1
+        assert np.allclose(box.lo, [0.15, 0.15, 0.15])
+        assert np.allclose(box.hi, [2.85, 2.85, 1.85])
+
+    def test_negative_inflation_rejected(self):
+        with pytest.raises(ValueError):
+            empty_grid().grow_free_box((1.5, 1.5, 1.0), -0.1)
+
 
 class TestAstar:
     def test_start_equals_goal(self):
@@ -254,3 +279,128 @@ class TestLineOfSight:
     def test_out_of_bounds_segment(self):
         grid = empty_grid()
         assert not grid.line_of_sight_free((1.5, 1.5, 1.0), (1.5, 1.5, 2.5), 0.15)
+
+
+INFLATIONS = (0.0, 0.04, 0.175, 0.3)
+
+
+def random_box_map(seed):
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(int(rng.integers(3, 9))):
+        lo = rng.uniform([0, 0, 0], [2.6, 2.6, 1.6])
+        boxes.append((lo, lo + rng.uniform(0.05, 0.8, size=3)))
+    return grid_with_boxes(boxes)
+
+
+@pytest.fixture(
+    scope="module", params=["random-0", "random-1", "empty", "circle", "forest", "indoor"]
+)
+def referee_grid(request):
+    kind = request.param
+    if kind.startswith("random"):
+        return random_box_map(int(kind.split("-")[1]))
+    return OccupancyGrid.from_dict(generate_scenario(kind, 2, seed=4).map_data)
+
+
+def free_points(grid, inflation, rng, count):
+    pts = rng.uniform(grid.bounds_min, grid.bounds_max, size=(8 * count, 3))
+    return pts[grid.points_free(pts, inflation)][:count]
+
+
+class TestExactAgainstReferees:
+    """The fast grid queries return bit for bit what the straightforward
+    implementations in oracles.py return."""
+
+    def test_prefix_matches_cumsum(self, referee_grid):
+        expected = prefix_by_cumsum(referee_grid.occupied)
+        assert referee_grid._prefix.dtype == expected.dtype
+        assert np.array_equal(referee_grid._prefix, expected)
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_blocked_mask_matches_points_free(self, referee_grid, inflation):
+        mask = referee_grid._static_blocked(inflation)
+        expected = blocked_by_points(referee_grid, inflation)
+        assert mask.dtype == expected.dtype and mask.shape == expected.shape
+        assert np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_distance_field_matches_sweeps(self, referee_grid, inflation):
+        grid = referee_grid
+        rng = np.random.default_rng(7)
+        goals = [grid.voxel_index(p) for p in free_points(grid, inflation, rng, 1)]
+        blocked = np.argwhere(grid._static_blocked(inflation))
+        if len(blocked):
+            goals.append(tuple(int(v) for v in blocked[len(blocked) // 2]))
+        for goal in goals:
+            field = grid._goal_distance_field(goal, inflation)
+            expected = distance_field_by_sweeps(grid, goal, inflation)
+            assert field.dtype == expected.dtype
+            assert np.array_equal(field, expected)
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_grow_free_box_matches_layers(self, referee_grid, inflation):
+        grid = referee_grid
+        rng = np.random.default_rng(8)
+        seeds = free_points(grid, inflation, rng, 25)
+        # A seed on cell faces starts, at zero inflation, from an empty
+        # index range.
+        on_faces = grid.voxel_center(grid.voxel_index(seeds[0])) + grid.resolution / 2
+        if grid.point_is_free(on_faces, inflation):
+            seeds = [*seeds, on_faces]
+        for seed in seeds:
+            for toward in (None, rng.normal(size=3)):
+                box = grid.grow_free_box(seed, inflation, toward)
+                assert (box.min_corner, box.max_corner) == grow_box_by_layers(
+                    grid, seed, inflation, toward
+                )
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_box_is_free_matches_counts(self, referee_grid, inflation):
+        grid = referee_grid
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            lo = rng.uniform(grid.bounds_min - 0.2, grid.bounds_max)
+            box = AxisBox(tuple(lo), tuple(lo + rng.uniform(0, 1.0, size=3)))
+            assert grid.box_is_free(box, inflation) == box_free_by_counts(grid, box, inflation)
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_sight_lines_match_linspace(self, referee_grid, inflation):
+        grid = referee_grid
+        rng = np.random.default_rng(10)
+        for p in free_points(grid, inflation, rng, 6):
+            targets = rng.uniform(grid.bounds_min, grid.bounds_max, size=(12, 3))
+            # Axis-parallel lines (a zero step component) and a coincident
+            # target take linspace's other branches.
+            targets[0] = p
+            targets[1, :2] = p[:2]
+            targets[2, 1:] = p[1:]
+            targets[3, ::2] = p[::2]
+            counts = [
+                max(2, int(np.ceil(d / (grid.resolution / 2))) + 1) if d > 0 else 1
+                for d in (float(np.linalg.norm(q - p)) for q in targets)
+            ]
+            samples, starts = grid._sight_samples(p, targets)
+            assert np.array_equal(starts, np.cumsum(counts) - counts)
+            expected = [np.linspace(p, q, n) for q, n in zip(targets, counts)]
+            assert np.array_equal(samples, np.concatenate(expected))
+            obstacles = [(rng.uniform(grid.bounds_min, grid.bounds_max), 0.15) for _ in range(3)]
+            for downwash in (1.0, 2.0):
+                got = grid.sight_lines_free(p, targets, inflation, obstacles, downwash)
+                assert got.dtype == bool
+                assert got.tolist() == [
+                    sight_line_by_linspace(grid, p, q, inflation, obstacles, downwash)
+                    for q in targets
+                ]
+
+    def test_sight_line_touching_agent_disc_is_blocked(self):
+        # A sample at exactly inflation + radius from an agent, in the
+        # downwash-scaled metric, blocks the line.
+        grid = empty_grid()
+        p = np.array([0.5, 1.5, 1.0])
+        targets = np.array([[2.5, 1.5, 1.0], [2.5, 1.5, 1.0001]])
+        agent = [(np.array([1.5, 1.5, 1.5]), 0.15)]
+        got = grid.sight_lines_free(p, targets, 0.1, agent, downwash=2.0)
+        expected = [sight_line_by_linspace(grid, p, q, 0.1, agent, 2.0) for q in targets]
+        assert got.tolist() == expected
+        assert not got[0]
