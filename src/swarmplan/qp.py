@@ -21,7 +21,7 @@ first-order method's tolerance floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,7 +152,6 @@ class QpProblem:
     eq_rhs: np.ndarray
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
-    groups: dict[str, slice] = field(default_factory=dict)
     reduction: EqualityReduction | None = None
 
     @property
@@ -283,8 +282,6 @@ class ParamMatrices:
                     acc_rhs.append(params.max_acceleration[axis])
         self.dyn_matrix = np.vstack([np.array(vel_rows), np.array(acc_rows)])
         self.dyn_rhs = np.array(vel_rhs + acc_rhs)
-        self.velocity_rows = slice(0, len(vel_rhs))
-        self.acceleration_rows = slice(len(vel_rhs), len(vel_rhs) + len(acc_rhs))
 
         # Safe-box rows: +-1 coefficient per control point and axis; the
         # right-hand side comes from the step's corridor.
@@ -397,12 +394,6 @@ def assemble(
         ineq[rows[:, None], cols] = -np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0)
         ineq_rhs[rows] = -offsets.reshape(-1)
 
-    groups = {
-        "velocity": slice(mats.velocity_rows.start, mats.velocity_rows.stop),
-        "acceleration": slice(mats.acceleration_rows.start, mats.acceleration_rows.stop),
-        "safe_box": slice(n_dyn, n_dyn + n_box),
-        "separation": slice(n_dyn + n_box, n_dyn + n_box + n_sep),
-    }
     problem = QpProblem(
         quadratic=mats.quadratic,
         linear=linear,
@@ -411,7 +402,6 @@ def assemble(
         eq_rhs=eq_rhs,
         ineq_matrix=ineq,
         ineq_rhs=ineq_rhs,
-        groups=groups,
         reduction=mats.reduction,
     )
     return problem, candidate

@@ -454,10 +454,7 @@ class OccupancyGrid:
         blocked = self._padded_blocked(inflation)
         if agent_obstacles:
             blocked = blocked.copy()
-            for pos, radius in agent_obstacles:
-                self._block_near(
-                    blocked[1:-1, 1:-1, 1:-1], np.asarray(pos, float), inflation + radius, downwash
-                )
+            self._block_discs(blocked, agent_obstacles, inflation, downwash)
         start_idx = self.voxel_index(start)
         goal_idx = self.voxel_index(goal)
         start_cell = tuple(i + 1 for i in start_idx)
@@ -484,24 +481,16 @@ class OccupancyGrid:
         # The start cell may be force-unblocked with no field value; 0 is
         # admissible there. Everywhere else a negative field means the goal
         # is statically unreachable from that cell, so it cannot help.
+        steps = (sx, -sx, sy, -sy, 1, -1)
         h0 = field[start_flat]
         if h0 < 0:
             h0 = 0
-            # The unpadded test, whose flat neighbour offsets wrap rows.
-            _, ny, nz = self.dims
-            flat_field = field_grid[1:-1, 1:-1, 1:-1].reshape(-1)
-            start = np.ravel_multi_index(start_idx, self.dims)
-            if not any(
-                flat_field[start + df] >= 0
-                for df in (ny * nz, -ny * nz, nz, -nz, 1, -1)
-                if 0 <= start + df < len(flat_field)
-            ):
+            if not any(field[start_flat + df] >= 0 for df in steps):
                 return None
 
         g = {start_flat: 0}
         parent = {}
         heap = [(h0, h0, start_flat)]
-        steps = (sx, -sx, sy, -sy, 1, -1)
         pops = 0
         while heap:
             f, hv, flat = heapq.heappop(heap)
@@ -525,33 +514,48 @@ class OccupancyGrid:
                     heapq.heappush(heap, (ng + nh, nh, nflat))
         return None
 
-    def _block_near(
-        self, blocked: np.ndarray, pos: np.ndarray, radius: float, downwash: float = 1.0
-    ):
-        """Mark cells whose center lies within `radius` of pos in the
-        downwash-scaled metric (z differences count 1/downwash)."""
-        reach = np.array([radius, radius, radius * downwash])
-        lo_idx, hi_idx = self._overlap_range(pos - reach, pos + reach)
-        lo_idx = np.maximum(lo_idx, 0)
-        hi_idx = np.minimum(hi_idx, np.array(self.dims) - 1)
-        if np.any(lo_idx > hi_idx):
-            return
-        axes = [np.arange(lo_idx[a], hi_idx[a] + 1) for a in range(3)]
-        centers = [
-            self.bounds_min[a] + (axes[a] + 0.5) * self.resolution - pos[a]
-            for a in range(3)
-        ]
+    def _block_discs(self, blocked: np.ndarray, agent_obstacles, inflation, downwash):
+        """Mark, in the padded mask, every cell whose centre lies within
+        inflation + radius of an agent obstacle in the downwash-scaled
+        metric (z differences count 1/downwash).
+
+        All discs are marked in one pass over equal windows, one per disc,
+        sized to the largest clipped cell range among them; the cells of a
+        window outside its own disc's range are dropped. Distances use the
+        float expressions of a per-disc scan, so the mask is the same.
+        """
+        pos = np.array([p for p, _ in agent_obstacles], dtype=float).reshape(-1, 3)
+        radius = inflation + np.array([r for _, r in agent_obstacles], dtype=float)
+        reach = radius[:, None] * np.array([1.0, 1.0, downwash])
+        lo, hi = self._overlap_range(pos - reach, pos + reach)
+        lo = np.maximum(lo, 0)
+        hi = np.minimum(hi, np.array(self.dims) - 1)
+        width = np.maximum(np.max(hi - lo, axis=0) + 1, 0)
+        cells, inside, offsets = [], [], []
+        for a in range(3):
+            idx = lo[:, a, None] + np.arange(width[a])  # (discs, width)
+            inside.append(idx <= hi[:, a, None])
+            offsets.append(self.bounds_min[a] + (idx + 0.5) * self.resolution - pos[:, a, None])
+            cells.append(idx + 1)
         d2 = (
-            centers[0][:, None, None] ** 2
-            + centers[1][None, :, None] ** 2
-            + (centers[2][None, None, :] / downwash) ** 2
+            offsets[0][:, :, None, None] ** 2
+            + offsets[1][:, None, :, None] ** 2
+            + (offsets[2][:, None, None, :] / downwash) ** 2
         )
-        region = blocked[
-            lo_idx[0] : hi_idx[0] + 1, lo_idx[1] : hi_idx[1] + 1, lo_idx[2] : hi_idx[2] + 1
-        ]
-        blocked[
-            lo_idx[0] : hi_idx[0] + 1, lo_idx[1] : hi_idx[1] + 1, lo_idx[2] : hi_idx[2] + 1
-        ] = region | (d2 <= radius * radius)
+        hit = (
+            (d2 <= (radius * radius)[:, None, None, None])
+            & inside[0][:, :, None, None]
+            & inside[1][:, None, :, None]
+            & inside[2][:, None, None, :]
+        )
+        sy = self.dims[2] + 2
+        sx = (self.dims[1] + 2) * sy
+        flat = (
+            (cells[0] * sx)[:, :, None, None]
+            + (cells[1] * sy)[:, None, :, None]
+            + cells[2][:, None, None, :]
+        )
+        blocked.reshape(-1)[flat[hit]] = True
 
     def _reconstruct(self, parent, start_flat, goal_flat, shape) -> GridPath:
         chain = [goal_flat]

@@ -9,6 +9,7 @@ solves).
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 
 import numpy as np
 
@@ -75,6 +76,84 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(u - css / idx > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
+
+
+# Subset index tables for the hull query, cached per point count. The
+# minimum-norm point of a hull in R^3 lies on a face spanned by at most four
+# affinely independent vertices, so enumerating subsets of size 1..4 is
+# exhaustive.
+_SUBSETS_CACHE: dict[int, list[np.ndarray]] = {}
+
+
+def _subset_tables(count: int) -> list[np.ndarray]:
+    tables = _SUBSETS_CACHE.get(count)
+    if tables is None:
+        tables = [
+            np.array(list(combinations(range(count), size)), dtype=int)
+            for size in range(1, min(count, 4) + 1)
+        ]
+        _SUBSETS_CACHE[count] = tables
+    return tables
+
+
+def closest_by_enumeration(point_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Batched closest point of several convex hulls to the origin, by
+    enumerating every vertex subset (the staged query's referee).
+
+    `point_sets` has shape (batch, k, 3); every hull must have the same
+    vertex count. Projects the origin onto the affine hull of every vertex
+    subset of size 1..4 in one batched solve per size, keeps candidates
+    whose barycentric coordinates are non-negative (the projection then lies
+    inside the hull), and takes the smallest per hull. Ties resolve to the
+    smallest subset in (size, lexicographic index) order, so results are
+    deterministic and degenerate hulls (repeated, collinear, coplanar
+    points) need no special casing. Returns (witnesses (batch, 3),
+    distances (batch,)); distance 0 means the origin lies inside that hull.
+    """
+    pts = np.asarray(point_sets, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 3 or pts.shape[1] == 0 or pts.shape[0] == 0:
+        raise ValueError("point sets must have shape (batch, k, 3) with k >= 1")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    batch = pts.shape[0]
+    rows = np.arange(batch)
+
+    best_dist2 = np.full(batch, np.inf)
+    best_witness = np.zeros((batch, 3))
+
+    for subset in _subset_tables(pts.shape[1]):
+        size = subset.shape[1]
+        group = pts[:, subset, :]  # (batch, nsub, size, 3)
+        if size == 1:
+            cand = group[:, :, 0, :]
+            feasible = np.ones(cand.shape[:2], dtype=bool)
+        else:
+            base = group[:, :, :1, :]
+            span = group[:, :, 1:, :] - base  # (batch, nsub, size-1, 3)
+            gram = span @ span.transpose(0, 1, 3, 2)
+            rhs = -(span @ base.transpose(0, 1, 3, 2))[..., 0]
+            det = np.linalg.det(gram)
+            # Affinely dependent subsets (normalized determinant ~ 0) are
+            # skipped; their faces are covered by smaller subsets.
+            span_scale2 = np.max(np.sum(span * span, axis=3), axis=2)
+            ok = np.abs(det) > 1e-12 * span_scale2 ** (size - 1)
+            alpha = np.zeros_like(rhs)
+            if np.any(ok):
+                alpha[ok] = np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0]
+            cand = base[:, :, 0, :] + np.einsum("bnk,bnkd->bnd", alpha, span)
+            lam0 = 1.0 - np.sum(alpha, axis=2)
+            feasible = ok & (lam0 >= -1e-12) & np.all(alpha >= -1e-12, axis=2)
+        dist2 = np.where(feasible, np.sum(cand * cand, axis=2), np.inf)
+        idx = np.argmin(dist2, axis=1)
+        # argmin takes the first (lexicographically smallest) subset among
+        # ties and only a strict improvement replaces the current best, so
+        # witnesses are deterministic for a fixed input order.
+        row_d2 = dist2[rows, idx]
+        improve = row_d2 < best_dist2
+        best_dist2[improve] = row_d2[improve]
+        best_witness[improve] = cand[rows, idx][improve]
+
+    return best_witness, np.sqrt(best_dist2)
 
 
 def dijkstra_grid(free: np.ndarray, start_idx, goal_idx):
@@ -248,3 +327,30 @@ def farthest_visible_by_scan(grid, p, candidates, inflation, agent_obstacles, do
         if sight_line_by_linspace(grid, p, q, inflation, agent_obstacles, downwash):
             return np.asarray(q, dtype=float).copy()
     return np.asarray(p, dtype=float).copy()
+
+
+def block_discs_by_loop(grid, blocked, agent_obstacles, inflation: float, downwash=1.0):
+    """Mark, in an unpadded mask, the cells whose centre lies within
+    inflation + radius of each agent obstacle in the downwash-scaled metric,
+    one disc at a time over its own clipped cell range."""
+    for pos, radius in agent_obstacles:
+        pos = np.asarray(pos, dtype=float)
+        radius = inflation + radius
+        reach = np.array([radius, radius, radius * downwash])
+        lo_idx, hi_idx = grid._overlap_range(pos - reach, pos + reach)
+        lo_idx = np.maximum(lo_idx, 0)
+        hi_idx = np.minimum(hi_idx, np.array(grid.dims) - 1)
+        if np.any(lo_idx > hi_idx):
+            continue
+        axes = [np.arange(lo_idx[a], hi_idx[a] + 1) for a in range(3)]
+        centers = [
+            grid.bounds_min[a] + (axes[a] + 0.5) * grid.resolution - pos[a] for a in range(3)
+        ]
+        d2 = (
+            centers[0][:, None, None] ** 2
+            + centers[1][None, :, None] ** 2
+            + (centers[2][None, None, :] / downwash) ** 2
+        )
+        window = tuple(slice(lo_idx[a], hi_idx[a] + 1) for a in range(3))
+        blocked[window] = blocked[window] | (d2 <= radius * radius)
+    return blocked

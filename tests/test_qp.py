@@ -175,8 +175,8 @@ class TestAssemble:
         for_a, _ = build_pair_separations(a, b, model)
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
         problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, [for_a], PARAMS)
-        sl = problem.groups["separation"]
-        assert sl.stop - sl.start == 30
+        n_static = param_matrices(PARAMS).reduction.static_rows.shape[0]
+        assert len(problem.ineq_rhs) - n_static == 30
         report = problem.check(candidate)
         assert report.max_inequality_violation <= 0.0
 
@@ -212,9 +212,9 @@ class TestAssemble:
                     row[mats.sep_cols[seg_index * (PARAMS.degree + 1) + l]] = -seg.normal
                     rows.append(row)
                     rhs.append(-offset)
-        sl = problem.groups["separation"]
-        assert np.array_equal(problem.ineq_matrix[sl], np.array(rows))
-        assert np.array_equal(problem.ineq_rhs[sl], np.array(rhs))
+        n_static = mats.reduction.static_rows.shape[0]
+        assert np.array_equal(problem.ineq_matrix[n_static:], np.array(rows))
+        assert np.array_equal(problem.ineq_rhs[n_static:], np.array(rhs))
 
     def test_goal_only_changes_linear_term(self):
         # The repulsion goal shapes the objective, never the constraints.

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swarmplan import corridor
 from swarmplan.cli import main as cli_main
 from swarmplan.errors import LogFormatError, ScenarioGenerationError
 from swarmplan.params import PlanningParams
@@ -12,6 +13,8 @@ from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import run
 from swarmplan.verify import verify
 from swarmplan.world import OccupancyGrid
+
+from oracles import closest_by_enumeration
 
 
 def narrow_corridor_scenario(timeout=6.0):
@@ -129,6 +132,16 @@ class TestRun:
         for key in ("mean_plan_ms", "max_plan_ms", "pair_ms_per_step"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
+
+    def test_staged_closest_points_match_enumeration(self, tmp_path, monkeypatch):
+        # Six agents on a circle for 20 steps: 1500 hull queries, of which
+        # the vertex certificate leaves 552 to the face enumeration.
+        sc = generate_scenario("circle", 6, seed=0, timeout=4.0)
+        run(sc, tmp_path / "staged")
+        monkeypatch.setattr(corridor, "closest_points_to_origin", closest_by_enumeration)
+        run(sc, tmp_path / "enumerated")
+        staged = (tmp_path / "staged" / "steps.jsonl").read_bytes()
+        assert staged == (tmp_path / "enumerated" / "steps.jsonl").read_bytes()
 
     def test_narrow_corridor_deadlocks(self, tmp_path):
         # Long enough for the push-and-pin phase to settle into a

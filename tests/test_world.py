@@ -1,11 +1,16 @@
+import heapq
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from swarmplan import world
 from swarmplan.errors import InfeasibleSeedError
 from swarmplan.scenarios import generate_scenario
 from swarmplan.world import AxisBox, OccupancyGrid
 
 from oracles import (
+    block_discs_by_loop,
     blocked_by_points,
     box_free_by_counts,
     dijkstra_grid,
@@ -222,6 +227,36 @@ class TestAstar:
         d = np.linalg.norm(path.waypoints[1:] - np.array([1.75, 1.5, 1.0]), axis=1)
         assert np.all(d > 0.3)
 
+    def test_start_exit_check_reads_true_neighbours(self, monkeypatch):
+        # The start cell (1, 0, 2) is occupied, so it has no field value,
+        # and its in-grid neighbours are blocked. Cell (1, 1, 0) follows it
+        # in unpadded row-major order without being a neighbour, and it is
+        # the goal: a check on unpadded flat offsets would start a search
+        # that cannot leave the start.
+        occupied = np.zeros((3, 3, 3), dtype=bool)
+        for cell in [(1, 0, 2), (0, 0, 2), (2, 0, 2), (1, 1, 2), (1, 0, 1), (0, 2, 2)]:
+            occupied[cell] = True
+        pops = []
+
+        def counting_pop(heap):
+            pops.append(heap[0])
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(
+            world, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=counting_pop)
+        )
+        grid = OccupancyGrid(0.25, (0, 0, 0), (0.75, 0.75, 0.75), occupied)
+        start, goal = grid.voxel_center((1, 0, 2)), grid.voxel_center((1, 1, 0))
+        assert grid.astar(start, goal, 0.0) is None
+        assert pops == []
+        # With a true neighbour free the search leaves the start.
+        occupied = occupied.copy()
+        occupied[1, 0, 1] = False
+        grid = OccupancyGrid(0.25, (0, 0, 0), (0.75, 0.75, 0.75), occupied)
+        path = grid.astar(start, goal, 0.0)
+        assert path is not None and len(path) == 4
+        assert pops
+
     def test_budget_gives_none(self):
         grid = empty_grid()
         assert grid.astar((0.3, 0.3, 0.3), (2.7, 2.7, 1.7), 0.15, budget=3) is None
@@ -404,3 +439,41 @@ class TestExactAgainstReferees:
         expected = [sight_line_by_linspace(grid, p, q, 0.1, agent, 2.0) for q in targets]
         assert got.tolist() == expected
         assert not got[0]
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_agent_discs_match_loop(self, referee_grid, inflation):
+        grid = referee_grid
+        rng = np.random.default_rng(11)
+        obstacles = [
+            (rng.uniform(grid.bounds_min - 0.3, grid.bounds_max + 0.3), float(r))
+            for r in rng.uniform(0.05, 0.4, size=12)
+        ]
+        base = grid._padded_blocked(inflation)
+        for downwash in (1.0, 2.0):
+            padded = base.copy()
+            grid._block_discs(padded, obstacles, inflation, downwash)
+            expected = block_discs_by_loop(
+                grid, base[1:-1, 1:-1, 1:-1].copy(), obstacles, inflation, downwash
+            )
+            assert np.array_equal(padded[1:-1, 1:-1, 1:-1], expected)
+            padded[1:-1, 1:-1, 1:-1] = base[1:-1, 1:-1, 1:-1]
+            assert np.array_equal(padded, base)
+
+    def test_touching_agent_disc_blocks_the_cell(self):
+        # Cell centres at exactly inflation + radius from the agent, in the
+        # downwash-scaled metric, are blocked; every value is exact in
+        # binary.
+        grid = OccupancyGrid(0.25, (0, 0, 0), (2.0, 2.0, 2.0))
+        obstacles = [(np.array([1.125, 1.125, 1.125]), 0.125)]
+        for downwash, touching, outside in (
+            (1.0, (5, 4, 4), (5, 4, 5)),
+            (2.0, (4, 4, 6), (5, 4, 5)),
+        ):
+            padded = grid._padded_blocked(0.125).copy()
+            grid._block_discs(padded, obstacles, 0.125, downwash)
+            expected = block_discs_by_loop(
+                grid, grid._static_blocked(0.125).copy(), obstacles, 0.125, downwash
+            )
+            mask = padded[1:-1, 1:-1, 1:-1]
+            assert np.array_equal(mask, expected)
+            assert mask[touching] and not mask[outside]
