@@ -153,18 +153,6 @@ class PiecewiseTrajectory:
         m = self.segment_index(t)
         return self.segments[m].eval(self._local_tau(t, m))
 
-    def derivative(self) -> "PiecewiseTrajectory":
-        """Trajectory of the velocity curve (degree drops by one)."""
-        return PiecewiseTrajectory(
-            [derivative(s) for s in self.segments], self.start_time
-        )
-
-    def state_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position, velocity, and acceleration at time t."""
-        vel = self.derivative()
-        acc = vel.derivative()
-        return self.eval(t), vel.eval(t), acc.eval(t)
-
     def control_point_stack(self) -> np.ndarray:
         """All control points as one (M*(n+1), 3) array in segment order."""
         return np.vstack([s.control_points for s in self.segments])

@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="simulate a scenario and verify its logs")
     runp.add_argument("--scenario", required=True, help="scenario JSON path")
     runp.add_argument("--out", required=True, help="log output directory")
-    runp.add_argument("--threads", type=int, default=1, help="planner thread count")
     runp.add_argument(
         "--timeout", type=float, default=None, help="override scenario timeout [s]"
     )
@@ -87,7 +86,7 @@ def _cmd_run(args) -> int:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        metrics = run_sim(scenario, args.out, threads=args.threads, timeout=args.timeout)
+        metrics = run_sim(scenario, args.out, timeout=args.timeout)
     except (ValueError, PlannerError) as exc:
         print(f"run rejected: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -28,8 +28,6 @@ import numpy as np
 from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
 from swarmplan.errors import QpInfeasibleError
 
-_ZERO_ROW_TOL = 1e-300
-
 
 def difference_operator(degree: int, duration: float) -> np.ndarray:
     """Matrix mapping segment control points to derivative control points."""
@@ -433,9 +431,9 @@ def solve(
     at `warm_start`, or at the unconstrained minimum when it is None. The
     start must be feasible: there is no phase one, and a start more than
     1e-7 outside any normalised inequality row raises QpInfeasibleError, as
-    do inconsistent equalities, an exhausted iteration budget, a singular
-    linear system and a result outside tolerance. The planner absorbs all of
-    these by flying its shifted plan.
+    do an inequality row of zero norm, inconsistent equalities, an exhausted
+    iteration budget, a singular linear system and a result outside
+    tolerance. The planner absorbs all of these by flying its shifted plan.
     """
     mi = len(problem.ineq_rhs)
     if max_iterations is None:
@@ -462,12 +460,8 @@ def solve(
     c_red = np.vstack([red.static_rows, problem.ineq_matrix[n_static:] @ null])
     d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
     row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
-    if np.any(row_norms <= _ZERO_ROW_TOL):
-        bad = np.nonzero(row_norms <= _ZERO_ROW_TOL)[0]
-        if np.any(problem.ineq_rhs[bad] < -tol):
-            raise QpInfeasibleError("zero inequality row with negative bound", 0)
-        keep = row_norms > _ZERO_ROW_TOL
-        c_red, d_red, row_norms = c_red[keep], d_red[keep], row_norms[keep]
+    if not np.all(row_norms > 0.0):
+        raise QpInfeasibleError("zero inequality row", 0)
     c_red = c_red / row_norms[:, None]
     d_red = d_red / row_norms
 
@@ -527,8 +521,7 @@ def _active_set(h, f, c, d, y0, max_iterations):
     """Primal active-set iteration on min 0.5 y'Hy + f'y s.t. Cy <= d.
 
     Requires a feasible y0. Blocking constraints enter by lowest row index
-    among minimal step ratios; constraints leave by most negative multiplier,
-    switching to lowest-index (Bland-style) after a long degenerate streak.
+    among minimal step ratios; constraints leave by most negative multiplier.
     Returns (y, working rows, multipliers, iterations); raises
     QpInfeasibleError on a singular linear system or an exhausted budget.
     """
@@ -537,8 +530,6 @@ def _active_set(h, f, c, d, y0, max_iterations):
     y = np.array(y0, dtype=float)
     working: list[int] = []
     in_working = np.zeros(mi, dtype=bool)
-    zero_streak = 0
-    bland = False
     iterations = 0
 
     while iterations < max_iterations:
@@ -566,15 +557,9 @@ def _active_set(h, f, c, d, y0, max_iterations):
         if float(np.max(np.abs(p))) <= 1e-11 * (1.0 + float(np.max(np.abs(y)))):
             if nw == 0:
                 return y, working, lam, iterations
-            if bland:
-                negative = [i for i, v in enumerate(lam) if v < -1e-9]
-                if not negative:
-                    return y, working, lam, iterations
-                drop = min(negative, key=lambda i: working[i])
-            else:
-                drop = int(np.argmin(lam))
-                if lam[drop] >= -1e-9:
-                    return y, working, lam, iterations
+            drop = int(np.argmin(lam))
+            if lam[drop] >= -1e-9:
+                return y, working, lam, iterations
             in_working[working[drop]] = False
             working.pop(drop)
             continue
@@ -596,11 +581,5 @@ def _active_set(h, f, c, d, y0, max_iterations):
         if blocking >= 0:
             working.append(blocking)
             in_working[blocking] = True
-            if step <= 1e-14:
-                zero_streak += 1
-                if zero_streak > k + 16:
-                    bland = True
-            else:
-                zero_streak = 0
     raise QpInfeasibleError("active-set iteration budget exhausted", iterations)
 

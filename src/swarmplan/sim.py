@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,34 +59,19 @@ class RunMetrics:
     min_obstacle_clearance: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "deadlock": self.deadlock,
-            "flight_time": self.flight_time,
-            "sim_time": self.sim_time,
-            "steps": self.steps,
-            "fallback_count": self.fallback_count,
-            "max_candidate_violation": self.max_candidate_violation,
-            "mean_plan_ms": self.mean_plan_ms,
-            "max_plan_ms": self.max_plan_ms,
-            "pair_ms_per_step": self.pair_ms_per_step,
-            "error": self.error,
-            "verified": self.verified,
-            "safety_ok": self.safety_ok,
-            "violations": self.violations,
-            "flight_distance_per_agent": self.flight_distance_per_agent,
-            "min_inter_agent_distance": self.min_inter_agent_distance,
-            "min_obstacle_clearance": self.min_obstacle_clearance,
-        }
+        return asdict(self)
 
 
 def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetrics:
     """Simulate a scenario to completion and verify its logs.
 
-    Semantically deterministic for a fixed scenario regardless of thread
-    count (planning is pure over the shared snapshot); only the timing
-    metrics vary between invocations.
+    Agents plan one after another, each purely from the shared snapshot, so
+    a fixed scenario gives the same logs every time; only the timing
+    metrics vary between invocations. `threads` must be 1: planning holds
+    the GIL, so planner threads made runs no faster.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = scenario.grid()
@@ -98,7 +82,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     if abs(ticks - dt * _TICKS_PER_SECOND) > 1e-9 or ticks < 1:
         raise ValueError("segment_time must be a multiple of the 10 ms log period")
     limit = scenario.timeout if timeout is None else float(timeout)
-    basis = _segment_basis(params.degree, ticks)
+    basis = _segment_basis(params.degree, [j / ticks for j in range(ticks)])
 
     n_agents = len(scenario.agents)
     states = [
@@ -123,7 +107,6 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     reach_candidate: float | None = None
     step = 0
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         while True:
             now = step * dt
@@ -147,25 +130,17 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             pair_times.append((pair_end - pair_start) * 1e3)
             shared_ms = (pair_end - shared_start) * 1e3 / n_agents
 
-            def plan_one(state):
+            for state in states:
                 begin = time.perf_counter()
                 result = plan_step(state, snapshots, grid, pairs, inits)
-                return result, (time.perf_counter() - begin) * 1e3
-
-            if pool is not None:
-                results = list(pool.map(plan_one, states))
-            else:
-                results = [plan_one(state) for state in states]
-
-            for i, (result, elapsed_ms) in enumerate(results):
-                plan_times.append(elapsed_ms + shared_ms)
+                plan_times.append((time.perf_counter() - begin) * 1e3 + shared_ms)
                 diag = result.diagnostics
                 fallback_count += diag.used_fallback
                 max_candidate_violation = max(
                     max_candidate_violation, diag.candidate_violation
                 )
-                states[i].previous_trajectory = result.trajectory
-                states[i].previous_corridor = result.corridor
+                state.previous_trajectory = result.trajectory
+                state.previous_corridor = result.corridor
 
             step_lines.append(_step_line(step, now, states))
             base_tick = step * ticks
@@ -197,15 +172,16 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
                 reach_candidate = None
     except PlannerError as exc:
         error = str(exc)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     sim_time = step * dt
     if step > 0:
+        # The last row is the end state of the last flown segment.
         final_t = step * ticks / _TICKS_PER_SECOND
+        end_basis = _segment_basis(params.degree, [1.0])
         for i in range(n_agents):
-            csv_rows[i].append(_csv_row(final_t, states[i].previous_trajectory))
+            csv_rows[i].extend(
+                _sample_rows(states[i].previous_trajectory, [final_t], end_basis)
+            )
 
     deadlock = False
     if not success and error is None and step > _STALL_STEPS:
@@ -253,18 +229,12 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     return metrics
 
 
-def _csv_row(t: float, traj) -> str:
-    pos, vel, acc = traj.state_at(t)
-    vals = [f"{t:.2f}"] + [repr(float(v)) for v in (*pos, *vel, *acc)]
-    return ",".join(vals)
-
-
-def _segment_basis(degree: int, ticks: int):
-    """Basis matrices sampling one segment (and its derivatives) at the log
-    grid; only the first segment of each plan is ever flown."""
+def _segment_basis(degree: int, taus):
+    """Basis matrices sampling one segment (and its derivatives) at the
+    local parameters taus; only the first segment of each plan is ever
+    flown."""
     from swarmplan.bernstein import basis_row
 
-    taus = [j / ticks for j in range(ticks)]
     return tuple(
         np.array([basis_row(deg, tau) for tau in taus])
         for deg in (degree, degree - 1, degree - 2)

@@ -68,13 +68,6 @@ class AxisBox:
     def hi(self) -> np.ndarray:
         return np.array(self.max_corner)
 
-    def contains(self, point, tol: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
-
-    def inflate(self, margin: float) -> "AxisBox":
-        return AxisBox(tuple(self.lo - margin), tuple(self.hi + margin))
-
 
 @dataclass(frozen=True)
 class GridPath:
@@ -345,13 +338,9 @@ class OccupancyGrid:
     # of flat indices never wrap and need no bounds tests. Padded flat
     # indices order cells exactly as unpadded ones do.
 
-    def _static_blocked(self, inflation: float) -> np.ndarray:
-        """Cells whose center, inflated, overlaps an obstacle or leaves the
-        bounds. Cached per inflation value."""
-        return self._padded_blocked(inflation)[1:-1, 1:-1, 1:-1]
-
     def _padded_blocked(self, inflation: float) -> np.ndarray:
-        """_static_blocked on the padded grid.
+        """Cells whose center, inflated, overlaps an obstacle or leaves the
+        bounds, on the padded grid. Cached per inflation value.
 
         Cell centres vary along one axis each, so points_free's bounds test
         and overlap ranges are computed per axis, on one column of centres
@@ -382,17 +371,13 @@ class OccupancyGrid:
         self._blocked_cache[key] = mask
         return mask
 
-    def _goal_distance_field(self, goal_idx, inflation: float) -> np.ndarray:
-        """Exact 6-connected hop count from every free cell to the goal cell
-        (-1 where unreachable), used as a consistent search heuristic.
-        Cached per (goal, inflation); goals are fixed for a whole run, so
-        this pays once."""
-        return self._padded_field(goal_idx, inflation)[1:-1, 1:-1, 1:-1]
-
     def _padded_field(self, goal_idx, inflation: float) -> np.ndarray:
-        """_goal_distance_field on the padded grid, built by a breadth-first
-        search over flat cell indices: each hop visits only the frontier's
-        neighbours."""
+        """Exact 6-connected hop count from every free cell to the goal cell
+        (-1 where unreachable), on the padded grid, used as a consistent
+        search heuristic. Built by a breadth-first search over flat cell
+        indices: each hop visits only the frontier's neighbours. Cached per
+        (goal, inflation); goals are fixed for a whole run, so this pays
+        once."""
         key = (tuple(goal_idx), round(float(inflation), 12))
         cached = self._field_cache.get(key)
         if cached is not None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
+from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, derivative
 from swarmplan.geometry import closest_points_to_origin
 
 
@@ -30,6 +30,35 @@ def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
         segs.append(BernsteinSegment(pts, dt))
         prev = pts
     return PiecewiseTrajectory(segs, start)
+
+
+def state_at(traj, t):
+    """Position, velocity and acceleration of a piecewise trajectory at time
+    t, on the segment PiecewiseTrajectory.eval picks (the later one at an
+    interior knot)."""
+    m = traj.segment_index(t)
+    tau = traj._local_tau(t, m)
+    seg = traj.segments[m]
+    vel = derivative(seg)
+    return seg.eval(tau), vel.eval(tau), derivative(vel).eval(tau)
+
+
+def box_contains(box, point, tol=0.0):
+    """True iff point lies in the closed AxisBox grown by tol on every side."""
+    p = np.asarray(point, dtype=float)
+    return bool(np.all(p >= box.lo - tol) and np.all(p <= box.hi + tol))
+
+
+def static_blocked(grid, inflation):
+    """The grid's cached blocked mask without its padding: cells whose
+    center, inflated, overlaps an obstacle or leaves the bounds."""
+    return grid._padded_blocked(inflation)[1:-1, 1:-1, 1:-1]
+
+
+def goal_distance_field(grid, goal_idx, inflation):
+    """The grid's cached hop-count field to goal_idx without its padding
+    (-1 where unreachable)."""
+    return grid._padded_field(goal_idx, inflation)[1:-1, 1:-1, 1:-1]
 
 
 def closest_point_to_origin(points):

@@ -225,12 +225,3 @@ class TestTrajectoryValidation:
         b = constant_segment([0, 0, 0], 0.2, 4)
         with pytest.raises(ValueError):
             PiecewiseTrajectory([a, b], 0.0)
-
-    def test_state_at(self):
-        rng = np.random.default_rng(12)
-        traj = random_trajectory(rng)
-        t = traj.start_time + 0.5
-        pos, vel, acc = traj.state_at(t)
-        assert np.allclose(pos, traj.eval(t))
-        assert np.allclose(vel, traj.derivative().eval(t))
-        assert np.allclose(acc, traj.derivative().derivative().eval(t))

@@ -13,6 +13,8 @@ from swarmplan.planner import (
 )
 from swarmplan.world import OccupancyGrid
 
+from helpers import state_at
+
 PARAMS = PlanningParams()
 
 
@@ -92,7 +94,7 @@ class TestSingleAgent:
             traj = swarm.states[0].previous_trajectory
             if prev is not None:
                 t = traj.start_time
-                for a, b in zip(prev.state_at(t), traj.state_at(t)):
+                for a, b in zip(state_at(prev, t), state_at(traj, t)):
                     assert np.linalg.norm(a - b) < 1e-6
             prev = traj
 

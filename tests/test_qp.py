@@ -20,7 +20,7 @@ from swarmplan.qp import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import pair_segments, random_trajectory
+from helpers import pair_segments, random_trajectory, state_at
 from oracles import gauss_legendre_integral
 
 
@@ -346,13 +346,10 @@ class TestSolve:
         problem, candidate = assemble(traj, (2.7, 2.7, 1.7), corridor, [], PARAMS)
         solution = solve(problem, warm_start=candidate)
         out = trajectory_from_values(solution.values, PARAMS, 0.0)
-        vel = out.derivative()
-        acc = vel.derivative()
         for t in np.linspace(0.0, out.end_time, 200):
-            assert np.all(np.abs(vel.eval(float(t))) <= np.array(PARAMS.max_velocity) + 1e-6)
-            assert np.all(
-                np.abs(acc.eval(float(t))) <= np.array(PARAMS.max_acceleration) + 1e-6
-            )
+            _, vel, acc = state_at(out, float(t))
+            assert np.all(np.abs(vel) <= np.array(PARAMS.max_velocity) + 1e-6)
+            assert np.all(np.abs(acc) <= np.array(PARAMS.max_acceleration) + 1e-6)
 
     def test_zero_iteration_budget_reports_infeasible(self):
         problem = simple_problem([[2.0]], [-6.0], 9.0)
@@ -434,6 +431,50 @@ class TestSolve:
         outside[0::3] = corridor.boxes[0].hi[0] + 0.5  # every point, same x
         with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
             solve(problem, warm_start=outside)
+
+    def test_zero_inequality_row_raises(self):
+        # A row of zero norm has no direction to normalise; it is refused
+        # whatever its bound, not filtered out.
+        for bound in (1.0, 0.0, -1.0):
+            problem = simple_problem(
+                [[2.0]],
+                [-6.0],
+                9.0,
+                ineq=(np.array([[1.0], [0.0]]), np.array([5.0, bound])),
+            )
+            with pytest.raises(QpInfeasibleError, match="zero inequality row"):
+                solve(problem, warm_start=np.zeros(1))
+
+    def test_degenerate_start_solves_or_raises(self):
+        # The start lies on one face carried by six rows: five copies of a
+        # row and a parallel multiple of it. All six block the first step at
+        # ratio zero. The solver must reach the KKT point of the face or
+        # refuse; it never returns a point outside tolerance.
+        rng = np.random.default_rng(57)
+        solved = 0
+        for _ in range(30):
+            dim = int(rng.integers(2, 5))
+            m = rng.normal(size=(dim, dim))
+            p = m @ m.T + np.eye(dim) * 0.5
+            a = rng.normal(size=dim)
+            start = rng.normal(size=dim)
+            b = float(a @ start)
+            # Unconstrained minimum, mostly on the far side of the face.
+            target = start + rng.uniform(0.0, 2.0) * a + rng.normal(size=dim)
+            q = -p @ target
+            kkt = np.block([[p, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+            z = np.linalg.solve(kkt, np.concatenate([-q, [b]]))
+            expected = z[:dim] if z[dim] > 0 else target
+            rows = np.vstack([np.tile(a, (5, 1)), 2.0 * a])
+            problem = simple_problem(p, q, ineq=(rows, np.array([b] * 5 + [2.0 * b])))
+            try:
+                solution = solve(problem, warm_start=start)
+            except QpInfeasibleError:
+                continue
+            solved += 1
+            assert np.max(np.abs(solution.values - expected)) < 1e-6
+            assert problem.check(solution.values).max_inequality_violation <= 1e-6
+        assert solved > 0
 
     def test_singular_active_set_system_raises(self, monkeypatch):
         def singular(a, b):

@@ -14,7 +14,7 @@ from swarmplan.sim import run
 from swarmplan.verify import verify
 from swarmplan.world import OccupancyGrid
 
-from oracles import closest_by_enumeration
+from oracles import closest_by_enumeration, de_casteljau
 
 
 def narrow_corridor_scenario(timeout=6.0):
@@ -125,13 +125,31 @@ class TestRun:
         csv2 = (tmp_path / "b" / "trajectories" / "agent_000.csv").read_bytes()
         assert csv1 == csv2
 
-    def test_threads_do_not_change_outcome(self, tmp_path):
-        sc = generate_scenario("empty", 4, seed=12, timeout=20.0)
-        m1 = run(sc, tmp_path / "a", threads=1).to_dict()
-        m2 = run(sc, tmp_path / "b", threads=2).to_dict()
-        for key in ("mean_plan_ms", "max_plan_ms", "pair_ms_per_step"):
-            m1.pop(key), m2.pop(key)
-        assert m1 == m2
+    def test_run_rejects_more_threads(self, tmp_path):
+        sc = generate_scenario("empty", 1, seed=3, timeout=2.0)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run(sc, tmp_path / "out", threads=2)
+        assert not (tmp_path / "out").exists()
+
+    def test_final_row_is_end_of_last_flown_segment(self, tmp_path):
+        sc = generate_scenario("circle", 4, seed=1, timeout=2.0)
+        metrics = run(sc, tmp_path / "out")
+        dt = sc.params.segment_time
+        last = json.loads(
+            (tmp_path / "out" / "steps.jsonl").read_text().splitlines()[-1]
+        )
+        for i in range(len(sc.agents)):
+            pts = np.array(last["cpts"][str(i)][0])
+            n = len(pts) - 1
+            vel = n * np.diff(pts, axis=0) / dt
+            acc = (n - 1) * np.diff(vel, axis=0) / dt
+            expected = np.concatenate(
+                [de_casteljau(c, 1.0) for c in (pts, vel, acc)]
+            )
+            csv = tmp_path / "out" / "trajectories" / f"agent_{i:03d}.csv"
+            row = csv.read_text().splitlines()[-1].split(",")
+            assert float(row[0]) == pytest.approx(metrics.steps * dt, abs=1e-9)
+            assert np.max(np.abs(np.array(row[1:], dtype=float) - expected)) <= 1e-12
 
     def test_staged_closest_points_match_enumeration(self, tmp_path, monkeypatch):
         # Six agents on a circle for 20 steps: 1500 hull queries, of which
@@ -171,6 +189,27 @@ def run_dir(tmp_path_factory):
 
 
 class TestVerify:
+    def test_metrics_json_keys(self, run_dir):
+        payload = json.loads((run_dir / "metrics.json").read_text())
+        assert sorted(payload) == [
+            "deadlock",
+            "error",
+            "fallback_count",
+            "flight_distance_per_agent",
+            "flight_time",
+            "max_candidate_violation",
+            "max_plan_ms",
+            "mean_plan_ms",
+            "min_inter_agent_distance",
+            "min_obstacle_clearance",
+            "pair_ms_per_step",
+            "safety_ok",
+            "sim_time",
+            "steps",
+            "success",
+            "verified",
+            "violations",
+        ]
 
     def test_clean_run_verifies(self, run_dir):
         report = verify(run_dir)
@@ -309,6 +348,17 @@ class TestCli:
                 ["gen", "--kind", "moonbase", "--agents", "1", "--seed", "0", "--out", str(tmp_path / "s.json")]
             )
         assert info.value.code == 3
+
+    def test_threads_option_is_gone(self, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(generate_scenario("empty", 1, seed=3).to_json())
+        out_dir = tmp_path / "logs"
+        with pytest.raises(SystemExit) as info:
+            cli_main(
+                ["run", "--scenario", str(scenario_path), "--out", str(out_dir), "--threads", "2"]
+            )
+        assert info.value.code == 3
+        assert not out_dir.exists()
 
     def test_check_missing_dir_is_config_error(self, tmp_path):
         assert cli_main(["check", "--log", str(tmp_path / "nope")]) == 3

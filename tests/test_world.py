@@ -9,6 +9,7 @@ from swarmplan.errors import InfeasibleSeedError
 from swarmplan.scenarios import generate_scenario
 from swarmplan.world import AxisBox, OccupancyGrid
 
+from helpers import box_contains, goal_distance_field, static_blocked
 from oracles import (
     block_discs_by_loop,
     blocked_by_points,
@@ -130,7 +131,7 @@ class TestGrowFreeBox:
             if not grid.point_is_free(seed, 0.15):
                 continue
             box = grid.grow_free_box(seed, 0.15)
-            assert box.contains(seed, tol=1e-12)
+            assert box_contains(box, seed, tol=1e-12)
             assert np.all(box.hi >= box.lo)
             assert grid.box_is_free(box, 0.15)
 
@@ -174,7 +175,7 @@ class TestAstar:
         path = grid.astar((0.15, 0.15, 0.15), (0.55, 0.15, 0.15), 0.04)
         assert path is not None
         assert len(path) == 5
-        free = ~grid._static_blocked(0.04)
+        free = ~static_blocked(grid, 0.04)
         hops = dijkstra_grid(free, (1, 1, 1), (5, 1, 1))
         assert hops == len(path) - 1
 
@@ -192,7 +193,7 @@ class TestAstar:
         for _ in range(10):
             occupied = rng.uniform(size=(12, 12, 6)) < 0.25
             grid = OccupancyGrid(0.1, (0, 0, 0), (1.2, 1.2, 0.6), occupied)
-            free = ~grid._static_blocked(0.0)
+            free = ~static_blocked(grid, 0.0)
             free_cells = np.argwhere(free)
             if len(free_cells) < 2:
                 continue
@@ -354,7 +355,7 @@ class TestExactAgainstReferees:
 
     @pytest.mark.parametrize("inflation", INFLATIONS)
     def test_blocked_mask_matches_points_free(self, referee_grid, inflation):
-        mask = referee_grid._static_blocked(inflation)
+        mask = static_blocked(referee_grid, inflation)
         expected = blocked_by_points(referee_grid, inflation)
         assert mask.dtype == expected.dtype and mask.shape == expected.shape
         assert np.array_equal(mask, expected)
@@ -364,11 +365,11 @@ class TestExactAgainstReferees:
         grid = referee_grid
         rng = np.random.default_rng(7)
         goals = [grid.voxel_index(p) for p in free_points(grid, inflation, rng, 1)]
-        blocked = np.argwhere(grid._static_blocked(inflation))
+        blocked = np.argwhere(static_blocked(grid, inflation))
         if len(blocked):
             goals.append(tuple(int(v) for v in blocked[len(blocked) // 2]))
         for goal in goals:
-            field = grid._goal_distance_field(goal, inflation)
+            field = goal_distance_field(grid, goal, inflation)
             expected = distance_field_by_sweeps(grid, goal, inflation)
             assert field.dtype == expected.dtype
             assert np.array_equal(field, expected)
@@ -472,7 +473,7 @@ class TestExactAgainstReferees:
             padded = grid._padded_blocked(0.125).copy()
             grid._block_discs(padded, obstacles, 0.125, downwash)
             expected = block_discs_by_loop(
-                grid, grid._static_blocked(0.125).copy(), obstacles, 0.125, downwash
+                grid, static_blocked(grid, 0.125).copy(), obstacles, 0.125, downwash
             )
             mask = padded[1:-1, 1:-1, 1:-1]
             assert np.array_equal(mask, expected)
