@@ -130,10 +130,15 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             pair_times.append((pair_end - pair_start) * 1e3)
             shared_ms = (pair_end - shared_start) * 1e3 / n_agents
 
+            # Every agent plans before any state is updated, so a step that
+            # aborts part-way leaves all agents on the plan they last flew.
+            results = []
             for state in states:
                 begin = time.perf_counter()
                 result = plan_step(state, snapshots, grid, pairs, inits)
-                plan_times.append((time.perf_counter() - begin) * 1e3 + shared_ms)
+                results.append((result, (time.perf_counter() - begin) * 1e3))
+            for state, (result, elapsed_ms) in zip(states, results):
+                plan_times.append(elapsed_ms + shared_ms)
                 diag = result.diagnostics
                 fallback_count += diag.used_fallback
                 max_candidate_violation = max(

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmplan import corridor
+from swarmplan import corridor, sim
 from swarmplan.cli import main as cli_main
-from swarmplan.errors import LogFormatError, ScenarioGenerationError
+from swarmplan.errors import LogFormatError, ScenarioGenerationError, StepAbortError
 from swarmplan.params import PlanningParams
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import run
@@ -134,22 +134,29 @@ class TestRun:
     def test_final_row_is_end_of_last_flown_segment(self, tmp_path):
         sc = generate_scenario("circle", 4, seed=1, timeout=2.0)
         metrics = run(sc, tmp_path / "out")
-        dt = sc.params.segment_time
-        last = json.loads(
-            (tmp_path / "out" / "steps.jsonl").read_text().splitlines()[-1]
-        )
-        for i in range(len(sc.agents)):
-            pts = np.array(last["cpts"][str(i)][0])
-            n = len(pts) - 1
-            vel = n * np.diff(pts, axis=0) / dt
-            acc = (n - 1) * np.diff(vel, axis=0) / dt
-            expected = np.concatenate(
-                [de_casteljau(c, 1.0) for c in (pts, vel, acc)]
-            )
-            csv = tmp_path / "out" / "trajectories" / f"agent_{i:03d}.csv"
-            row = csv.read_text().splitlines()[-1].split(",")
-            assert float(row[0]) == pytest.approx(metrics.steps * dt, abs=1e-9)
-            assert np.max(np.abs(np.array(row[1:], dtype=float) - expected)) <= 1e-12
+        assert metrics.error is None
+        _assert_final_rows_end_last_dumped_plan(tmp_path / "out", sc, metrics.steps)
+
+    def test_abort_keeps_every_agent_on_its_flown_plan(self, tmp_path, monkeypatch):
+        # Agent 1 aborts at step 2 after agent 0 has already planned it; the
+        # logs must end on the step-1 plans every agent actually flew.
+        sc = generate_scenario("circle", 4, seed=1, timeout=2.0)
+        calls = {}
+        real_plan_step = sim.plan_step
+
+        def plan_step(state, *args):
+            calls[state.agent_id] = calls.get(state.agent_id, 0) + 1
+            if state.agent_id == 1 and calls[1] == 3:
+                raise StepAbortError("agent 1: injected", agent_id=1)
+            return real_plan_step(state, *args)
+
+        monkeypatch.setattr(sim, "plan_step", plan_step)
+        metrics = run(sc, tmp_path / "out")
+        assert metrics.error == "agent 1: injected"
+        assert metrics.steps == 2 and calls[0] == 3
+        assert len(metrics.flight_distance_per_agent) == len(sc.agents)
+        assert verify(tmp_path / "out").ok
+        _assert_final_rows_end_last_dumped_plan(tmp_path / "out", sc, metrics.steps)
 
     def test_staged_closest_points_match_enumeration(self, tmp_path, monkeypatch):
         # Six agents on a circle for 20 steps: 1500 hull queries, of which
@@ -362,3 +369,22 @@ class TestCli:
 
     def test_check_missing_dir_is_config_error(self, tmp_path):
         assert cli_main(["check", "--log", str(tmp_path / "nope")]) == 3
+
+
+def _assert_final_rows_end_last_dumped_plan(out, sc, steps):
+    """Each agent's last CSV row is its last dumped plan's segment 0 at
+    tau = 1, within 1e-12 in position, velocity and acceleration."""
+    dt = sc.params.segment_time
+    lines = (out / "steps.jsonl").read_text().splitlines()
+    assert len(lines) == steps
+    last = json.loads(lines[-1])
+    for i in range(len(sc.agents)):
+        pts = np.array(last["cpts"][str(i)][0])
+        n = len(pts) - 1
+        vel = n * np.diff(pts, axis=0) / dt
+        acc = (n - 1) * np.diff(vel, axis=0) / dt
+        expected = np.concatenate([de_casteljau(c, 1.0) for c in (pts, vel, acc)])
+        csv = out / "trajectories" / f"agent_{i:03d}.csv"
+        row = csv.read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == pytest.approx(steps * dt, abs=1e-9)
+        assert np.max(np.abs(np.array(row[1:], dtype=float) - expected)) <= 1e-12
