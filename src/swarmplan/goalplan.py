@@ -38,64 +38,74 @@ class AgentMotion:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def goal_distance(self) -> float:
-        return float(np.linalg.norm(self.position - self.goal))
-
 
 @dataclass(frozen=True)
-class GoalContext:
-    """Shared per-step view used by one agent's goal planning."""
+class SwarmView:
+    """Shared per-step view of the swarm for goal planning, built once per
+    step by `swarm_view` and read by every agent's `plan_current_goal`.
 
-    self_id: int
-    agents: dict[int, AgentMotion]
+    `ids` lists the agents in ascending order; `rows` maps an id back to
+    its index in `ids`, `motions` and both arrays. `gaps[a, b]` is the
+    distance between agents ids[a] and ids[b], and `outranks[a, b]` says
+    agent ids[b] has priority over agent ids[a].
+    """
+
     params: PlanningParams
+    ids: tuple[int, ...]
+    rows: dict[int, int]
+    motions: tuple[AgentMotion, ...]
+    gaps: np.ndarray
+    outranks: np.ndarray
 
-    def __post_init__(self):
-        if self.self_id not in self.agents:
-            raise ValueError(f"agent {self.self_id} missing from context")
 
+def swarm_view(agents: dict[int, AgentMotion], params: PlanningParams) -> SwarmView:
+    """Gaps and the priority relation between every pair of agents.
 
-def higher_priority_ids(ctx: GoalContext) -> set[int]:
-    """Neighbors this agent must yield to.
+    Agent b outranks agent a when b is strictly closer to its goal (ties go
+    to the lower id), has not reached it, and is not clearly receding from
+    a over its planning horizon. Once a is goal-reached itself it yields to
+    every agent still under way, so parked agents never block traffic.
 
-    A neighbor outranks us when it is strictly closer to its goal (ties go to
-    the lower id), has not reached it, and is not clearly receding from us
-    over its planning horizon. Once we are goal-reached ourselves we yield
-    to every agent still under way, so parked agents never block traffic.
-
-    "Clearly receding" means its horizon displacement projected onto the
-    line toward us falls below a small fraction of what it could fly in one
+    "Clearly receding" means b's horizon displacement projected onto the
+    line toward a falls below a small fraction of what it could fly in one
     horizon. Blocked agents do not hold still: they slide tangentially
     along their separating planes, so the projection hovers around zero
     with either sign; a strict greater-than-zero test would let two blocked
     agents facing off in a doorway both stop yielding and freeze forever.
+
+    Every distance is np.sqrt of np.vecdot, the BLAS dot that
+    np.linalg.norm takes for one 3-vector, so ties decide as they would
+    pair by pair.
     """
-    me = ctx.agents[ctx.self_id]
-    my_dist = me.goal_distance
-    reach = ctx.params.goal_reach_dist
-    self_reached = my_dist < reach
-    recede_slack = 0.05 * ctx.params.horizon * max(ctx.params.max_velocity)
-    out = set()
-    for other_id, other in ctx.agents.items():
-        if other_id == ctx.self_id:
-            continue
-        other_dist = other.goal_distance
-        other_reached = other_dist < reach
-        closer = other_dist < my_dist or (other_dist == my_dist and other_id < ctx.self_id)
-        under_way = other_dist > reach
-        gap = float(np.linalg.norm(me.position - other.position))
-        toward_me = float(
-            (other.horizon_end - other.position) @ (me.position - other.position)
-        ) / max(gap, 1e-9)
-        not_receding = toward_me >= -recede_slack
-        if (closer and under_way and not_receding) or (self_reached and not other_reached):
-            out.add(other_id)
-    return out
+    ids = tuple(sorted(agents))
+    motions = tuple(agents[i] for i in ids)
+    position = np.array([m.position for m in motions])
+    goal = np.array([m.goal for m in motions])
+    horizon_end = np.array([m.horizon_end for m in motions])
+
+    to_goal = position - goal
+    goal_dist = np.sqrt(np.vecdot(to_goal, to_goal))
+    toward = position[:, None, :] - position[None, :, :]  # [a, b]: from b to a
+    gaps = np.sqrt(np.vecdot(toward, toward))
+    toward_me = np.vecdot(horizon_end - position, toward) / np.maximum(gaps, 1e-9)
+
+    reach = params.goal_reach_dist
+    recede_slack = 0.05 * params.horizon * max(params.max_velocity)
+    order = np.arange(len(ids))
+    closer = (goal_dist[None, :] < goal_dist[:, None]) | (
+        (goal_dist[None, :] == goal_dist[:, None]) & (order[None, :] < order[:, None])
+    )
+    reached = goal_dist < reach
+    under_way = goal_dist > reach
+    outranks = (closer & under_way[None, :] & (toward_me >= -recede_slack)) | (
+        reached[:, None] & ~reached[None, :]
+    )
+    rows = {i: row for row, i in enumerate(ids)}
+    return SwarmView(params, ids, rows, motions, gaps, outranks)
 
 
-def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
-    """Pick this step's tracking target.
+def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.ndarray:
+    """Pick this step's tracking target for agent `self_id`.
 
     If the nearest higher-priority agent is too close, the target pushes
     straight away from it. Otherwise plan a grid path to the final goal with
@@ -104,17 +114,16 @@ def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
     nothing is visible, hold position. The returned point only shapes the
     objective; it never generates constraints.
     """
-    me = ctx.agents[ctx.self_id]
-    params = ctx.params
-    priority = higher_priority_ids(ctx)
+    params = view.params
+    row = view.rows[self_id]
+    me = view.motions[row]
+    outranking = np.flatnonzero(view.outranks[row])
 
-    if priority:
-        nearest = min(
-            priority,
-            key=lambda j: (float(np.linalg.norm(me.position - ctx.agents[j].position)), j),
-        )
-        q = ctx.agents[nearest]
-        gap = float(np.linalg.norm(me.position - q.position))
+    if outranking.size:
+        # argmin keeps the first of equal gaps, which is the lowest id.
+        nearest = outranking[np.argmin(view.gaps[row, outranking])]
+        q = view.motions[nearest]
+        gap = float(view.gaps[row, nearest])
         if gap < params.repulsion_trigger_dist:
             away = me.position - q.position
             if math.hypot(away[0], away[1]) < _STACKED_EPS:
@@ -125,9 +134,7 @@ def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
                 direction = away / gap
             return q.position + params.repulsion_dist * direction
 
-    obstacles = [
-        (ctx.agents[j].position, ctx.agents[j].radius) for j in sorted(priority)
-    ]
+    obstacles = [(view.motions[j].position, view.motions[j].radius) for j in outranking]
     # Goal planning only shapes the objective (the QP corridors carry
     # safety), so its clearance rules are biased by a quarter cell in each
     # direction: paths keep extra clearance and visibility needs a little
@@ -155,7 +162,7 @@ def plan_current_goal(ctx: GoalContext, grid: OccupancyGrid) -> np.ndarray:
         path = grid.astar(me.position, me.goal, routing, (), budget=params.astar_budget)
     if path is None:
         raise GoalUnreachableError(
-            f"agent {ctx.self_id}: no grid path to goal {me.goal.tolist()}"
+            f"agent {self_id}: no grid path to goal {me.goal.tolist()}"
         )
     # The goal itself was just found blocked from here, so only the path's
     # waypoints remain; one batched query tests every sight line.

@@ -24,7 +24,7 @@ from swarmplan.corridor import (
 )
 from swarmplan.errors import PlannerError, QpInfeasibleError, StepAbortError
 from swarmplan.geometry import EllipsoidModel
-from swarmplan.goalplan import AgentMotion, GoalContext, plan_current_goal
+from swarmplan.goalplan import AgentMotion, SwarmView, plan_current_goal, swarm_view
 from swarmplan.params import PlanningParams
 from swarmplan.qp import assemble, solve, trajectory_from_values
 from swarmplan.world import OccupancyGrid
@@ -129,20 +129,45 @@ def shared_pair_separations(
     return {(ids[a], ids[b]): pair for a, b, pair in zip(low, high, pairs)}
 
 
+def goal_view(
+    snapshots: list[AgentSnapshot],
+    inits: dict[int, PiecewiseTrajectory],
+    params: PlanningParams,
+) -> SwarmView:
+    """Every agent's motion over its shifted plan, and the priority relation
+    between them: the goal-planning view all agents of a step share."""
+    return swarm_view(
+        {
+            snap.agent_id: AgentMotion(
+                position=inits[snap.agent_id].segments[0].control_points[0],
+                horizon_end=inits[snap.agent_id].segments[-1].control_points[-1],
+                goal=snap.goal,
+                radius=snap.radius,
+            )
+            for snap in snapshots
+        },
+        params,
+    )
+
+
 def plan_step(
     state: PlannerState,
     snapshots: list[AgentSnapshot],
     grid: OccupancyGrid,
     pair_separations=None,
     inits: dict[int, PiecewiseTrajectory] | None = None,
+    view: SwarmView | None = None,
 ) -> PlanStepResult:
     """Produce this agent's next trajectory from the synchronized snapshot.
 
-    `pair_separations` and `inits` allow a simulator driving many agents to
-    share the per-pair work; both default to local recomputation, which is
-    bit-identical. Raises StepAbortError when a sub-step detects broken
-    assumptions (colliding start, occupied seed, unreachable goal); solver
-    failures are absorbed by falling back to the shifted previous plan.
+    `pair_separations`, `inits` and `view` let a simulator driving many
+    agents do the swarm-wide work once per step: the shifted plans, the
+    per-pair separating half-spaces and the goal-planning view with its
+    priority relation (`goal_view`). Each defaults to local recomputation
+    through the same functions, which is bit-identical. Raises
+    StepAbortError when a sub-step detects broken assumptions (colliding
+    start, occupied seed, unreachable goal); solver failures are absorbed
+    by falling back to the shifted previous plan.
     """
     params = state.params
     me = state.agent_id
@@ -177,16 +202,9 @@ def plan_step(
                 )
             mine.append(pair[0] if me == low else pair[1])
 
-        motions = {
-            snap.agent_id: AgentMotion(
-                position=inits[snap.agent_id].segments[0].control_points[0],
-                horizon_end=inits[snap.agent_id].segments[-1].control_points[-1],
-                goal=snap.goal,
-                radius=snap.radius,
-            )
-            for snap in snapshots
-        }
-        goal = plan_current_goal(GoalContext(me, motions, params), grid)
+        if view is None:
+            view = goal_view(snapshots, inits, params)
+        goal = plan_current_goal(view, me, grid)
 
         terminal = my_init.segments[-1].control_points[-1]
         corridor = advance_corridor(

@@ -21,7 +21,7 @@ first-order method's tolerance floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,10 +89,12 @@ class EqualityReduction:
     of quadratic cost and equality matrix.
 
     `hessian` is the reduced Hessian scaled by 1/sigma and symmetrised, with
-    a ridge added only if its Cholesky factorisation fails. `static_rows`
-    are the unnormalised reduced rows of the leading inequality rows that
-    every problem sharing this reduction carries (none for generic
-    problems).
+    a ridge added only if its Cholesky factorisation fails. The static rows
+    are the leading inequality rows that every problem sharing this
+    reduction carries: `static_norms` holds their norms and `static_rows`
+    their reduced rows divided by those norms. `point_blocks[p]` is the
+    C-contiguous 3 x k block of nullspace rows for the three columns of
+    control point p (empty when the dimension is not a multiple of 3).
     """
 
     pinv: np.ndarray
@@ -100,13 +102,15 @@ class EqualityReduction:
     sigma: float
     hessian: np.ndarray
     static_rows: np.ndarray
+    static_norms: np.ndarray
+    point_blocks: np.ndarray
 
 
 def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReduction:
     """Build the nullspace reduction; each static block is reduced on its own.
 
     Raises QpInfeasibleError when the reduced cost is not positive definite
-    even after a small ridge.
+    even after a small ridge, or when a static row has zero norm.
     """
     dim = quadratic.shape[0]
     pinv = np.linalg.pinv(eq_matrix)
@@ -130,7 +134,17 @@ def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReducti
             if reg > 1e-3:
                 raise QpInfeasibleError("quadratic cost is not positive definite", 0)
     static_rows = np.vstack([np.zeros((0, k))] + [block @ null for block in static_blocks])
-    return EqualityReduction(pinv, null, sigma, h_red, static_rows)
+    static_norms = np.linalg.norm(np.vstack([np.zeros((0, dim))] + list(static_blocks)), axis=1)
+    if not np.all(static_norms > 0.0):
+        raise QpInfeasibleError("zero inequality row", 0)
+    if dim % 3 == 0:
+        point_blocks = np.ascontiguousarray(null.reshape(-1, 3, k))
+    else:
+        point_blocks = np.zeros((0, 3, k))
+    return EqualityReduction(
+        pinv, null, sigma, h_red, static_rows / static_norms[:, None], static_norms,
+        point_blocks,
+    )
 
 
 @dataclass
@@ -138,9 +152,13 @@ class QpProblem:
     """Dense convex QP: minimize 0.5 x'Px + q'x + c0 subject to
     eq_matrix x = eq_rhs and ineq_matrix x <= ineq_rhs.
 
-    `reduction`, when given, must have been built from this problem's
-    quadratic and eq_matrix, and its static rows must be the leading rows of
-    ineq_matrix; without one, solve builds a generic reduction.
+    The trailing `len(separation_coefficients)` rows of ineq_matrix are
+    separation rows, in groups of one row per control point (three
+    consecutive columns each): row s holds `separation_coefficients[s]` on
+    the columns of point s mod (dimension / 3) and zeros elsewhere. Every
+    other row is static. `reduction`, when given, must have been built from
+    this problem's quadratic and eq_matrix with exactly the static rows;
+    without one, solve builds a generic reduction.
     """
 
     quadratic: np.ndarray
@@ -151,6 +169,7 @@ class QpProblem:
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
     reduction: EqualityReduction | None = None
+    separation_coefficients: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     @property
     def dimension(self) -> int:
@@ -378,6 +397,7 @@ def assemble(
     ineq_rhs = np.empty(n_dyn + n_box + n_sep)
     ineq_rhs[:n_dyn] = mats.dyn_rhs
     ineq_rhs[n_dyn : n_dyn + n_box] = box_rhs
+    coefficients = np.zeros((0, 3))
     if separations:
         normals = np.stack([pair.normals for pair in separations])  # (K, M, 3)
         anchors = np.stack([pair.anchors for pair in separations])  # (K, M, n+1, 3)
@@ -389,7 +409,8 @@ def assemble(
         offsets = (anchors @ normals[..., None])[..., 0] + margins
         rows = n_dyn + n_box + np.arange(n_sep)
         cols = np.tile(mats.sep_cols, (len(separations), 1))
-        ineq[rows[:, None], cols] = -np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0)
+        coefficients = -np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0)
+        ineq[rows[:, None], cols] = coefficients
         ineq_rhs[rows] = -offsets.reshape(-1)
 
     problem = QpProblem(
@@ -401,6 +422,7 @@ def assemble(
         ineq_matrix=ineq,
         ineq_rhs=ineq_rhs,
         reduction=mats.reduction,
+        separation_coefficients=coefficients,
     )
     return problem, candidate
 
@@ -428,7 +450,10 @@ def solve(
 
     Equalities are eliminated through the problem's nullspace reduction; the
     reduced problem is handled by a primal active-set iteration that starts
-    at `warm_start`, or at the unconstrained minimum when it is None. The
+    at `warm_start`, or at the unconstrained minimum when it is None. Only
+    the separation rows are reduced per call, from their coefficients and
+    the reduction's per-point nullspace blocks (see `_reduced_rows`); the
+    static rows come reduced and normalised with the reduction. The
     start must be feasible: there is no phase one, and a start more than
     1e-7 outside any normalised inequality row raises QpInfeasibleError, as
     do an inequality row of zero norm, inconsistent equalities, an exhausted
@@ -441,7 +466,11 @@ def solve(
     if max_iterations <= 0:
         raise QpInfeasibleError("iteration budget exhausted before solving", 0)
 
-    red = problem.reduction or reduce_equalities(problem.quadratic, problem.eq_matrix)
+    red = problem.reduction or reduce_equalities(
+        problem.quadratic,
+        problem.eq_matrix,
+        (problem.ineq_matrix[: mi - len(problem.separation_coefficients)],),
+    )
     null = red.nullspace
     x_part = red.pinv @ problem.eq_rhs
     eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs), initial=0.0))
@@ -456,14 +485,7 @@ def solve(
     h_red = red.hessian
     f_red = null.T @ (problem.quadratic @ x_part + problem.linear) / red.sigma
 
-    n_static = red.static_rows.shape[0]
-    c_red = np.vstack([red.static_rows, problem.ineq_matrix[n_static:] @ null])
-    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
-    row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
-    if not np.all(row_norms > 0.0):
-        raise QpInfeasibleError("zero inequality row", 0)
-    c_red = c_red / row_norms[:, None]
-    d_red = d_red / row_norms
+    c_red, d_red = _reduced_rows(problem, red, x_part)
 
     if warm_start is not None:
         y0 = null.T @ (np.asarray(warm_start, dtype=float) - x_part)
@@ -484,6 +506,45 @@ def solve(
     stationarity = float(np.max(np.abs(stat_vec)))
     x = x_part + null @ y
     return _package(problem, x, iterations, tol, stationarity)
+
+
+def _reduced_rows(problem, red, x_part):
+    """The reduced inequalities c_red @ y <= d_red, every row divided by
+    the norm of its full row.
+
+    The static rows come normalised with the reduction. A separation row
+    has three nonzeros, so its reduced row is those coefficients times one
+    control point's 3 x k nullspace block: one (pairs, 3) @ (3, k) product
+    per point. BLAS sums these in the same order as the dense
+    `ineq_matrix @ nullspace`, so the rows agree bit for bit, except for a
+    single pair, whose dense product BLAS sends through another kernel with
+    another summation order; one pair keeps the dense product. Separation
+    rows keep their dense norms, which the norm of the 3-vector alone does
+    not reproduce in the last bit. tests/test_qp.py holds both set-ups to
+    equal bits on recorded planner problems.
+    """
+    null = red.nullspace
+    n_static = len(red.static_norms)
+    sep = problem.ineq_matrix[n_static:]
+    sep_norms = np.linalg.norm(sep, axis=1)
+    if not np.all(sep_norms > 0.0):
+        raise QpInfeasibleError("zero inequality row", 0)
+    c_red = np.empty((len(problem.ineq_rhs), null.shape[1]))
+    c_red[:n_static] = red.static_rows
+    points = len(red.point_blocks)
+    if len(sep) == points:
+        c_red[n_static:] = sep @ null
+    elif len(sep):
+        # Point-major views: product p is (pairs, 3) @ point_blocks[p].
+        coefficients = problem.separation_coefficients.reshape(-1, points, 3)
+        out = c_red[n_static:].reshape(len(coefficients), points, -1)
+        np.matmul(
+            coefficients.transpose(1, 0, 2), red.point_blocks, out=out.transpose(1, 0, 2)
+        )
+    c_red[n_static:] /= sep_norms[:, None]
+    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
+    d_red /= np.concatenate([red.static_norms, sep_norms])
+    return c_red, d_red
 
 
 def _package(problem, x, iterations, tol, stationarity) -> QpSolution:

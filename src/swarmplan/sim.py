@@ -21,6 +21,7 @@ from swarmplan.errors import PlannerError
 from swarmplan.planner import (
     AgentSnapshot,
     PlannerState,
+    goal_view,
     initial_trajectories,
     plan_step,
     shared_pair_separations,
@@ -127,15 +128,16 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             pair_start = time.perf_counter()
             pairs = shared_pair_separations(inits, radii, params)
             pair_end = time.perf_counter()
+            view = goal_view(snapshots, inits, params)
             pair_times.append((pair_end - pair_start) * 1e3)
-            shared_ms = (pair_end - shared_start) * 1e3 / n_agents
+            shared_ms = (time.perf_counter() - shared_start) * 1e3 / n_agents
 
             # Every agent plans before any state is updated, so a step that
             # aborts part-way leaves all agents on the plan they last flew.
             results = []
             for state in states:
                 begin = time.perf_counter()
-                result = plan_step(state, snapshots, grid, pairs, inits)
+                result = plan_step(state, snapshots, grid, pairs, inits, view)
                 results.append((result, (time.perf_counter() - begin) * 1e3))
             for state, (result, elapsed_ms) in zip(states, results):
                 plan_times.append(elapsed_ms + shared_ms)
@@ -256,9 +258,15 @@ def _sample_rows(traj, times, basis) -> list[str]:
     states = np.hstack(
         [b0 @ seg.control_points, b1 @ d1.control_points, b2 @ d2.control_points]
     )
+    return _csv_rows(times, states)
+
+
+def _csv_rows(times, states) -> list[str]:
+    """One CSV row per time from a (len(times), 9) array of states. tolist()
+    yields Python floats, whose repr is the shortest round trip."""
     return [
-        f"{t:.2f}," + ",".join(repr(float(v)) for v in row)
-        for t, row in zip(times, states)
+        f"{t:.2f}," + ",".join(map(repr, row))
+        for t, row in zip(times, states.tolist())
     ]
 
 
@@ -268,7 +276,7 @@ def _step_line(step: int, now: float, states) -> str:
         "t0": now,
         "cpts": {
             str(state.agent_id): [
-                [[float(v) for v in pt] for pt in seg.control_points]
+                seg.control_points.tolist()
                 for seg in state.previous_trajectory.segments
             ]
             for state in states

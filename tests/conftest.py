@@ -1,5 +1,48 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # Make the oracle helpers importable regardless of how pytest is invoked.
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def recorded_steps(tmp_path_factory):
+    """Goal-planning views and assembled QPs recorded from short runs.
+
+    Returns {name: (views, problems)}: every `sim.goal_view` result and
+    every `(problem, candidate, params)` that `plan_step` assembled, for the
+    stock 32-agent circle (31 separations per QP), indoor-8 seed 2 (7), and
+    two- and one-agent circles (1 and 0).
+    """
+    from swarmplan import planner, sim
+    from swarmplan.scenarios import generate_scenario
+
+    runs = {
+        "circle-32": generate_scenario("circle", 32, seed=1, timeout=1.2),
+        "indoor-8": generate_scenario("indoor", 8, seed=2, timeout=3.0),
+        "circle-2": generate_scenario("circle", 2, seed=1, timeout=1.0),
+        "circle-1": generate_scenario("circle", 1, seed=1, timeout=0.6),
+    }
+    real_view, real_assemble = sim.goal_view, planner.assemble
+    out = {}
+    for name, scenario in runs.items():
+        views, problems = [], []
+
+        def goal_view(*args):
+            views.append(real_view(*args))
+            return views[-1]
+
+        def assemble(*args):
+            problem, candidate = real_assemble(*args)
+            problems.append((problem, candidate, args[-1]))
+            return problem, candidate
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "goal_view", goal_view)
+            patch.setattr(planner, "assemble", assemble)
+            metrics = sim.run(scenario, tmp_path_factory.mktemp(name))
+        assert metrics.error is None
+        out[name] = (views, problems)
+    return out

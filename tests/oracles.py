@@ -9,6 +9,7 @@ solves).
 from __future__ import annotations
 
 import heapq
+import json
 from itertools import combinations
 
 import numpy as np
@@ -354,3 +355,96 @@ def block_discs_by_loop(grid, blocked, agent_obstacles, inflation: float, downwa
         window = tuple(slice(lo_idx[a], hi_idx[a] + 1) for a in range(3))
         blocked[window] = blocked[window] | (d2 <= radius * radius)
     return blocked
+
+
+# -- QP set-up referee ----------------------------------------------------------
+
+
+def dense_reduced_rows(problem, red, x_part, static_blocks=()):
+    """Reduced, normalised inequalities (c_red, d_red) by dense products:
+    each static block times the nullspace on its own, then every remaining
+    row by one `ineq_matrix @ nullspace`, all rows divided by their norms.
+    `static_blocks` are the blocks `red` was built from."""
+    null = red.nullspace
+    n_static = sum(len(block) for block in static_blocks)
+    c_red = np.vstack(
+        [np.zeros((0, null.shape[1]))]
+        + [block @ null for block in static_blocks]
+        + [problem.ineq_matrix[n_static:] @ null]
+    )
+    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
+    row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
+    return c_red / row_norms[:, None], d_red / row_norms
+
+
+# -- goal-planning referee ------------------------------------------------------
+# The priority rules one agent at a time, with a scalar np.linalg.norm per
+# pair: the shared relation of goalplan.swarm_view must reproduce them bit
+# for bit.
+
+
+def higher_priority_ids(self_id, agents, params) -> set[int]:
+    """Ids of the agents that agent self_id yields to, by one loop over
+    `agents` (id -> AgentMotion)."""
+    me = agents[self_id]
+    my_dist = float(np.linalg.norm(me.position - me.goal))
+    reach = params.goal_reach_dist
+    self_reached = my_dist < reach
+    recede_slack = 0.05 * params.horizon * max(params.max_velocity)
+    out = set()
+    for other_id, other in agents.items():
+        if other_id == self_id:
+            continue
+        other_dist = float(np.linalg.norm(other.position - other.goal))
+        other_reached = other_dist < reach
+        closer = other_dist < my_dist or (other_dist == my_dist and other_id < self_id)
+        under_way = other_dist > reach
+        gap = float(np.linalg.norm(me.position - other.position))
+        toward_me = float(
+            (other.horizon_end - other.position) @ (me.position - other.position)
+        ) / max(gap, 1e-9)
+        not_receding = toward_me >= -recede_slack
+        if (closer and under_way and not_receding) or (self_reached and not other_reached):
+            out.add(other_id)
+    return out
+
+
+def nearest_priority(self_id, agents, priority) -> tuple[int, float]:
+    """The agent of `priority` nearest to agent self_id (lowest id among
+    equal gaps) and its gap."""
+    me = agents[self_id]
+    nearest = min(
+        priority,
+        key=lambda j: (float(np.linalg.norm(me.position - agents[j].position)), j),
+    )
+    return nearest, float(np.linalg.norm(me.position - agents[nearest].position))
+
+
+# -- log-format referees --------------------------------------------------------
+# The log lines formatted one value at a time through float(): sim's
+# formatters must write the same bytes.
+
+
+def csv_rows_by_float(times, states) -> list[str]:
+    """CSV rows `t,px,...,az` from a (len(times), 9) array of states."""
+    return [
+        f"{t:.2f}," + ",".join(repr(float(v)) for v in row)
+        for t, row in zip(times, states)
+    ]
+
+
+def step_line_by_float(step: int, now: float, states) -> str:
+    """One steps.jsonl line from objects with `agent_id` and
+    `previous_trajectory`."""
+    payload = {
+        "k": step,
+        "t0": now,
+        "cpts": {
+            str(state.agent_id): [
+                [[float(v) for v in pt] for pt in seg.control_points]
+                for seg in state.previous_trajectory.segments
+            ]
+            for state in states
+        },
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))

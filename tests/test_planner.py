@@ -7,6 +7,7 @@ from swarmplan.params import PlanningParams
 from swarmplan.planner import (
     AgentSnapshot,
     PlannerState,
+    goal_view,
     initial_trajectories,
     plan_step,
     shared_pair_separations,
@@ -50,16 +51,20 @@ class MiniSwarm:
         ]
 
     def step(self, share_pairs=True):
+        """One synchronized step; share_pairs also shares the goal view."""
         snaps = self.snapshots()
         inits = initial_trajectories(snaps, self.params, self.time)
-        pairs = None
+        pairs = view = None
         if share_pairs:
             radii = {s.agent_id: s.radius for s in snaps}
             pairs = shared_pair_separations(inits, radii, self.params)
+            view = goal_view(snaps, inits, self.params)
         results = []
         for state in self.states:
             results.append(
-                plan_step(state, snaps, self.grid, pair_separations=pairs, inits=inits)
+                plan_step(
+                    state, snaps, self.grid, pair_separations=pairs, inits=inits, view=view
+                )
             )
         self.time += self.params.segment_time
         for state, result in zip(self.states, results):
@@ -131,10 +136,11 @@ class TestTwoAgents:
         assert all(d.candidate_violation <= 1e-9 for d in swarm.diagnostics)
 
     def test_shared_and_per_agent_pairs_identical(self):
+        # Shared pairs and goal view against each agent building its own.
         def run(share):
             swarm = MiniSwarm(
-                [(0.6, 1.4, 1.0), (2.4, 1.6, 1.0)],
-                [(2.4, 1.6, 1.0), (0.6, 1.4, 1.0)],
+                [(0.6, 1.4, 1.0), (2.4, 1.6, 1.0), (1.5, 0.4, 1.0)],
+                [(2.4, 1.6, 1.0), (0.6, 1.4, 1.0), (1.5, 2.6, 1.0)],
                 empty_grid(),
             )
             swarm.run(8, share_pairs=share)

@@ -21,7 +21,7 @@ from swarmplan.qp import (
 from swarmplan.world import OccupancyGrid
 
 from helpers import pair_segments, random_trajectory, state_at
-from oracles import gauss_legendre_integral
+from oracles import dense_reduced_rows, gauss_legendre_integral
 
 
 PARAMS = PlanningParams()
@@ -513,3 +513,63 @@ class TestSolve:
             assert shared.objective == pytest.approx(generic.objective, abs=1e-9)
             solved += 1
         assert solved >= 5
+
+
+def dense_setup(problem, red, x_part):
+    """The dense referee, told the static blocks of a planner reduction."""
+    mats = param_matrices(PARAMS)
+    blocks = (mats.dyn_matrix, mats.box_matrix) if red is mats.reduction else ()
+    return dense_reduced_rows(problem, red, x_part, blocks)
+
+
+class TestStructuredRows:
+    @pytest.mark.parametrize(
+        "workload, separations",
+        [("circle-1", 0), ("circle-2", 1), ("indoor-8", 7), ("circle-32", 31)],
+    )
+    def test_matches_dense_setup_bitwise(self, recorded_steps, monkeypatch, workload, separations):
+        # Recorded planner problems: the per-point products, the static rows
+        # stored with the reduction and the dense separation norms give
+        # c_red, d_red and the solution of the dense set-up, bit for bit.
+        _, problems = recorded_steps[workload]
+        assert problems
+        structured = []
+        for problem, candidate, params in problems:
+            assert params == PARAMS
+            assert len(problem.separation_coefficients) == 30 * separations
+            red = problem.reduction
+            x_part = red.pinv @ problem.eq_rhs
+            c_red, d_red = qp._reduced_rows(problem, red, x_part)
+            c_ref, d_ref = dense_setup(problem, red, x_part)
+            assert np.array_equal(c_red, c_ref) and np.array_equal(d_red, d_ref)
+            structured.append(solve(problem, warm_start=candidate))
+        monkeypatch.setattr(qp, "_reduced_rows", dense_setup)
+        for (problem, candidate, _), got in zip(problems, structured):
+            ref = solve(problem, warm_start=candidate)
+            assert np.array_equal(got.values, ref.values)
+            assert got.iterations == ref.iterations
+
+    def test_static_rows_are_stored_normalised(self):
+        mats = param_matrices(PARAMS)
+        red = mats.reduction
+        blocks = (mats.dyn_matrix, mats.box_matrix)
+        norms = np.linalg.norm(np.vstack(blocks), axis=1)
+        reduced = np.vstack([block @ red.nullspace for block in blocks])
+        assert np.array_equal(red.static_norms, norms)
+        assert np.array_equal(red.static_rows, reduced / norms[:, None])
+        assert red.point_blocks.shape == (30, 3, 30)
+        assert all(block.flags.c_contiguous for block in red.point_blocks)
+        assert np.array_equal(red.point_blocks.reshape(90, 30), red.nullspace)
+
+    def test_zero_separation_row_raises(self):
+        # A separation row of zero norm is refused like any other.
+        grid = empty_grid()
+        a = hover((1.0, 1.5, 1.0))
+        model = EllipsoidModel(0.3, 2.0)
+        corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
+        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), model)[0]
+        problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, [pair, pair], PARAMS)
+        n_static = len(problem.reduction.static_norms)
+        problem.ineq_matrix[n_static + 31] = 0.0
+        with pytest.raises(QpInfeasibleError, match="zero inequality row"):
+            solve(problem, warm_start=candidate)

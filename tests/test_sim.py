@@ -1,20 +1,30 @@
 import ast
 import json
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from swarmplan import corridor, sim
+from swarmplan import corridor, qp, sim
+from swarmplan.bernstein import BernsteinSegment
 from swarmplan.cli import main as cli_main
 from swarmplan.errors import LogFormatError, ScenarioGenerationError, StepAbortError
 from swarmplan.params import PlanningParams
+from swarmplan.qp import param_matrices
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import run
 from swarmplan.verify import verify
 from swarmplan.world import OccupancyGrid
 
-from oracles import closest_by_enumeration, de_casteljau
+from oracles import (
+    closest_by_enumeration,
+    csv_rows_by_float,
+    de_casteljau,
+    dense_reduced_rows,
+    step_line_by_float,
+)
 
 
 def narrow_corridor_scenario(timeout=6.0):
@@ -167,6 +177,67 @@ class TestRun:
         run(sc, tmp_path / "enumerated")
         staged = (tmp_path / "staged" / "steps.jsonl").read_bytes()
         assert staged == (tmp_path / "enumerated" / "steps.jsonl").read_bytes()
+
+    def test_structured_qp_rows_match_dense_setup(self, tmp_path, monkeypatch):
+        # The same six-agent circle with solve's row set-up replaced by the
+        # dense referee must write the same steps.jsonl bytes.
+        sc = generate_scenario("circle", 6, seed=0, timeout=4.0)
+        run(sc, tmp_path / "structured")
+        mats = param_matrices(sc.params)
+
+        def dense(problem, red, x_part):
+            assert red is mats.reduction
+            return dense_reduced_rows(
+                problem, red, x_part, (mats.dyn_matrix, mats.box_matrix)
+            )
+
+        monkeypatch.setattr(qp, "_reduced_rows", dense)
+        run(sc, tmp_path / "dense")
+        structured = (tmp_path / "structured" / "steps.jsonl").read_bytes()
+        assert structured == (tmp_path / "dense" / "steps.jsonl").read_bytes()
+
+    def test_mean_plan_ms_counts_the_shared_view(self, tmp_path, monkeypatch):
+        # Building the goal view is planning work done once per step; the
+        # per-agent plan time must carry its share.
+        sc = generate_scenario("empty", 2, seed=3, timeout=1.0)
+        real_view = sim.goal_view
+
+        def slow_view(*args):
+            time.sleep(0.05)
+            return real_view(*args)
+
+        monkeypatch.setattr(sim, "goal_view", slow_view)
+        metrics = run(sc, tmp_path / "out")
+        assert metrics.steps == 5
+        assert metrics.mean_plan_ms >= 25.0
+
+    def test_log_formatters_match_float_referees(self):
+        # Special values: signed zeros, subnormals, integral floats, values
+        # whose repr switches to exponent notation, and ordinary ones.
+        values = np.array(
+            [-0.0, 0.0, 5e-324, -2.5e-310, 1.0, -3.0, 1e16, 123456789.0, 1e-5,
+             0.1, -1.0 / 3.0, 2.0**0.5, 1e300, -7.25e22, 4.0e-7, 12.5, 2.0**53, -1e-320],
+        )
+        states = np.resize(values, (20, 9))
+        states[1::2] = -states[1::2]
+        times = [j / 100 for j in range(20)]
+        rows = sim._csv_rows(times, states)
+        assert rows == csv_rows_by_float(times, states)
+        assert ",-0.0," in rows[0] and ",5e-324," in rows[0]
+        pts = np.resize(values, (4, 6, 3))
+        agents = [
+            SimpleNamespace(
+                agent_id=i,
+                previous_trajectory=SimpleNamespace(
+                    segments=[BernsteinSegment(pts[(i + m) % 4], 0.2) for m in range(5)]
+                ),
+            )
+            for i in range(3)
+        ]
+        for step, now in ((0, 0.0), (7, 1.4000000000000001)):
+            line = sim._step_line(step, now, agents)
+            assert line == step_line_by_float(step, now, agents)
+            assert "[-0.0," in line and "5e-324" in line and "1e+16" in line
 
     def test_narrow_corridor_deadlocks(self, tmp_path):
         # Long enough for the push-and-pin phase to settle into a
