@@ -42,24 +42,61 @@ class AgentMotion:
 @dataclass(frozen=True)
 class SwarmView:
     """Shared per-step view of the swarm for goal planning, built once per
-    step by `swarm_view` and read by every agent's `plan_current_goal`.
+    step by `swarm_view_from_arrays` and read by every agent's
+    `plan_current_goal`.
 
     `ids` lists the agents in ascending order; `rows` maps an id back to
-    its index in `ids`, `motions` and both arrays. `gaps[a, b]` is the
-    distance between agents ids[a] and ids[b], and `outranks[a, b]` says
-    agent ids[b] has priority over agent ids[a].
+    its index in `ids` and in every array. Row a of the read-only arrays
+    `positions`, `horizon_ends`, `goals` and `radii` describes agent
+    ids[a]. `gaps[a, b]` is the distance between agents ids[a] and ids[b],
+    and `outranks[a, b]` says agent ids[b] has priority over agent ids[a].
     """
 
     params: PlanningParams
     ids: tuple[int, ...]
     rows: dict[int, int]
-    motions: tuple[AgentMotion, ...]
+    positions: np.ndarray
+    horizon_ends: np.ndarray
+    goals: np.ndarray
+    radii: np.ndarray
     gaps: np.ndarray
     outranks: np.ndarray
 
+    @property
+    def motions(self) -> tuple[AgentMotion, ...]:
+        """Every agent's row as an AgentMotion, in `ids` order."""
+        return tuple(
+            AgentMotion(position, horizon_end, goal, float(radius))
+            for position, horizon_end, goal, radius in zip(
+                self.positions, self.horizon_ends, self.goals, self.radii
+            )
+        )
+
 
 def swarm_view(agents: dict[int, AgentMotion], params: PlanningParams) -> SwarmView:
+    """The shared view of `agents` (id -> AgentMotion); see
+    `swarm_view_from_arrays`."""
+    ids = sorted(agents)
+    motions = [agents[i] for i in ids]
+    return swarm_view_from_arrays(
+        ids,
+        np.array([m.position for m in motions]),
+        np.array([m.horizon_end for m in motions]),
+        np.array([m.goal for m in motions]),
+        np.array([m.radius for m in motions], dtype=float),
+        params,
+    )
+
+
+def swarm_view_from_arrays(
+    ids, positions, horizon_ends, goals, radii, params: PlanningParams
+) -> SwarmView:
     """Gaps and the priority relation between every pair of agents.
+
+    `ids` must be ascending; row a of the (N, 3) arrays `positions`,
+    `horizon_ends` and `goals` and of `radii` belongs to agent ids[a]. The
+    view keeps the arrays, made read-only; a non-finite entry in any of the
+    three raises ValueError.
 
     Agent b outranks agent a when b is strictly closer to its goal (ties go
     to the lower id), has not reached it, and is not clearly receding from
@@ -77,17 +114,17 @@ def swarm_view(agents: dict[int, AgentMotion], params: PlanningParams) -> SwarmV
     np.linalg.norm takes for one 3-vector, so ties decide as they would
     pair by pair.
     """
-    ids = tuple(sorted(agents))
-    motions = tuple(agents[i] for i in ids)
-    position = np.array([m.position for m in motions])
-    goal = np.array([m.goal for m in motions])
-    horizon_end = np.array([m.horizon_end for m in motions])
+    for name, arr in (("position", positions), ("horizon_end", horizon_ends), ("goal", goals)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+    for arr in (positions, horizon_ends, goals, radii):
+        arr.setflags(write=False)
 
-    to_goal = position - goal
+    to_goal = positions - goals
     goal_dist = np.sqrt(np.vecdot(to_goal, to_goal))
-    toward = position[:, None, :] - position[None, :, :]  # [a, b]: from b to a
+    toward = positions[:, None, :] - positions[None, :, :]  # [a, b]: from b to a
     gaps = np.sqrt(np.vecdot(toward, toward))
-    toward_me = np.vecdot(horizon_end - position, toward) / np.maximum(gaps, 1e-9)
+    toward_me = np.vecdot(horizon_ends - positions, toward) / np.maximum(gaps, 1e-9)
 
     reach = params.goal_reach_dist
     recede_slack = 0.05 * params.horizon * max(params.max_velocity)
@@ -101,7 +138,9 @@ def swarm_view(agents: dict[int, AgentMotion], params: PlanningParams) -> SwarmV
         reached[:, None] & ~reached[None, :]
     )
     rows = {i: row for row, i in enumerate(ids)}
-    return SwarmView(params, ids, rows, motions, gaps, outranks)
+    return SwarmView(
+        params, tuple(ids), rows, positions, horizon_ends, goals, radii, gaps, outranks
+    )
 
 
 def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.ndarray:
@@ -116,25 +155,26 @@ def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.
     """
     params = view.params
     row = view.rows[self_id]
-    me = view.motions[row]
+    position, goal = view.positions[row], view.goals[row]
+    radius = float(view.radii[row])
     outranking = np.flatnonzero(view.outranks[row])
 
     if outranking.size:
         # argmin keeps the first of equal gaps, which is the lowest id.
         nearest = outranking[np.argmin(view.gaps[row, outranking])]
-        q = view.motions[nearest]
+        q_position = view.positions[nearest]
         gap = float(view.gaps[row, nearest])
         if gap < params.repulsion_trigger_dist:
-            away = me.position - q.position
+            away = position - q_position
             if math.hypot(away[0], away[1]) < _STACKED_EPS:
                 # Vertically stacked: push horizontally, fixed +x tie-break,
                 # rather than amplifying the downwash hazard.
                 direction = np.array([1.0, 0.0, 0.0])
             else:
                 direction = away / gap
-            return q.position + params.repulsion_dist * direction
+            return q_position + params.repulsion_dist * direction
 
-    obstacles = [(view.motions[j].position, view.motions[j].radius) for j in outranking]
+    obstacles = [(view.positions[j], float(view.radii[j])) for j in outranking]
     # Goal planning only shapes the objective (the QP corridors carry
     # safety), so its clearance rules are biased by a quarter cell in each
     # direction: paths keep extra clearance and visibility needs a little
@@ -142,35 +182,31 @@ def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.
     # the conservative clearance threshold is approached asymptotically from
     # the blind side and the agent parks at the edge forever.
     pad = grid.resolution / 4
-    seeing = max(0.0, me.radius - pad)
-    routing = me.radius + pad
-    if grid.line_of_sight_free(
-        me.position, me.goal, seeing, obstacles, downwash=params.downwash
-    ):
+    seeing = max(0.0, radius - pad)
+    routing = radius + pad
+    if grid.line_of_sight_free(position, goal, seeing, obstacles, downwash=params.downwash):
         # Straight shot: the search would end at the goal anyway.
-        return me.goal.copy()
+        return goal.copy()
 
     path = grid.astar(
-        me.position,
-        me.goal,
+        position,
+        goal,
         routing,
         obstacles,
         budget=params.astar_budget,
         downwash=params.downwash,
     )
     if path is None and obstacles:
-        path = grid.astar(me.position, me.goal, routing, (), budget=params.astar_budget)
+        path = grid.astar(position, goal, routing, (), budget=params.astar_budget)
     if path is None:
-        raise GoalUnreachableError(
-            f"agent {self_id}: no grid path to goal {me.goal.tolist()}"
-        )
+        raise GoalUnreachableError(f"agent {self_id}: no grid path to goal {goal.tolist()}")
     # The goal itself was just found blocked from here, so only the path's
     # waypoints remain; one batched query tests every sight line.
     visible = np.flatnonzero(
         grid.sight_lines_free(
-            me.position, path.waypoints, seeing, obstacles, downwash=params.downwash
+            position, path.waypoints, seeing, obstacles, downwash=params.downwash
         )
     )
     if visible.size:
         return path.waypoints[visible[-1]].copy()
-    return me.position.copy()
+    return position.copy()

@@ -24,7 +24,7 @@ from swarmplan.corridor import (
 )
 from swarmplan.errors import PlannerError, QpInfeasibleError, StepAbortError
 from swarmplan.geometry import EllipsoidModel
-from swarmplan.goalplan import AgentMotion, SwarmView, plan_current_goal, swarm_view
+from swarmplan.goalplan import SwarmView, plan_current_goal, swarm_view_from_arrays
 from swarmplan.params import PlanningParams
 from swarmplan.qp import assemble, solve, trajectory_from_values
 from swarmplan.world import OccupancyGrid
@@ -135,17 +135,16 @@ def goal_view(
     params: PlanningParams,
 ) -> SwarmView:
     """Every agent's motion over its shifted plan, and the priority relation
-    between them: the goal-planning view all agents of a step share."""
-    return swarm_view(
-        {
-            snap.agent_id: AgentMotion(
-                position=inits[snap.agent_id].segments[0].control_points[0],
-                horizon_end=inits[snap.agent_id].segments[-1].control_points[-1],
-                goal=snap.goal,
-                radius=snap.radius,
-            )
-            for snap in snapshots
-        },
+    between them: the goal-planning view all agents of a step share. The
+    arrays are built straight from the snapshots and shifted plans."""
+    by_id = {snap.agent_id: snap for snap in snapshots}
+    ids = sorted(by_id)
+    return swarm_view_from_arrays(
+        ids,
+        np.array([inits[i].segments[0].control_points[0] for i in ids]),
+        np.array([inits[i].segments[-1].control_points[-1] for i in ids]),
+        np.array([by_id[i].goal for i in ids]),
+        np.array([by_id[i].radius for i in ids], dtype=float),
         params,
     )
 

@@ -7,15 +7,18 @@ enforce acceleration-level continuity at interior knots, and hold the final
 segment constant; inequalities bound derivative control points per axis and
 confine control points to the safe boxes and separating half-spaces.
 
-The solver eliminates equalities through an orthonormal nullspace basis,
-built once per parameter set, and runs a primal active-set method on the
-reduced strictly convex problem. It needs a feasible start and has no phase
-one: for planner problems the shifted previous trajectory is that start, and
-any numerical failure raises QpInfeasibleError, which the planner absorbs by
-flying the shifted plan. Every linear solve is direct with one step of
-iterative refinement and all tie-breaks are by lowest row index, so results
-are deterministic and residuals reach solver precision rather than a
-first-order method's tolerance floor.
+The solver eliminates equalities through an orthonormal nullspace basis and
+factors the reduced Hessian once, both per parameter set, and runs a primal
+active-set method on the reduced strictly convex problem in the Cholesky
+coordinates, where the Hessian is the identity: a step is a projection onto
+the null space of the working rows, read off an orthogonal factorisation of
+those rows that grows by one Householder reflection per entering row. It
+needs a feasible start and has no phase one: for planner problems the
+shifted previous trajectory is that start, and any numerical failure raises
+QpInfeasibleError, which the planner absorbs by flying the shifted plan. All
+tie-breaks are by lowest row index, so results are deterministic, and
+residuals reach solver precision rather than a first-order method's
+tolerance floor.
 """
 
 from __future__ import annotations
@@ -86,28 +89,30 @@ class ResidualReport:
 @dataclass(frozen=True)
 class EqualityReduction:
     """Equality elimination x = pinv @ eq_rhs + nullspace @ y, for one pair
-    of quadratic cost and equality matrix.
+    of quadratic cost and equality matrix, and the Cholesky coordinates the
+    solver iterates in.
 
-    `hessian` is the reduced Hessian scaled by 1/sigma and symmetrised, with
-    a ridge added only if its Cholesky factorisation fails. The static rows
-    are the leading inequality rows that every problem sharing this
-    reduction carries: `static_norms` holds their norms and `static_rows`
-    their reduced rows divided by those norms. `point_blocks[p]` is the
-    C-contiguous 3 x k block of nullspace rows for the three columns of
-    control point p (empty when the dimension is not a multiple of 3).
+    The reduced Hessian, scaled by 1/sigma and symmetrised (with a ridge
+    added only if its Cholesky factorisation fails), is `factor` @
+    `factor`.T. In z = factor.T @ y it is the identity, and
+    x = pinv @ eq_rhs + basis @ z with basis = nullspace @ factor^-T. The
+    static rows are the leading inequality rows that every problem sharing
+    this reduction carries: `static_norms` holds their full-space norms and
+    `static_rows` their rows in z, divided by those norms.
     """
 
     pinv: np.ndarray
     nullspace: np.ndarray
     sigma: float
-    hessian: np.ndarray
+    factor: np.ndarray
+    basis: np.ndarray
     static_rows: np.ndarray
     static_norms: np.ndarray
-    point_blocks: np.ndarray
 
 
 def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReduction:
-    """Build the nullspace reduction; each static block is reduced on its own.
+    """Build the nullspace reduction and its Cholesky coordinates, with the
+    rows of `static_blocks`, stacked, as the static rows.
 
     Raises QpInfeasibleError when the reduced cost is not positive definite
     even after a small ridge, or when a static row has zero norm.
@@ -126,25 +131,21 @@ def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReducti
     reg = 1e-13 * max(1.0, float(np.trace(h_red)) / max(k, 1))
     while True:
         try:
-            np.linalg.cholesky(h_red)
+            factor = np.linalg.cholesky(h_red)
             break
         except np.linalg.LinAlgError:
             h_red = h_red + reg * np.eye(k)
             reg *= 100.0
             if reg > 1e-3:
                 raise QpInfeasibleError("quadratic cost is not positive definite", 0)
-    static_rows = np.vstack([np.zeros((0, k))] + [block @ null for block in static_blocks])
-    static_norms = np.linalg.norm(np.vstack([np.zeros((0, dim))] + list(static_blocks)), axis=1)
+    static = np.vstack([np.zeros((0, dim))] + list(static_blocks))
+    static_norms = np.linalg.norm(static, axis=1)
     if not np.all(static_norms > 0.0):
         raise QpInfeasibleError("zero inequality row", 0)
-    if dim % 3 == 0:
-        point_blocks = np.ascontiguousarray(null.reshape(-1, 3, k))
-    else:
-        point_blocks = np.zeros((0, 3, k))
-    return EqualityReduction(
-        pinv, null, sigma, h_red, static_rows / static_norms[:, None], static_norms,
-        point_blocks,
-    )
+    # nullspace @ factor^-T, by the solve factor @ basis.T = nullspace.T.
+    basis = np.ascontiguousarray(np.linalg.solve(factor, null.T).T)
+    static_rows = static @ basis / static_norms[:, None]
+    return EqualityReduction(pinv, null, sigma, factor, basis, static_rows, static_norms)
 
 
 @dataclass
@@ -155,10 +156,11 @@ class QpProblem:
     The trailing `len(separation_coefficients)` rows of ineq_matrix are
     separation rows, in groups of one row per control point (three
     consecutive columns each): row s holds `separation_coefficients[s]` on
-    the columns of point s mod (dimension / 3) and zeros elsewhere. Every
-    other row is static. `reduction`, when given, must have been built from
-    this problem's quadratic and eq_matrix with exactly the static rows;
-    without one, solve builds a generic reduction.
+    the columns of point s mod (dimension / 3) and zeros elsewhere; solve
+    sets them up from the coefficients and reads ineq_matrix only to check
+    its result. Every other row is static. `reduction`, when given, must
+    have been built from this problem's quadratic and eq_matrix with exactly
+    the static rows; without one, solve builds a generic reduction.
     """
 
     quadratic: np.ndarray
@@ -448,16 +450,17 @@ def solve(
 ) -> QpSolution:
     """Solve the QP to within tol on feasibility and relative stationarity.
 
-    Equalities are eliminated through the problem's nullspace reduction; the
-    reduced problem is handled by a primal active-set iteration that starts
-    at `warm_start`, or at the unconstrained minimum when it is None. Only
-    the separation rows are reduced per call, from their coefficients and
-    the reduction's per-point nullspace blocks (see `_reduced_rows`); the
+    Equalities are eliminated through the problem's nullspace reduction. The
+    reduced problem is handled by a primal active-set iteration in the
+    reduction's Cholesky coordinates, where the Hessian is the identity,
+    starting at `warm_start`, or at the unconstrained minimum when it is
+    None. Only the separation rows are set up per call, from their
+    coefficients and the reduction's basis (see `_reduced_rows`); the
     static rows come reduced and normalised with the reduction. The
     start must be feasible: there is no phase one, and a start more than
     1e-7 outside any normalised inequality row raises QpInfeasibleError, as
     do an inequality row of zero norm, inconsistent equalities, an exhausted
-    iteration budget, a singular linear system and a result outside
+    iteration budget, a singular working-set system and a result outside
     tolerance. The planner absorbs all of these by flying its shifted plan.
     """
     mi = len(problem.ineq_rhs)
@@ -466,11 +469,8 @@ def solve(
     if max_iterations <= 0:
         raise QpInfeasibleError("iteration budget exhausted before solving", 0)
 
-    red = problem.reduction or reduce_equalities(
-        problem.quadratic,
-        problem.eq_matrix,
-        (problem.ineq_matrix[: mi - len(problem.separation_coefficients)],),
-    )
+    static = problem.ineq_matrix[: mi - len(problem.separation_coefficients)]
+    red = problem.reduction or reduce_equalities(problem.quadratic, problem.eq_matrix, (static,))
     null = red.nullspace
     x_part = red.pinv @ problem.eq_rhs
     eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs), initial=0.0))
@@ -478,73 +478,64 @@ def solve(
     if eq_err > max(tol, 1e-9) * eq_scale:
         raise QpInfeasibleError(f"inconsistent equality constraints ({eq_err:.3e})", 0)
 
-    k = null.shape[1]
-    if k == 0:
+    if null.shape[1] == 0:
         return _package(problem, x_part, 0, tol, stationarity=0.0)
 
-    h_red = red.hessian
-    f_red = null.T @ (problem.quadratic @ x_part + problem.linear) / red.sigma
+    # Gradient at x_part in y (f) and in z = factor.T @ y (g = factor^-1 f).
+    grad_x = (problem.quadratic @ x_part + problem.linear) / red.sigma
+    f_red = null.T @ grad_x
+    g = red.basis.T @ grad_x
+    a, d = _reduced_rows(problem, red, x_part)
 
-    c_red, d_red = _reduced_rows(problem, red, x_part)
-
+    z0 = -g
     if warm_start is not None:
-        y0 = null.T @ (np.asarray(warm_start, dtype=float) - x_part)
-    else:
-        y0 = _refined_solve(h_red, -f_red)
-    worst = float(np.max(c_red @ y0 - d_red, initial=0.0))
+        z0 = red.factor.T @ (null.T @ (np.asarray(warm_start, dtype=float) - x_part))
+    slack = d - a @ z0
+    worst = float(np.max(-slack, initial=0.0))
     if worst > 1e-7:
         raise QpInfeasibleError(f"start point is infeasible (violation {worst:.3e})", 0)
 
-    y, working, lam, iterations = _active_set(h_red, f_red, c_red, d_red, y0, max_iterations)
+    z, working, lam, iterations = _active_set(a, g, slack, z0, max_iterations)
 
-    # Stationarity straight from the terminating KKT system of the scaled
-    # reduced problem; tiny negative multipliers within the optimality
-    # tolerance are clipped.
-    stat_vec = h_red @ y + f_red
-    if working:
-        stat_vec = stat_vec + c_red[working].T @ np.maximum(lam, 0.0)
+    # Stationarity of the scaled reduced problem in y, where the Hessian
+    # term is factor @ z and the working rows are a[working] @ factor.T;
+    # tiny negative multipliers within the optimality tolerance are clipped.
+    rows_y = a[working] @ red.factor.T
+    stat_vec = red.factor @ z + f_red + rows_y.T @ np.maximum(lam, 0.0)
     stationarity = float(np.max(np.abs(stat_vec)))
-    x = x_part + null @ y
+    x = x_part + red.basis @ z
     return _package(problem, x, iterations, tol, stationarity)
 
 
 def _reduced_rows(problem, red, x_part):
-    """The reduced inequalities c_red @ y <= d_red, every row divided by
-    the norm of its full row.
-
-    The static rows come normalised with the reduction. A separation row
-    has three nonzeros, so its reduced row is those coefficients times one
-    control point's 3 x k nullspace block: one (pairs, 3) @ (3, k) product
-    per point. BLAS sums these in the same order as the dense
-    `ineq_matrix @ nullspace`, so the rows agree bit for bit, except for a
-    single pair, whose dense product BLAS sends through another kernel with
-    another summation order; one pair keeps the dense product. Separation
-    rows keep their dense norms, which the norm of the 3-vector alone does
-    not reproduce in the last bit. tests/test_qp.py holds both set-ups to
-    equal bits on recorded planner problems.
+    """The inequalities a @ z <= d in the reduction's Cholesky coordinates,
+    every row divided by the norm of its full row. The static rows come that
+    way with the reduction. A separation row's three nonzeros, its
+    coefficient, sit on the columns of one control point: its norm is the
+    coefficient's, its row the unit coefficient times the point's 3 x k
+    block of the basis (one batched (pairs, 3) @ (3, k) product per point),
+    and its offset the coefficient's dot product with that point of x_part.
     """
-    null = red.nullspace
     n_static = len(red.static_norms)
-    sep = problem.ineq_matrix[n_static:]
-    sep_norms = np.linalg.norm(sep, axis=1)
-    if not np.all(sep_norms > 0.0):
+    coefficients = problem.separation_coefficients
+    norms = np.sqrt(np.square(coefficients) @ np.ones(3))
+    if not np.all(norms > 0.0):
         raise QpInfeasibleError("zero inequality row", 0)
-    c_red = np.empty((len(problem.ineq_rhs), null.shape[1]))
-    c_red[:n_static] = red.static_rows
-    points = len(red.point_blocks)
-    if len(sep) == points:
-        c_red[n_static:] = sep @ null
-    elif len(sep):
-        # Point-major views: product p is (pairs, 3) @ point_blocks[p].
-        coefficients = problem.separation_coefficients.reshape(-1, points, 3)
-        out = c_red[n_static:].reshape(len(coefficients), points, -1)
-        np.matmul(
-            coefficients.transpose(1, 0, 2), red.point_blocks, out=out.transpose(1, 0, 2)
-        )
-    c_red[n_static:] /= sep_norms[:, None]
-    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
-    d_red /= np.concatenate([red.static_norms, sep_norms])
-    return c_red, d_red
+    k = red.basis.shape[1]
+    a = np.empty((len(problem.ineq_rhs), k))
+    a[:n_static] = red.static_rows
+    d = np.empty(len(problem.ineq_rhs))
+    static = problem.ineq_matrix[:n_static]
+    d[:n_static] = (problem.ineq_rhs[:n_static] - static @ x_part) / red.static_norms
+    if len(coefficients):
+        blocks = red.basis.reshape(-1, 3, k)
+        count = len(coefficients) // len(blocks)  # pairs; views below are point-major
+        pairs = coefficients.reshape(count, -1, 3).transpose(1, 0, 2)
+        out = a[n_static:].reshape(count, -1, k).transpose(1, 0, 2)
+        np.matmul(pairs / norms.reshape(count, -1).T[..., None], blocks, out=out)
+        offsets = np.matmul(pairs, x_part.reshape(-1, 3, 1))[..., 0].T.reshape(-1)
+        d[n_static:] = (problem.ineq_rhs[n_static:] - offsets) / norms
+    return a, d
 
 
 def _package(problem, x, iterations, tol, stationarity) -> QpSolution:
@@ -557,11 +548,8 @@ def _package(problem, x, iterations, tol, stationarity) -> QpSolution:
         stationarity_residual=stationarity,
         iterations=iterations,
     )
-    if (
-        solution.max_equality_residual > tol
-        or solution.max_inequality_violation > tol
-        or solution.stationarity_residual > tol
-    ):
+    residuals = (report.max_equality_residual, report.max_inequality_violation, stationarity)
+    if not all(value <= tol for value in residuals):  # NaN fails too
         raise QpInfeasibleError(
             f"solution outside tolerance (eq {solution.max_equality_residual:.2e}, "
             f"ineq {solution.max_inequality_violation:.2e}, "
@@ -571,76 +559,88 @@ def _package(problem, x, iterations, tol, stationarity) -> QpSolution:
     return solution
 
 
-def _refined_solve(a, b):
-    """Direct solve with one iterative-refinement pass."""
-    z = np.linalg.solve(a, b)
-    z += np.linalg.solve(a, b - a @ z)
-    return z
+def _working_factor(a, working, iterations):
+    """Complete QR factorisation of the transpose of the working rows
+    a[working]: q (k x k), whose first len(working) columns span the rows
+    and the rest their null space, and the inverse of the factor R."""
+    if not working:
+        return np.eye(a.shape[1]), np.zeros((0, 0))
+    q, r = np.linalg.qr(a[working].T, mode="complete")
+    try:
+        return q, np.linalg.inv(r[: len(working)])
+    except np.linalg.LinAlgError as exc:
+        raise QpInfeasibleError(f"singular active-set system ({exc})", iterations) from exc
 
 
-def _active_set(h, f, c, d, y0, max_iterations):
-    """Primal active-set iteration on min 0.5 y'Hy + f'y s.t. Cy <= d.
+def _append_row(q, r_inv, row, iterations):
+    """`_working_factor`'s factors with `row` appended, q updated in place: a
+    Householder reflection of q's null-space columns maps the row's part
+    there onto the first of them."""
+    nw = len(r_inv)
+    w = q.T @ row
+    v = w[nw:].copy()
+    norm = math.sqrt(float(v @ v))  # 0 for a dependent row, and once nw = k
+    if norm == 0.0:
+        raise QpInfeasibleError("singular active-set system (dependent row)", iterations)
+    alpha = -math.copysign(norm, v[0])
+    v[0] -= alpha
+    q[:, nw:] -= (q[:, nw:] @ v)[:, None] * (v * (2.0 / float(v @ v)))
+    grown = np.zeros((nw + 1, nw + 1))
+    grown[:nw, :nw] = r_inv
+    grown[:nw, nw] = -(r_inv @ w[:nw]) / alpha
+    grown[nw, nw] = 1.0 / alpha
+    return q, grown
 
-    Requires a feasible y0. Blocking constraints enter by lowest row index
-    among minimal step ratios; constraints leave by most negative multiplier.
-    Returns (y, working rows, multipliers, iterations); raises
-    QpInfeasibleError on a singular linear system or an exhausted budget.
+
+def _active_set(a, g, slack, z, max_iterations):
+    """Primal active-set iteration on min 0.5 z'z + g'z s.t. a z <= d, from
+    a feasible z whose slacks d - a z are `slack` (updated in place).
+
+    With working rows A = R'Q1' and Q = [Q1 Q2] orthogonal, the step is
+    p = Q1 R^-T slack[W] - Q2 Q2'(z + g), which keeps A p = slack[W] to
+    round-off however nearly dependent the rows are (the Gram system A A'
+    would square their condition number); the slack term restores working
+    rows to their boundaries, so epsilon-level drift cannot persist. At a
+    zero step the multipliers are lam = -R^-1 (Q1'(z + g) + R^-T slack[W]).
+    Blocking constraints enter by lowest row index among minimal step
+    ratios; constraints leave by most negative multiplier. Returns (z,
+    working rows, multipliers, iterations); raises QpInfeasibleError on a
+    singular working set or an exhausted budget.
     """
-    k = len(y0)
-    mi = len(d)
-    y = np.array(y0, dtype=float)
     working: list[int] = []
-    in_working = np.zeros(mi, dtype=bool)
+    in_working = np.zeros(len(slack), dtype=bool)
+    q, r_inv = _working_factor(a, working, 0)
     iterations = 0
 
     while iterations < max_iterations:
         iterations += 1
-        grad = h @ y + f
         nw = len(working)
-        if nw:
-            kkt = np.zeros((k + nw, k + nw))
-            kkt[:k, :k] = h
-            rows = c[working]
-            kkt[:k, k:] = rows.T
-            kkt[k:, :k] = rows
-            # The lower block restores working rows to their boundaries, so
-            # epsilon-level drift of the start cannot persist.
-            rhs = np.concatenate([-grad, d[working] - rows @ y])
-        else:
-            kkt, rhs = h, -grad
-        try:
-            z = _refined_solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise QpInfeasibleError(f"singular active-set system ({exc})", iterations) from exc
-        p = z[:k]
-        lam = z[k:]
+        grad = z + g
+        spanned, free = q[:, :nw], q[:, nw:]
+        restore = r_inv.T @ slack[working]
+        p = spanned @ restore - free @ (free.T @ grad)
 
-        if float(np.max(np.abs(p))) <= 1e-11 * (1.0 + float(np.max(np.abs(y)))):
-            if nw == 0:
-                return y, working, lam, iterations
-            drop = int(np.argmin(lam))
-            if lam[drop] >= -1e-9:
-                return y, working, lam, iterations
-            in_working[working[drop]] = False
-            working.pop(drop)
+        if float(abs(p).max()) <= 1e-11 * (1.0 + float(abs(z).max())):
+            lam = -r_inv @ (spanned.T @ grad + restore)
+            drop = int(np.argmin(lam)) if working else -1
+            if drop < 0 or lam[drop] >= -1e-9:
+                return z, working, lam, iterations
+            in_working[working.pop(drop)] = False
+            q, r_inv = _working_factor(a, working, iterations)
             continue
 
-        step = 1.0
-        blocking = -1
-        if mi:
-            cp = c @ p
-            candidates = np.nonzero(~in_working & (cp > 1e-12))[0]
-            if len(candidates):
-                slack = np.maximum(d[candidates] - c[candidates] @ y, 0.0)
-                ratios = slack / cp[candidates]
-                best = float(np.min(ratios))
-                if best < 1.0:
-                    step = best
-                    hit = candidates[ratios <= best + 1e-12 * (1.0 + best)]
-                    blocking = int(np.min(hit))
-        y = y + step * p
-        if blocking >= 0:
+        # Rows with cp > 1e-12 and a ratio max(slack, 0) / cp below 1 + 4e-12
+        # lie in `near`, so the step and the blocking row follow from it.
+        cp = a @ p
+        near = (cp > np.maximum(slack, 1e-12) * (1.0 - 4e-12)).nonzero()[0]
+        candidates = near[~in_working[near] & (cp[near] > 1e-12)]
+        ratios = np.maximum(slack[candidates], 0.0) / cp[candidates]
+        step = min(1.0, float(ratios.min(initial=1.0)))
+        z = z + step * p
+        slack -= step * cp
+        if step < 1.0:
+            blocking = int(candidates[ratios <= step + 1e-12 * (1.0 + step)].min())
             working.append(blocking)
             in_working[blocking] = True
+            q, r_inv = _append_row(q, r_inv, a[blocking], iterations)
     raise QpInfeasibleError("active-set iteration budget exhausted", iterations)
-

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from swarmplan.errors import QpInfeasibleError
+
 
 def de_casteljau(control_points, tau: float) -> np.ndarray:
     """Evaluate a Bezier curve by repeated linear interpolation."""
@@ -375,6 +377,116 @@ def dense_reduced_rows(problem, red, x_part, static_blocks=()):
     d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
     row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
     return c_red / row_norms[:, None], d_red / row_norms
+
+
+def dense_separation_rows(problem, red, norms):
+    """Separation rows in the reduction's Cholesky coordinates by one dense
+    product: every full separation row divided by its norm, times the
+    reduction's basis."""
+    separation = problem.ineq_matrix[len(red.static_norms):]
+    return (separation / norms[:, None]) @ red.basis
+
+
+# -- QP solver referee -----------------------------------------------------------
+# The primal active-set iteration in the reduced coordinates y, with a full
+# (k+|W|)-square KKT system solved with one refinement pass per iteration:
+# the solver's Cholesky-coordinate iteration must reach the same points.
+
+
+def refined_solve(a, b):
+    """Direct solve with one iterative-refinement pass."""
+    z = np.linalg.solve(a, b)
+    z += np.linalg.solve(a, b - a @ z)
+    return z
+
+
+def active_set_kkt(h, f, c, d, y0, max_iterations):
+    """Primal active-set iteration on min 0.5 y'Hy + f'y s.t. Cy <= d.
+
+    Requires a feasible y0. Blocking constraints enter by lowest row index
+    among minimal step ratios; constraints leave by most negative multiplier.
+    Returns (y, working rows, multipliers, iterations); raises
+    QpInfeasibleError on a singular linear system or an exhausted budget.
+    """
+    k = len(y0)
+    mi = len(d)
+    y = np.array(y0, dtype=float)
+    working: list[int] = []
+    in_working = np.zeros(mi, dtype=bool)
+    iterations = 0
+
+    while iterations < max_iterations:
+        iterations += 1
+        grad = h @ y + f
+        nw = len(working)
+        if nw:
+            kkt = np.zeros((k + nw, k + nw))
+            kkt[:k, :k] = h
+            rows = c[working]
+            kkt[:k, k:] = rows.T
+            kkt[k:, :k] = rows
+            # The lower block restores working rows to their boundaries, so
+            # epsilon-level drift of the start cannot persist.
+            rhs = np.concatenate([-grad, d[working] - rows @ y])
+        else:
+            kkt, rhs = h, -grad
+        try:
+            z = refined_solve(kkt, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise QpInfeasibleError(f"singular active-set system ({exc})", iterations) from exc
+        p = z[:k]
+        lam = z[k:]
+
+        if float(np.max(np.abs(p))) <= 1e-11 * (1.0 + float(np.max(np.abs(y)))):
+            if nw == 0:
+                return y, working, lam, iterations
+            drop = int(np.argmin(lam))
+            if lam[drop] >= -1e-9:
+                return y, working, lam, iterations
+            in_working[working[drop]] = False
+            working.pop(drop)
+            continue
+
+        step = 1.0
+        blocking = -1
+        if mi:
+            cp = c @ p
+            candidates = np.nonzero(~in_working & (cp > 1e-12))[0]
+            if len(candidates):
+                slack = np.maximum(d[candidates] - c[candidates] @ y, 0.0)
+                ratios = slack / cp[candidates]
+                best = float(np.min(ratios))
+                if best < 1.0:
+                    step = best
+                    hit = candidates[ratios <= best + 1e-12 * (1.0 + best)]
+                    blocking = int(np.min(hit))
+        y = y + step * p
+        if blocking >= 0:
+            working.append(blocking)
+            in_working[blocking] = True
+    raise QpInfeasibleError("active-set iteration budget exhausted", iterations)
+
+
+def solve_by_kkt(problem, red, static_blocks, warm_start, max_iterations=None):
+    """The QP in y on the dense set-up: the reduced Hessian and gradient
+    formed anew, the rows by `dense_reduced_rows`, and `active_set_kkt` from
+    the warm start, with solve's default budget. Returns (x, iterations,
+    stationarity), where stationarity is the largest entry of
+    h y + f + c[W]' max(lam, 0)."""
+    if max_iterations is None:
+        max_iterations = 3 * len(problem.ineq_rhs) + 120
+    null = red.nullspace
+    x_part = red.pinv @ problem.eq_rhs
+    h = null.T @ problem.quadratic @ null / red.sigma
+    h = 0.5 * (h + h.T)
+    f = null.T @ (problem.quadratic @ x_part + problem.linear) / red.sigma
+    c, d = dense_reduced_rows(problem, red, x_part, static_blocks)
+    y0 = null.T @ (np.asarray(warm_start, dtype=float) - x_part)
+    y, working, lam, iterations = active_set_kkt(h, f, c, d, y0, max_iterations)
+    stat = h @ y + f
+    if working:
+        stat = stat + c[working].T @ np.maximum(lam, 0.0)
+    return x_part + null @ y, iterations, float(np.max(np.abs(stat)))
 
 
 # -- goal-planning referee ------------------------------------------------------

@@ -208,10 +208,12 @@ class TestFallback:
         )
 
     def test_singular_active_set_system_returns_shifted_plan(self, monkeypatch):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        real = qp._append_row
 
-        monkeypatch.setattr(qp, "_refined_solve", singular)
+        def dependent(q, r_inv, row, iterations):
+            return real(q, r_inv, np.zeros_like(row), iterations)
+
+        monkeypatch.setattr(qp, "_append_row", dependent)
         grid = empty_grid()
         swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], grid)
         snaps = swarm.snapshots()

@@ -21,7 +21,7 @@ from swarmplan.qp import (
 from swarmplan.world import OccupancyGrid
 
 from helpers import pair_segments, random_trajectory, state_at
-from oracles import dense_reduced_rows, gauss_legendre_integral
+from oracles import dense_reduced_rows, gauss_legendre_integral, solve_by_kkt
 
 
 PARAMS = PlanningParams()
@@ -477,15 +477,62 @@ class TestSolve:
         assert solved > 0
 
     def test_singular_active_set_system_raises(self, monkeypatch):
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        # A row entering the working set in the span of the rows already
+        # there (here a zero row, in every span) leaves the triangular
+        # factor singular and is refused at its first entry.
+        sizes = []
+        real = qp._append_row
 
-        monkeypatch.setattr(qp, "_refined_solve", singular)
+        def dependent(q, r_inv, row, iterations):
+            sizes.append(len(r_inv))
+            return real(q, r_inv, np.zeros_like(row), iterations)
+
+        monkeypatch.setattr(qp, "_append_row", dependent)
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
         with pytest.raises(QpInfeasibleError, match="singular active-set system"):
+            solve(problem, warm_start=candidate)
+        assert sizes == [0]
+
+    def test_singular_refactorisation_raises(self, monkeypatch):
+        # After a drop the working set is factored afresh by QR; a singular
+        # triangular factor there is refused too.
+        real_qr = np.linalg.qr
+
+        def singular_qr(m, mode):
+            q, r = real_qr(m, mode=mode)
+            r[m.shape[1] - 1, m.shape[1] - 1] = 0.0
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", singular_qr)
+        rows = np.random.default_rng(58).normal(size=(3, 5))
+        with pytest.raises(QpInfeasibleError, match="singular active-set system"):
+            qp._working_factor(rows, [0, 1, 2], 4)
+
+    def test_row_entering_a_full_working_set_raises(self):
+        # k working rows span the whole space: any further row is dependent.
+        rows = np.random.default_rng(59).normal(size=(4, 3))
+        q, r_inv = qp._working_factor(rows, [0, 1, 2], 0)
+        with pytest.raises(QpInfeasibleError, match="dependent row"):
+            qp._append_row(q, r_inv, rows[3], 5)
+
+    def test_non_finite_result_raises(self, monkeypatch):
+        # An iterate poisoned by a numerical failure is refused by the
+        # full-space re-check: NaN residuals never compare within tolerance.
+        real = qp._active_set
+
+        def poisoned(*args):
+            z, working, lam, iterations = real(*args)
+            return np.full_like(z, np.nan), working, lam, iterations
+
+        monkeypatch.setattr(qp, "_active_set", poisoned)
+        grid = empty_grid()
+        traj = hover((0.5, 0.5, 1.0))
+        corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        with pytest.raises(QpInfeasibleError, match="solution outside tolerance"):
             solve(problem, warm_start=candidate)
 
     def test_shared_reduction_matches_generic(self):
@@ -527,39 +574,58 @@ class TestStructuredRows:
         "workload, separations",
         [("circle-1", 0), ("circle-2", 1), ("indoor-8", 7), ("circle-32", 31)],
     )
-    def test_matches_dense_setup_bitwise(self, recorded_steps, monkeypatch, workload, separations):
-        # Recorded planner problems: the per-point products, the static rows
-        # stored with the reduction and the dense separation norms give
-        # c_red, d_red and the solution of the dense set-up, bit for bit.
+    def test_matches_dense_setup_bitwise(self, recorded_steps, workload, separations):
+        # Recorded planner problems: the rows in Cholesky coordinates, taken
+        # back to y by the factor, and the offsets d agree with the dense
+        # set-up in y (full-row norms, `ineq_matrix @ x_part`) to round-off,
+        # not bit for bit: solve takes each separation row's norm and offset
+        # from its 3-vector coefficient.
         _, problems = recorded_steps[workload]
         assert problems
-        structured = []
         for problem, candidate, params in problems:
             assert params == PARAMS
             assert len(problem.separation_coefficients) == 30 * separations
             red = problem.reduction
             x_part = red.pinv @ problem.eq_rhs
-            c_red, d_red = qp._reduced_rows(problem, red, x_part)
+            a, d = qp._reduced_rows(problem, red, x_part)
             c_ref, d_ref = dense_setup(problem, red, x_part)
-            assert np.array_equal(c_red, c_ref) and np.array_equal(d_red, d_ref)
-            structured.append(solve(problem, warm_start=candidate))
-        monkeypatch.setattr(qp, "_reduced_rows", dense_setup)
-        for (problem, candidate, _), got in zip(problems, structured):
-            ref = solve(problem, warm_start=candidate)
-            assert np.array_equal(got.values, ref.values)
-            assert got.iterations == ref.iterations
+            assert np.max(np.abs(a @ red.factor.T - c_ref)) <= 1e-12
+            assert np.max(np.abs(d - d_ref)) <= 1e-12 * (1.0 + np.max(np.abs(d_ref)))
+
+    @pytest.mark.parametrize("workload", ["circle-1", "circle-2", "indoor-8", "circle-32"])
+    def test_matches_kkt_oracle(self, recorded_steps, workload):
+        # Recorded planner problems solved in Cholesky coordinates and by
+        # the (k+|W|)-square KKT iteration in y on the dense set-up: both
+        # pass the full-space re-check and reach the same point.
+        _, problems = recorded_steps[workload]
+        assert problems
+        mats = param_matrices(PARAMS)
+        blocks = (mats.dyn_matrix, mats.box_matrix)
+        tol = PARAMS.qp_tolerance
+        for problem, candidate, _ in problems:
+            got = solve(problem, tol, candidate, PARAMS.qp_max_iterations)
+            x, iterations, stationarity = solve_by_kkt(
+                problem, problem.reduction, blocks, candidate, PARAMS.qp_max_iterations
+            )
+            ref = qp._package(problem, x, iterations, tol, stationarity)
+            assert np.max(np.abs(got.values - ref.values)) <= 1e-7
+            assert abs(got.objective - ref.objective) <= tol
 
     def test_static_rows_are_stored_normalised(self):
+        # Stored in Cholesky coordinates: the factor takes the rows and the
+        # basis back to the normalised reduced rows and the nullspace.
         mats = param_matrices(PARAMS)
         red = mats.reduction
         blocks = (mats.dyn_matrix, mats.box_matrix)
         norms = np.linalg.norm(np.vstack(blocks), axis=1)
         reduced = np.vstack([block @ red.nullspace for block in blocks])
+        hessian = red.nullspace.T @ mats.quadratic @ red.nullspace / red.sigma
         assert np.array_equal(red.static_norms, norms)
-        assert np.array_equal(red.static_rows, reduced / norms[:, None])
-        assert red.point_blocks.shape == (30, 3, 30)
-        assert all(block.flags.c_contiguous for block in red.point_blocks)
-        assert np.array_equal(red.point_blocks.reshape(90, 30), red.nullspace)
+        assert np.max(np.abs(red.static_rows @ red.factor.T - reduced / norms[:, None])) <= 1e-13
+        assert np.max(np.abs(red.basis @ red.factor.T - red.nullspace)) <= 1e-13
+        assert np.max(np.abs(red.factor @ red.factor.T - hessian)) <= 1e-13
+        assert np.array_equal(red.factor, np.tril(red.factor))
+        assert red.basis.shape == (90, 30) and red.basis.flags.c_contiguous
 
     def test_zero_separation_row_raises(self):
         # A separation row of zero norm is refused like any other.
@@ -571,5 +637,6 @@ class TestStructuredRows:
         problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, [pair, pair], PARAMS)
         n_static = len(problem.reduction.static_norms)
         problem.ineq_matrix[n_static + 31] = 0.0
+        problem.separation_coefficients[31] = 0.0
         with pytest.raises(QpInfeasibleError, match="zero inequality row"):
             solve(problem, warm_start=candidate)

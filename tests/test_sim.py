@@ -22,7 +22,7 @@ from oracles import (
     closest_by_enumeration,
     csv_rows_by_float,
     de_casteljau,
-    dense_reduced_rows,
+    dense_separation_rows,
     step_line_by_float,
 )
 
@@ -179,22 +179,27 @@ class TestRun:
         assert staged == (tmp_path / "enumerated" / "steps.jsonl").read_bytes()
 
     def test_structured_qp_rows_match_dense_setup(self, tmp_path, monkeypatch):
-        # The same six-agent circle with solve's row set-up replaced by the
-        # dense referee must write the same steps.jsonl bytes.
+        # The same six-agent circle with solve's per-point separation
+        # products replaced by one dense product of the unit full rows with
+        # the reduction's basis must write the same steps.jsonl bytes. Both
+        # take the row norms and offsets from the 3-vector coefficients.
         sc = generate_scenario("circle", 6, seed=0, timeout=4.0)
         run(sc, tmp_path / "structured")
         mats = param_matrices(sc.params)
+        structured = qp._reduced_rows
 
         def dense(problem, red, x_part):
             assert red is mats.reduction
-            return dense_reduced_rows(
-                problem, red, x_part, (mats.dyn_matrix, mats.box_matrix)
-            )
+            a, d = structured(problem, red, x_part)
+            coefficients = problem.separation_coefficients
+            norms = np.sqrt(np.square(coefficients) @ np.ones(3))
+            a[len(red.static_norms):] = dense_separation_rows(problem, red, norms)
+            return a, d
 
         monkeypatch.setattr(qp, "_reduced_rows", dense)
         run(sc, tmp_path / "dense")
-        structured = (tmp_path / "structured" / "steps.jsonl").read_bytes()
-        assert structured == (tmp_path / "dense" / "steps.jsonl").read_bytes()
+        structured_bytes = (tmp_path / "structured" / "steps.jsonl").read_bytes()
+        assert structured_bytes == (tmp_path / "dense" / "steps.jsonl").read_bytes()
 
     def test_mean_plan_ms_counts_the_shared_view(self, tmp_path, monkeypatch):
         # Building the goal view is planning work done once per step; the
