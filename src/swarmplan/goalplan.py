@@ -22,24 +22,6 @@ _STACKED_EPS = 1e-6  # horizontal coincidence threshold for the repulsion ray
 
 
 @dataclass(frozen=True)
-class AgentMotion:
-    """What goal planning needs to know about one agent at this step."""
-
-    position: np.ndarray
-    horizon_end: np.ndarray
-    goal: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        for name in ("position", "horizon_end", "goal"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class SwarmView:
     """Shared per-step view of the swarm for goal planning, built once per
     step by `swarm_view_from_arrays` and read by every agent's
@@ -61,31 +43,6 @@ class SwarmView:
     radii: np.ndarray
     gaps: np.ndarray
     outranks: np.ndarray
-
-    @property
-    def motions(self) -> tuple[AgentMotion, ...]:
-        """Every agent's row as an AgentMotion, in `ids` order."""
-        return tuple(
-            AgentMotion(position, horizon_end, goal, float(radius))
-            for position, horizon_end, goal, radius in zip(
-                self.positions, self.horizon_ends, self.goals, self.radii
-            )
-        )
-
-
-def swarm_view(agents: dict[int, AgentMotion], params: PlanningParams) -> SwarmView:
-    """The shared view of `agents` (id -> AgentMotion); see
-    `swarm_view_from_arrays`."""
-    ids = sorted(agents)
-    motions = [agents[i] for i in ids]
-    return swarm_view_from_arrays(
-        ids,
-        np.array([m.position for m in motions]),
-        np.array([m.horizon_end for m in motions]),
-        np.array([m.goal for m in motions]),
-        np.array([m.radius for m in motions], dtype=float),
-        params,
-    )
 
 
 def swarm_view_from_arrays(

@@ -208,6 +208,8 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     for i in range(n_agents):
         (traj_dir / f"agent_{i:03d}.csv").write_text("\n".join(csv_rows[i]) + "\n")
     (out / "steps.jsonl").write_text("\n".join(step_lines) + ("\n" if step_lines else ""))
+    # The logs are on disk now; free their text before verify reads it back.
+    del csv_rows, step_lines
 
     metrics = RunMetrics(
         success=success,

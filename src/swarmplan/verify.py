@@ -6,6 +6,13 @@ own evaluation code: de Casteljau evaluation instead of basis expansion,
 direct point-to-box distances against the original obstacle boxes instead of
 voxel queries, and its own pairwise distance math. It shares no constraint
 machinery with the planner, so agreement is evidence rather than tautology.
+
+The logs are loaded once into preallocated arrays (control points as
+steps × agents × segments × points × 3, CSV rows as agents × rows × 10, the
+CSVs parsed in chunks of rows), and each check is one array pass over steps ×
+agents × samples, reporting violations in (step, agent, sample) order. One
+3-vector's length is np.sqrt of np.vecdot, the BLAS dot np.linalg.norm takes
+for it, so every figure equals the sample-by-sample loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from swarmplan.scenarios import Scenario
 
 #: Mirrors the simulator's log rate; a run not sampled at 100 Hz is malformed.
 _TICKS_PER_SECOND = 100
+#: CSV rows parsed per pass and steps per log-consistency pass; they bound
+#: the verifier's temporary memory.
+_ROW_CHUNK = 512
+_STEP_CHUNK = 32
 
 PAIR_DISTANCE_TOL = 1e-4
 CLEARANCE_TOL = 1e-4
@@ -58,34 +69,23 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _de_casteljau(points: np.ndarray, tau: float) -> np.ndarray:
-    pts = points
-    while len(pts) > 1:
-        pts = (1.0 - tau) * pts[:-1] + tau * pts[1:]
-    return pts[0]
+def _de_casteljau(points: np.ndarray, tau) -> np.ndarray:
+    """Bezier curves with control points along axis -2 at parameters tau
+    (a float, or an array that broadcasts against points[..., :1, :])."""
+    while points.shape[-2] > 1:
+        points = (1.0 - tau) * points[..., :-1, :] + tau * points[..., 1:, :]
+    return points[..., 0, :]
 
 
 def _derivative_points(points: np.ndarray, duration: float) -> np.ndarray:
-    n = len(points) - 1
-    return n * (points[1:] - points[:-1]) / duration
-
-
-def _plan_state(cpts: np.ndarray, t0: float, dt: float, t: float):
-    """Position, velocity, acceleration of a dumped plan at absolute time t."""
-    m = min(max(int(np.floor((t - t0) / dt)), 0), len(cpts) - 1)
-    tau = (t - t0 - m * dt) / dt
-    tau = min(max(tau, 0.0), 1.0)
-    seg = cpts[m]
-    vel = _derivative_points(seg, dt)
-    acc = _derivative_points(vel, dt)
-    return (
-        _de_casteljau(seg, tau),
-        _de_casteljau(vel, tau),
-        _de_casteljau(acc, tau),
-    )
+    n = points.shape[-2] - 1
+    return n * (points[..., 1:, :] - points[..., :-1, :]) / duration
 
 
 def _load_logs(log_dir: Path):
+    """The scenario, its world bounds (2, 3) and boxes (B, 2, 3) as min/max
+    corners, the steps' start times t0 (S,), their control points
+    (S, N, M, degree + 1, 3) and the agents' logged rows (N, R, 10)."""
     scenario_path = log_dir / "scenario.json"
     steps_path = log_dir / "steps.jsonl"
     traj_dir = log_dir / "trajectories"
@@ -93,34 +93,47 @@ def _load_logs(log_dir: Path):
         raise LogFormatError(f"{log_dir} is missing run artifacts")
     try:
         scenario = Scenario.from_json(scenario_path.read_text())
-    except (ValueError, json.JSONDecodeError) as exc:
+        world = scenario.map_data["bounds"]
+        bounds = np.array([world["min"], world["max"]], dtype=float).reshape(2, 3)
+        boxes = [[b["min"], b["max"]] for b in scenario.map_data.get("boxes", [])]
+        boxes = np.array(boxes, dtype=float).reshape(len(boxes), 2, 3)
+    except (KeyError, TypeError, ValueError) as exc:
         raise LogFormatError(f"bad scenario.json: {exc}") from exc
 
+    params = scenario.params
     n_agents = len(scenario.agents)
-    steps = []
-    for lineno, line in enumerate(steps_path.read_text().splitlines()):
+    shape = (n_agents, params.segment_count, params.degree + 1, 3)
+    lines = steps_path.read_text().splitlines()
+    n_steps = sum(1 for line in lines if line.strip())
+    if not n_steps:
+        raise LogFormatError("steps.jsonl holds no steps")
+    t0 = np.empty(n_steps)
+    cpts = np.empty((n_steps, *shape))
+    k = 0
+    for lineno, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             payload = json.loads(line)
-            cpts = {
-                int(k): np.asarray(v, dtype=float) for k, v in payload["cpts"].items()
-            }
-            steps.append((int(payload["k"]), float(payload["t0"]), cpts))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            step, t0[k] = int(payload["k"]), float(payload["t0"])
+            agents = {int(i): v for i, v in payload["cpts"].items()}
+            if step != k:
+                raise LogFormatError("steps.jsonl is not a contiguous step sequence")
+            if sorted(agents) != list(range(n_agents)):
+                raise LogFormatError(f"step {k} does not cover every agent")
+            block = np.array([agents[i] for i in range(n_agents)], dtype=float)
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise LogFormatError(f"steps.jsonl line {lineno}: {exc}") from exc
-    if [k for k, _, _ in steps] != list(range(len(steps))):
-        raise LogFormatError("steps.jsonl is not a contiguous step sequence")
-    m_count = scenario.params.segment_count
-    degree = scenario.params.degree
-    for k, _, cpts in steps:
-        if sorted(cpts) != list(range(n_agents)):
-            raise LogFormatError(f"step {k} does not cover every agent")
-        for arr in cpts.values():
-            if arr.shape != (m_count, degree + 1, 3):
-                raise LogFormatError(f"step {k} control points have shape {arr.shape}")
+        if block.shape != shape or not np.isfinite(t0[k]):
+            raise LogFormatError(f"step {k}: control points {block.shape}, t0 {t0[k]}")
+        cpts[k] = block
+        k += 1
+    del lines
 
-    tables = []
+    ticks = round(params.segment_time * _TICKS_PER_SECOND)
+    rows = n_steps * ticks + 1
+    tables = np.empty((n_agents, rows, 10))
+    grid_t = np.arange(rows) / _TICKS_PER_SECOND
     for i in range(n_agents):
         path = traj_dir / f"agent_{i:03d}.csv"
         if not path.is_file():
@@ -128,118 +141,108 @@ def _load_logs(log_dir: Path):
         lines = path.read_text().splitlines()
         if not lines or lines[0] != "t,px,py,pz,vx,vy,vz,ax,ay,az":
             raise LogFormatError(f"{path.name}: bad header")
-        try:
-            table = np.array(
-                [[float(v) for v in line.split(",")] for line in lines[1:]]
-            )
-        except ValueError as exc:
-            raise LogFormatError(f"{path.name}: {exc}") from exc
-        if table.ndim != 2 or table.shape[1] != 10:
-            raise LogFormatError(f"{path.name}: expected 10 columns")
-        tables.append(table)
-
-    ticks = round(scenario.params.segment_time * _TICKS_PER_SECOND)
-    expected_rows = len(steps) * ticks + (1 if steps else 0)
-    for i, table in enumerate(tables):
-        if len(table) != expected_rows:
+        if len(lines) - 1 != rows:
             raise LogFormatError(
-                f"agent {i} log has {len(table)} rows, expected {expected_rows}"
+                f"agent {i} log has {len(lines) - 1} rows, expected {rows}"
             )
-        grid_t = np.arange(len(table)) / _TICKS_PER_SECOND
-        if np.max(np.abs(table[:, 0] - grid_t)) > 1e-6:
+        for start in range(0, rows, _ROW_CHUNK):
+            chunk = lines[1 + start : 1 + start + _ROW_CHUNK]
+            if any(line.count(",") != 9 for line in chunk):
+                raise LogFormatError(f"{path.name}: expected 10 columns")
+            try:
+                values = np.fromiter(map(float, ",".join(chunk).split(",")), float)
+            except ValueError as exc:
+                raise LogFormatError(f"{path.name}: {exc}") from exc
+            tables[i, start : start + len(chunk)] = values.reshape(-1, 10)
+        if np.max(np.abs(tables[i, :, 0] - grid_t)) > 1e-6:
             raise LogFormatError(f"agent {i} log is not on the 10 ms grid")
-    return scenario, steps, tables
+    return scenario, bounds, boxes, t0, cpts, tables
 
 
 def verify(log_dir) -> VerificationReport:
     """Re-check every safety claim of a finished run from its logs alone."""
-    log_dir = Path(log_dir)
-    scenario, steps, tables = _load_logs(log_dir)
+    scenario, bounds, boxes, t0, cpts, tables = _load_logs(Path(log_dir))
     params = scenario.params
     n_agents = len(scenario.agents)
     radii = np.array([spec.radius for spec in scenario.agents])
     dt = params.segment_time
     ticks = round(dt * _TICKS_PER_SECOND)
+    positions = tables[:, :, 1:4]  # (agents, rows, 3)
+    rows = positions.shape[1]
     violations: list[str] = []
 
     def report(msg):
         if len(violations) < 10 * _MAX_REPORTED:
             violations.append(msg)
 
-    positions = np.stack([t[:, 1:4] for t in tables])  # (agents, rows, 3)
-    velocities = np.stack([t[:, 4:7] for t in tables])
-    accelerations = np.stack([t[:, 7:10] for t in tables])
-    rows = positions.shape[1]
-
     # Logged rows must reproduce the dumped plans (tamper/consistency check).
-    for k, t0, cpts in steps:
-        for i in range(n_agents):
-            seg = cpts[i][0]
-            for j in range(0, ticks, max(1, ticks // 5)):
-                row = k * ticks + j
-                t = row / _TICKS_PER_SECOND
-                expected = _de_casteljau(seg, (t - t0) / dt)
-                err = float(np.linalg.norm(positions[i, row] - expected))
-                if err > LOG_CONSISTENCY_TOL:
-                    report(
-                        f"agent {i} row t={t:.2f}: logged position deviates from "
-                        f"the dumped plan by {err:.3e} m"
-                    )
+    offsets = np.arange(0, ticks, max(1, ticks // 5))
+    for first in range(0, len(t0), _STEP_CHUNK):
+        steps = np.arange(first, min(first + _STEP_CHUNK, len(t0)))
+        sampled = steps[:, None] * ticks + offsets  # (steps, samples)
+        tau = (sampled / _TICKS_PER_SECOND - t0[steps, None]) / dt
+        expected = _de_casteljau(
+            cpts[steps, :, 0, None], tau[:, None, :, None, None]
+        )  # (steps, agents, samples, 3)
+        gap = positions[:, sampled].transpose(1, 0, 2, 3) - expected
+        err = np.sqrt(np.vecdot(gap, gap))
+        for s, i, j in np.argwhere(err > LOG_CONSISTENCY_TOL)[: 10 * _MAX_REPORTED]:
+            report(
+                f"agent {i} row t={sampled[s, j] / _TICKS_PER_SECOND:.2f}: logged "
+                f"position deviates from the dumped plan by {err[s, i, j]:.3e} m"
+            )
 
-    # Acceleration-level continuity between consecutive plans.
-    cont = {"position": 0.0, "velocity": 0.0, "acceleration": 0.0}
-    for (k0, t0_a, cpts_a), (k1, t0_b, cpts_b) in zip(steps, steps[1:]):
-        for i in range(n_agents):
-            sa = _plan_state(cpts_a[i], t0_a, dt, t0_b)
-            sb = _plan_state(cpts_b[i], t0_b, dt, t0_b)
-            for name, va, vb in zip(cont, sa, sb):
-                err = float(np.linalg.norm(va - vb))
-                cont[name] = max(cont[name], err)
-                if err > CONTINUITY_TOL:
-                    report(
-                        f"agent {i} step {k1}: {name} jumps by {err:.3e} "
-                        f"at t={t0_b:.2f}"
-                    )
+    # Acceleration-level continuity between consecutive plans: the earlier
+    # plan at the later plan's start time against the later plan at tau 0.
+    elapsed = t0[1:] - t0[:-1]
+    segment = np.minimum(np.maximum(np.floor(elapsed / dt), 0.0), params.segment_count - 1)
+    tau = np.minimum(np.maximum((elapsed - segment * dt) / dt, 0.0), 1.0)
+    before = cpts[np.arange(len(elapsed)), :, segment.astype(int)]
+    after = cpts[1:, :, 0]
+    names = ("position", "velocity", "acceleration")
+    jumps = []
+    for _ in names:
+        gap = _de_casteljau(before, tau[:, None, None, None]) - _de_casteljau(after, 0.0)
+        jumps.append(np.sqrt(np.vecdot(gap, gap)))
+        before, after = _derivative_points(before, dt), _derivative_points(after, dt)
+    jumps = np.stack(jumps, axis=-1)  # (step pairs, agents, 3)
+    cont = {
+        name: float(np.fmax.reduce(jumps[..., q], axis=None, initial=0.0))
+        for q, name in enumerate(names)
+    }
+    for p, i, q in np.argwhere(jumps > CONTINUITY_TOL)[: 10 * _MAX_REPORTED]:
+        report(
+            f"agent {i} step {p + 1}: {names[q]} jumps by {jumps[p, i, q]:.3e} "
+            f"at t={t0[p + 1]:.2f}"
+        )
 
     # Inter-agent separation in the downwash-scaled metric.
     scale = np.array([1.0, 1.0, 1.0 / params.downwash])
-    min_pair = None
-    min_margin = None
+    min_pair = min_margin = None
     for i in range(n_agents):
-        for j in range(i + 1, n_agents):
-            delta = (positions[i] - positions[j]) * scale
-            dists = np.linalg.norm(delta, axis=1)
-            worst = float(np.min(dists))
+        dists = np.linalg.norm((positions[i] - positions[i + 1 :]) * scale, axis=-1)
+        for j, worst in enumerate(np.min(dists, axis=1).tolist(), start=i + 1):
             needed = radii[i] + radii[j]
             margin = worst - needed
             min_pair = worst if min_pair is None else min(min_pair, worst)
             min_margin = margin if min_margin is None else min(min_margin, margin)
             if margin < -PAIR_DISTANCE_TOL:
-                row = int(np.argmin(dists))
+                row = int(np.argmin(dists[j - i - 1]))
                 report(
                     f"agents {i},{j} at t={row / _TICKS_PER_SECOND:.2f}: scaled "
                     f"distance {worst:.4f} under required {needed:.4f}"
                 )
 
     # Static clearance against the original boxes and the world bounds.
-    bmin = np.asarray(scenario.map_data["bounds"]["min"], dtype=float)
-    bmax = np.asarray(scenario.map_data["bounds"]["max"], dtype=float)
-    boxes = [
-        (np.asarray(b["min"], dtype=float), np.asarray(b["max"], dtype=float))
-        for b in scenario.map_data.get("boxes", [])
-    ]
+    clearance = np.minimum(
+        np.min(positions - bounds[0], axis=2), np.min(bounds[1] - positions, axis=2)
+    )
+    for lo, hi in boxes:
+        gap = np.linalg.norm(positions - np.clip(positions, lo, hi), axis=2)
+        clearance = np.minimum(clearance, gap)
     min_clearance = None
-    for i in range(n_agents):
-        pts = positions[i]
-        bound_gap = np.minimum(
-            np.min(pts - bmin[None, :], axis=1), np.min(bmax[None, :] - pts, axis=1)
-        )
-        clearance = bound_gap.copy()
-        for lo, hi in boxes:
-            gap = np.linalg.norm(pts - np.clip(pts, lo, hi), axis=1)
-            clearance = np.minimum(clearance, gap)
-        worst_row = int(np.argmin(clearance))
-        worst = float(clearance[worst_row])
+    for i, worst_row in enumerate(np.argmin(clearance, axis=1).tolist()):
+        worst = float(clearance[i, worst_row])
         min_clearance = worst if min_clearance is None else min(min_clearance, worst)
         if worst < radii[i] - CLEARANCE_TOL:
             report(
@@ -250,18 +253,15 @@ def verify(log_dir) -> VerificationReport:
     # Dynamic limits on the logged derivative columns.
     vmax = np.asarray(params.max_velocity)
     amax = np.asarray(params.max_acceleration)
+    vex = np.max(np.abs(tables[:, :, 4:7]) - vmax, axis=(1, 2))
+    aex = np.max(np.abs(tables[:, :, 7:10]) - amax, axis=(1, 2))
     for i in range(n_agents):
-        vex = float(np.max(np.abs(velocities[i]) - vmax[None, :]))
-        aex = float(np.max(np.abs(accelerations[i]) - amax[None, :]))
-        if vex > LIMIT_TOL:
-            report(f"agent {i}: velocity exceeds its limit by {vex:.3e}")
-        if aex > LIMIT_TOL:
-            report(f"agent {i}: acceleration exceeds its limit by {aex:.3e}")
+        for name, excess in (("velocity", vex[i]), ("acceleration", aex[i])):
+            if excess > LIMIT_TOL:
+                report(f"agent {i}: {name} exceeds its limit by {excess:.3e}")
 
-    flight = [
-        float(np.sum(np.linalg.norm(np.diff(positions[i], axis=0), axis=1)))
-        for i in range(n_agents)
-    ]
+    legs = np.linalg.norm(np.diff(positions, axis=1), axis=2)
+    flight = [float(np.sum(agent_legs)) for agent_legs in legs]
 
     return VerificationReport(
         ok=not violations,

@@ -8,13 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture(scope="session")
-def recorded_steps(tmp_path_factory):
-    """Goal-planning views and assembled QPs recorded from short runs.
+def recorded_runs(tmp_path_factory):
+    """Short runs with their goal-planning views and assembled QPs.
 
-    Returns {name: (views, problems)}: every `sim.goal_view` result and
-    every `(problem, candidate, params)` that `plan_step` assembled, for the
-    stock 32-agent circle (31 separations per QP), indoor-8 seed 2 (7), and
-    two- and one-agent circles (1 and 0).
+    Returns {name: (log_dir, views, problems)}: the run's log directory
+    (read-only: tests that tamper with logs copy it first), every
+    `sim.goal_view` result and every `(problem, candidate, params)` that
+    `plan_step` assembled, for the stock 32-agent circle (31 separations
+    per QP), indoor-8 seed 2 (7), and two- and one-agent circles (1 and 0).
     """
     from swarmplan import planner, sim
     from swarmplan.scenarios import generate_scenario
@@ -42,7 +43,14 @@ def recorded_steps(tmp_path_factory):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "goal_view", goal_view)
             patch.setattr(planner, "assemble", assemble)
-            metrics = sim.run(scenario, tmp_path_factory.mktemp(name))
+            log_dir = tmp_path_factory.mktemp(name)
+            metrics = sim.run(scenario, log_dir)
         assert metrics.error is None
-        out[name] = (views, problems)
+        out[name] = (log_dir, views, problems)
     return out
+
+
+@pytest.fixture(scope="session")
+def recorded_steps(recorded_runs):
+    """{name: (views, problems)} of `recorded_runs`."""
+    return {name: (views, problems) for name, (_, views, problems) in recorded_runs.items()}

@@ -8,6 +8,7 @@ import numpy as np
 
 from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, derivative
 from swarmplan.geometry import closest_points_to_origin
+from swarmplan.goalplan import SwarmView, swarm_view_from_arrays
 
 
 def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
@@ -93,3 +94,47 @@ def separation_residuals(seg, control_points):
     """Slack (c_l - anchors[l]) . normal - margins[l] of each control point
     against one SegmentSeparation; positive means strictly satisfied."""
     return (np.asarray(control_points, dtype=float) - seg.anchors) @ seg.normal - seg.margins
+
+
+@dataclass(frozen=True)
+class AgentMotion:
+    """What goal planning needs to know about one agent at a step: one row
+    of a SwarmView."""
+
+    position: np.ndarray
+    horizon_end: np.ndarray
+    goal: np.ndarray
+    radius: float
+
+    def __post_init__(self):
+        for name in ("position", "horizon_end", "goal"):
+            arr = np.asarray(getattr(self, name), dtype=float).reshape(3)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def swarm_view(agents: dict[int, AgentMotion], params) -> SwarmView:
+    """The shared view of `agents` (id -> AgentMotion), through
+    `swarm_view_from_arrays`."""
+    ids = sorted(agents)
+    motions = [agents[i] for i in ids]
+    return swarm_view_from_arrays(
+        ids,
+        np.array([m.position for m in motions]),
+        np.array([m.horizon_end for m in motions]),
+        np.array([m.goal for m in motions]),
+        np.array([m.radius for m in motions], dtype=float),
+        params,
+    )
+
+
+def view_motions(view: SwarmView) -> dict[int, AgentMotion]:
+    """Every agent's row of a SwarmView as an AgentMotion, by id."""
+    return {
+        agent: AgentMotion(position, horizon_end, goal, float(radius))
+        for agent, position, horizon_end, goal, radius in zip(
+            view.ids, view.positions, view.horizon_ends, view.goals, view.radii
+        )
+    }

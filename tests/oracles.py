@@ -11,10 +11,22 @@ from __future__ import annotations
 import heapq
 import json
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
-from swarmplan.errors import QpInfeasibleError
+from swarmplan.errors import LogFormatError, QpInfeasibleError
+from swarmplan.scenarios import Scenario
+from swarmplan.verify import (
+    _MAX_REPORTED,
+    _TICKS_PER_SECOND,
+    CLEARANCE_TOL,
+    CONTINUITY_TOL,
+    LIMIT_TOL,
+    LOG_CONSISTENCY_TOL,
+    PAIR_DISTANCE_TOL,
+    VerificationReport,
+)
 
 
 def de_casteljau(control_points, tau: float) -> np.ndarray:
@@ -491,13 +503,13 @@ def solve_by_kkt(problem, red, static_blocks, warm_start, max_iterations=None):
 
 # -- goal-planning referee ------------------------------------------------------
 # The priority rules one agent at a time, with a scalar np.linalg.norm per
-# pair: the shared relation of goalplan.swarm_view must reproduce them bit
-# for bit.
+# pair: the shared relation of goalplan.swarm_view_from_arrays must reproduce
+# them bit for bit.
 
 
 def higher_priority_ids(self_id, agents, params) -> set[int]:
     """Ids of the agents that agent self_id yields to, by one loop over
-    `agents` (id -> AgentMotion)."""
+    `agents` (id -> helpers.AgentMotion)."""
     me = agents[self_id]
     my_dist = float(np.linalg.norm(me.position - me.goal))
     reach = params.goal_reach_dist
@@ -560,3 +572,221 @@ def step_line_by_float(step: int, now: float, states) -> str:
         },
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# -- log-verifier referee -------------------------------------------------------
+# The offline verifier one step, agent, pair and sample at a time, reading the
+# logs into per-step dicts and per-agent lists: swarmplan.verify's array
+# passes must produce the same VerificationReport, every float and every
+# violation string in the same order.
+
+
+def _loop_derivative_points(points: np.ndarray, duration: float) -> np.ndarray:
+    n = len(points) - 1
+    return n * (points[1:] - points[:-1]) / duration
+
+
+def _loop_plan_state(cpts: np.ndarray, t0: float, dt: float, t: float):
+    """Position, velocity, acceleration of a dumped plan at absolute time t."""
+    m = min(max(int(np.floor((t - t0) / dt)), 0), len(cpts) - 1)
+    tau = (t - t0 - m * dt) / dt
+    tau = min(max(tau, 0.0), 1.0)
+    seg = cpts[m]
+    vel = _loop_derivative_points(seg, dt)
+    acc = _loop_derivative_points(vel, dt)
+    return (
+        de_casteljau(seg, tau),
+        de_casteljau(vel, tau),
+        de_casteljau(acc, tau),
+    )
+
+
+def _loop_load_logs(log_dir: Path):
+    scenario_path = log_dir / "scenario.json"
+    steps_path = log_dir / "steps.jsonl"
+    traj_dir = log_dir / "trajectories"
+    if not scenario_path.is_file() or not steps_path.is_file() or not traj_dir.is_dir():
+        raise LogFormatError(f"{log_dir} is missing run artifacts")
+    try:
+        scenario = Scenario.from_json(scenario_path.read_text())
+    except (ValueError, json.JSONDecodeError) as exc:
+        raise LogFormatError(f"bad scenario.json: {exc}") from exc
+
+    n_agents = len(scenario.agents)
+    steps = []
+    for lineno, line in enumerate(steps_path.read_text().splitlines()):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+            cpts = {
+                int(k): np.asarray(v, dtype=float) for k, v in payload["cpts"].items()
+            }
+            steps.append((int(payload["k"]), float(payload["t0"]), cpts))
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            raise LogFormatError(f"steps.jsonl line {lineno}: {exc}") from exc
+    if [k for k, _, _ in steps] != list(range(len(steps))):
+        raise LogFormatError("steps.jsonl is not a contiguous step sequence")
+    m_count = scenario.params.segment_count
+    degree = scenario.params.degree
+    for k, _, cpts in steps:
+        if sorted(cpts) != list(range(n_agents)):
+            raise LogFormatError(f"step {k} does not cover every agent")
+        for arr in cpts.values():
+            if arr.shape != (m_count, degree + 1, 3):
+                raise LogFormatError(f"step {k} control points have shape {arr.shape}")
+
+    tables = []
+    for i in range(n_agents):
+        path = traj_dir / f"agent_{i:03d}.csv"
+        if not path.is_file():
+            raise LogFormatError(f"missing trajectory log {path.name}")
+        lines = path.read_text().splitlines()
+        if not lines or lines[0] != "t,px,py,pz,vx,vy,vz,ax,ay,az":
+            raise LogFormatError(f"{path.name}: bad header")
+        try:
+            table = np.array(
+                [[float(v) for v in line.split(",")] for line in lines[1:]]
+            )
+        except ValueError as exc:
+            raise LogFormatError(f"{path.name}: {exc}") from exc
+        if table.ndim != 2 or table.shape[1] != 10:
+            raise LogFormatError(f"{path.name}: expected 10 columns")
+        tables.append(table)
+
+    ticks = round(scenario.params.segment_time * _TICKS_PER_SECOND)
+    expected_rows = len(steps) * ticks + (1 if steps else 0)
+    for i, table in enumerate(tables):
+        if len(table) != expected_rows:
+            raise LogFormatError(
+                f"agent {i} log has {len(table)} rows, expected {expected_rows}"
+            )
+        grid_t = np.arange(len(table)) / _TICKS_PER_SECOND
+        if np.max(np.abs(table[:, 0] - grid_t)) > 1e-6:
+            raise LogFormatError(f"agent {i} log is not on the 10 ms grid")
+    return scenario, steps, tables
+
+
+def verify_by_loops(log_dir) -> VerificationReport:
+    """The verifier as one loop per step, agent, pair and sample, with a
+    scalar de Casteljau and np.linalg.norm per 3-vector."""
+    log_dir = Path(log_dir)
+    scenario, steps, tables = _loop_load_logs(log_dir)
+    params = scenario.params
+    n_agents = len(scenario.agents)
+    radii = np.array([spec.radius for spec in scenario.agents])
+    dt = params.segment_time
+    ticks = round(dt * _TICKS_PER_SECOND)
+    violations: list[str] = []
+
+    def report(msg):
+        if len(violations) < 10 * _MAX_REPORTED:
+            violations.append(msg)
+
+    positions = np.stack([t[:, 1:4] for t in tables])  # (agents, rows, 3)
+    velocities = np.stack([t[:, 4:7] for t in tables])
+    accelerations = np.stack([t[:, 7:10] for t in tables])
+    rows = positions.shape[1]
+
+    # Logged rows must reproduce the dumped plans (tamper/consistency check).
+    for k, t0, cpts in steps:
+        for i in range(n_agents):
+            seg = cpts[i][0]
+            for j in range(0, ticks, max(1, ticks // 5)):
+                row = k * ticks + j
+                t = row / _TICKS_PER_SECOND
+                expected = de_casteljau(seg, (t - t0) / dt)
+                err = float(np.linalg.norm(positions[i, row] - expected))
+                if err > LOG_CONSISTENCY_TOL:
+                    report(
+                        f"agent {i} row t={t:.2f}: logged position deviates from "
+                        f"the dumped plan by {err:.3e} m"
+                    )
+
+    # Acceleration-level continuity between consecutive plans.
+    cont = {"position": 0.0, "velocity": 0.0, "acceleration": 0.0}
+    for (k0, t0_a, cpts_a), (k1, t0_b, cpts_b) in zip(steps, steps[1:]):
+        for i in range(n_agents):
+            sa = _loop_plan_state(cpts_a[i], t0_a, dt, t0_b)
+            sb = _loop_plan_state(cpts_b[i], t0_b, dt, t0_b)
+            for name, va, vb in zip(cont, sa, sb):
+                err = float(np.linalg.norm(va - vb))
+                cont[name] = max(cont[name], err)
+                if err > CONTINUITY_TOL:
+                    report(
+                        f"agent {i} step {k1}: {name} jumps by {err:.3e} "
+                        f"at t={t0_b:.2f}"
+                    )
+
+    # Inter-agent separation in the downwash-scaled metric.
+    scale = np.array([1.0, 1.0, 1.0 / params.downwash])
+    min_pair = None
+    min_margin = None
+    for i in range(n_agents):
+        for j in range(i + 1, n_agents):
+            delta = (positions[i] - positions[j]) * scale
+            dists = np.linalg.norm(delta, axis=1)
+            worst = float(np.min(dists))
+            needed = radii[i] + radii[j]
+            margin = worst - needed
+            min_pair = worst if min_pair is None else min(min_pair, worst)
+            min_margin = margin if min_margin is None else min(min_margin, margin)
+            if margin < -PAIR_DISTANCE_TOL:
+                row = int(np.argmin(dists))
+                report(
+                    f"agents {i},{j} at t={row / _TICKS_PER_SECOND:.2f}: scaled "
+                    f"distance {worst:.4f} under required {needed:.4f}"
+                )
+
+    # Static clearance against the original boxes and the world bounds.
+    bmin = np.asarray(scenario.map_data["bounds"]["min"], dtype=float)
+    bmax = np.asarray(scenario.map_data["bounds"]["max"], dtype=float)
+    boxes = [
+        (np.asarray(b["min"], dtype=float), np.asarray(b["max"], dtype=float))
+        for b in scenario.map_data.get("boxes", [])
+    ]
+    min_clearance = None
+    for i in range(n_agents):
+        pts = positions[i]
+        bound_gap = np.minimum(
+            np.min(pts - bmin[None, :], axis=1), np.min(bmax[None, :] - pts, axis=1)
+        )
+        clearance = bound_gap.copy()
+        for lo, hi in boxes:
+            gap = np.linalg.norm(pts - np.clip(pts, lo, hi), axis=1)
+            clearance = np.minimum(clearance, gap)
+        worst_row = int(np.argmin(clearance))
+        worst = float(clearance[worst_row])
+        min_clearance = worst if min_clearance is None else min(min_clearance, worst)
+        if worst < radii[i] - CLEARANCE_TOL:
+            report(
+                f"agent {i} at t={worst_row / _TICKS_PER_SECOND:.2f}: obstacle "
+                f"clearance {worst:.4f} under radius {radii[i]:.4f}"
+            )
+
+    # Dynamic limits on the logged derivative columns.
+    vmax = np.asarray(params.max_velocity)
+    amax = np.asarray(params.max_acceleration)
+    for i in range(n_agents):
+        vex = float(np.max(np.abs(velocities[i]) - vmax[None, :]))
+        aex = float(np.max(np.abs(accelerations[i]) - amax[None, :]))
+        if vex > LIMIT_TOL:
+            report(f"agent {i}: velocity exceeds its limit by {vex:.3e}")
+        if aex > LIMIT_TOL:
+            report(f"agent {i}: acceleration exceeds its limit by {aex:.3e}")
+
+    flight = [
+        float(np.sum(np.linalg.norm(np.diff(positions[i], axis=0), axis=1)))
+        for i in range(n_agents)
+    ]
+
+    return VerificationReport(
+        ok=not violations,
+        violations=violations,
+        samples=rows,
+        min_inter_agent_distance=min_pair,
+        min_pair_margin=min_margin,
+        min_obstacle_clearance=min_clearance,
+        max_continuity_error=cont,
+        flight_distance_per_agent=flight,
+    )

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from swarmplan.errors import GoalUnreachableError
-from swarmplan.goalplan import AgentMotion, plan_current_goal, swarm_view
+from swarmplan.goalplan import plan_current_goal
 from swarmplan.params import PlanningParams
 from swarmplan.scenarios import generate_scenario
 from swarmplan.world import OccupancyGrid
 
+from helpers import AgentMotion, swarm_view, view_motions
 from oracles import farthest_visible_by_scan, higher_priority_ids, nearest_priority
 
 PARAMS = PlanningParams()
@@ -224,7 +225,7 @@ class TestPlanCurrentGoal:
 def assert_relation_matches_referee(view):
     """Every row of the shared relation against the per-agent loop: the
     outranking set, every gap bitwise, and the nearest outranking agent."""
-    agents = dict(zip(view.ids, view.motions))
+    agents = view_motions(view)
     for me in view.ids:
         row = view.rows[me]
         expected = higher_priority_ids(me, agents, PARAMS)

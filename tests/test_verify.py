@@ -1,0 +1,223 @@
+"""The array verifier against the per-sample loop verifier on clean and
+tampered logs, and its rejection of malformed logs."""
+
+import dataclasses
+import json
+import shutil
+
+import pytest
+
+from swarmplan.cli import main as cli_main
+from swarmplan.errors import LogFormatError
+from swarmplan.scenarios import Scenario, generate_scenario
+from swarmplan.sim import run
+from swarmplan.verify import verify
+
+from oracles import verify_by_loops
+
+
+@pytest.fixture(scope="module")
+def forest_logs(tmp_path_factory):
+    """Logs of a short forest-8 run (seed 3, 2 s): the referee runs with
+    obstacle boxes."""
+    out = tmp_path_factory.mktemp("forest")
+    assert run(generate_scenario("forest", 8, seed=3, timeout=2.0), out).error is None
+    return out
+
+
+@pytest.fixture
+def copy_logs(recorded_runs, forest_logs, tmp_path):
+    """copy_logs(name) -> a writable copy of that run's logs."""
+
+    def copy(name):
+        source = forest_logs if name == "forest-8" else recorded_runs[name][0]
+        return shutil.copytree(source, tmp_path / "logs")
+
+    return copy
+
+
+def assert_same_report(log_dir):
+    """verify and verify_by_loops agree on every field, bit for bit: the
+    same violation strings in the same order, and every float (repr
+    round-trips a float exactly and shows numpy scalars as such)."""
+    got, want = verify(log_dir), verify_by_loops(log_dir)
+    assert got.violations == want.violations
+    assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+    return got
+
+
+def scenario_of(log_dir):
+    return Scenario.from_json((log_dir / "scenario.json").read_text())
+
+
+def edit_csv(log_dir, agent, edit):
+    """Rewrite one agent's CSV log (header included) through edit(lines)."""
+    path = log_dir / "trajectories" / f"agent_{agent:03d}.csv"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def set_fields(lines, row, first, values):
+    """Overwrite fields first, first + 1, ... of data row `row`."""
+    parts = lines[1 + row].split(",")
+    parts[first : first + len(values)] = [repr(float(v)) for v in values]
+    lines[1 + row] = ",".join(parts)
+
+
+def edit_steps(log_dir, edit):
+    """Rewrite steps.jsonl through edit(payloads), one dict per line."""
+    path = log_dir / "steps.jsonl"
+    payloads = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(payloads)
+    path.write_text("".join(json.dumps(p, sort_keys=True, separators=(",", ":")) + "\n" for p in payloads))
+
+
+class TestAgainstLoopVerifier:
+    @pytest.mark.parametrize("name", ["circle-32", "indoor-8", "forest-8"])
+    def test_clean_logs(self, copy_logs, name):
+        report = assert_same_report(copy_logs(name))
+        assert report.ok and report.min_pair_margin is not None
+
+    def test_position_teleported_into_a_box(self, copy_logs):
+        logs = copy_logs("forest-8")
+        box = scenario_of(logs).map_data["boxes"][0]
+        center = [(lo + hi) / 2 for lo, hi in zip(box["min"], box["max"])]
+        edit_csv(logs, 0, lambda lines: set_fields(lines, len(lines) // 2, 1, center))
+        report = assert_same_report(logs)
+        assert any("obstacle clearance" in v for v in report.violations)
+
+    def test_velocity_over_its_limit(self, copy_logs):
+        logs = copy_logs("indoor-8")
+        vmax = scenario_of(logs).params.max_velocity
+        edit_csv(logs, 3, lambda lines: set_fields(lines, 7, 5, [vmax[1] + 0.01]))
+        report = assert_same_report(logs)
+        assert report.violations == ["agent 3: velocity exceeds its limit by 1.000e-02"]
+
+    def test_two_agents_swapped(self, copy_logs):
+        # Exchanging two agents' logs leaves every pair distance as it was;
+        # only the dumped plans tell the agents apart.
+        logs = copy_logs("circle-32")
+        first, second = (logs / "trajectories" / f"agent_{i:03d}.csv" for i in (0, 1))
+        text = first.read_text()
+        first.write_text(second.read_text())
+        second.write_text(text)
+        report = assert_same_report(logs)
+        assert all("deviates" in v for v in report.violations)
+        assert {v.split()[1] for v in report.violations} == {"0", "1"}
+
+    def test_agent_logged_on_top_of_another(self, copy_logs):
+        logs = copy_logs("circle-32")
+        (logs / "trajectories" / "agent_005.csv").write_text(
+            (logs / "trajectories" / "agent_004.csv").read_text()
+        )
+        report = assert_same_report(logs)
+        assert "agents 4,5 at t=0.00: scaled distance 0.0000 under required 0.3000" in report.violations
+
+    def test_violations_capped_in_step_agent_sample_order(self, copy_logs):
+        # 32 agents x 6 steps x 5 samples deviate: 960 violations, 250 kept.
+        logs = copy_logs("circle-32")
+        for agent in range(32):
+            edit_csv(
+                logs,
+                agent,
+                lambda lines: [
+                    set_fields(lines, row, 1, [float(lines[1 + row].split(",")[1]) + 0.5])
+                    for row in range(len(lines) - 1)
+                ],
+            )
+        report = assert_same_report(logs)
+        assert len(report.violations) == 250
+        assert report.violations[0].startswith("agent 0 row t=0.00:")
+        assert report.violations[5].startswith("agent 1 row t=0.00:")
+
+    @pytest.mark.parametrize("point", range(6))
+    def test_moved_control_point_of_a_later_step_is_caught(self, copy_logs, point):
+        logs = copy_logs("circle-32")
+
+        def move(payloads):
+            payloads[3]["cpts"]["7"][0][point][1] += 1e-3
+
+        edit_steps(logs, move)
+        report = assert_same_report(logs)
+        assert not report.ok
+        assert all(v.startswith("agent 7 ") for v in report.violations)
+
+
+def _drop_step_agent(payloads):
+    del payloads[1]["cpts"]["1"]
+
+
+def _add_step_agent(payloads):
+    payloads[1]["cpts"]["2"] = payloads[1]["cpts"]["0"]
+
+
+def _drop_segment(payloads):
+    payloads[1]["cpts"]["0"].pop()
+
+
+def _skip_step(payloads):
+    payloads[2]["k"] = 3
+
+
+def _nan_start_time(payloads):
+    payloads[1]["t0"] = float("nan")
+
+
+def _write(name, text):
+    return lambda logs: (logs / name).write_text(text)
+
+
+def _break_line(path, index):
+    lines = path.read_text().splitlines()
+    lines[index] = lines[index][:-1]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _unbounded_map(logs):
+    data = json.loads((logs / "scenario.json").read_text())
+    del data["map"]["bounds"]
+    (logs / "scenario.json").write_text(json.dumps(data))
+
+
+def _ragged_rows(lines):
+    # Rows 3 and 4 hold 11 and 9 fields: 20 in all, as many as two rows.
+    parts = lines[4].split(",")
+    lines[4] = ",".join(parts + ["0.0"])
+    lines[5] = ",".join(lines[5].split(",")[:-1])
+
+
+MALFORMED = {
+    "no trajectories": lambda logs: shutil.rmtree(logs / "trajectories"),
+    "no agent log": lambda logs: (logs / "trajectories" / "agent_001.csv").unlink(),
+    "scenario not json": _write("scenario.json", "{"),
+    "scenario without bounds": _unbounded_map,
+    "step not json": lambda logs: _break_line(logs / "steps.jsonl", 1),
+    "step not an object": lambda logs: edit_steps(logs, lambda p: p.__setitem__(1, [])),
+    "steps empty": _write("steps.jsonl", "\n"),
+    "step misses an agent": lambda logs: edit_steps(logs, _drop_step_agent),
+    "step has an extra agent": lambda logs: edit_steps(logs, _add_step_agent),
+    "control points of a wrong shape": lambda logs: edit_steps(logs, _drop_segment),
+    "steps not contiguous": lambda logs: edit_steps(logs, _skip_step),
+    "start time not finite": lambda logs: edit_steps(logs, _nan_start_time),
+    "bad header": lambda logs: edit_csv(logs, 0, lambda l: l.__setitem__(0, "t,x,y,z")),
+    "ragged rows": lambda logs: edit_csv(logs, 1, _ragged_rows),
+    "field not a number": lambda logs: edit_csv(
+        logs, 0, lambda l: l.__setitem__(3, l[3].replace(",", ",x", 1))
+    ),
+    "extra row": lambda logs: edit_csv(logs, 0, lambda l: l.append(l[-1])),
+    "row off the 10 ms grid": lambda logs: edit_csv(
+        logs, 1, lambda l: set_fields(l, 6, 0, [0.065])
+    ),
+}
+
+
+class TestMalformedLogs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected_as_format_error(self, copy_logs, capsys, case):
+        logs = copy_logs("circle-2")
+        MALFORMED[case](logs)
+        with pytest.raises(LogFormatError):
+            verify(logs)
+        assert cli_main(["check", "--log", str(logs)]) == 3
+        assert "malformed logs" in capsys.readouterr().err
