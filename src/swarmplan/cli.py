@@ -1,4 +1,4 @@
-"""Command-line entry points: gen / run / check.
+"""Command-line entry points: gen / run / check / export.
 
 Exit codes: 0 success, 1 mission failure (deadlock or timeout), 2 safety
 violation reported by the verifier, 3 configuration or format error.
@@ -13,7 +13,7 @@ from pathlib import Path
 
 from swarmplan.errors import LogFormatError, PlannerError, ScenarioGenerationError
 from swarmplan.scenarios import Scenario, generate_scenario
-from swarmplan.sim import run as run_sim
+from swarmplan.sim import export_csv, run as run_sim
 from swarmplan.verify import verify
 
 EXIT_OK = 0
@@ -60,6 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="verify logs of a finished run")
     check.add_argument("--log", required=True, help="run output directory")
+
+    export = sub.add_parser("export", help="write a run's states as per-agent CSV logs")
+    export.add_argument("--log", required=True, help="run output directory")
     return parser
 
 
@@ -108,9 +111,24 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_SAFETY_VIOLATION
 
 
+def _cmd_export(args) -> int:
+    try:
+        traj_dir = export_csv(args.log)
+    except LogFormatError as exc:
+        print(f"malformed logs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    print(f"wrote per-agent CSV logs to {traj_dir}")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"gen": _cmd_gen, "run": _cmd_run, "check": _cmd_check}
+    handlers = {
+        "gen": _cmd_gen,
+        "run": _cmd_run,
+        "check": _cmd_check,
+        "export": _cmd_export,
+    }
     return handlers[args.command](args)
 
 

@@ -2,10 +2,11 @@
 
 Every segment period, all agents plan from one shared snapshot and then fly
 their new trajectory exactly. The run writes three artifacts into the output
-directory: the scenario itself, 100 Hz state logs per agent (CSV), and the
-per-step control-point dump the offline verifier uses for exact checks. All
-safety-relevant metrics are recomputed by the verifier from those logs, never
-taken from the planner's internals.
+directory: the scenario itself, the 100 Hz states of every agent as one
+binary array (`states.npy`), and the per-step control-point dump the offline
+verifier uses for exact checks. All safety-relevant metrics are recomputed by
+the verifier from those logs, never taken from the planner's internals.
+`export_csv` writes the states as per-agent CSV text.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class RunMetrics:
     violations: list[str] = field(default_factory=list)
     flight_distance_per_agent: list[float] = field(default_factory=list)
     min_inter_agent_distance: float | None = None
+    min_pair_margin: float | None = None
     min_obstacle_clearance: float | None = None
+    max_continuity_error: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -94,7 +97,9 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     goals = [np.array(spec.goal, dtype=float) for spec in scenario.agents]
     radii = {i: spec.radius for i, spec in enumerate(scenario.agents)}
 
-    csv_rows: list[list[str]] = [[_CSV_HEADER] for _ in range(n_agents)]
+    # (agents, rows, 10) states. The rows at least double whenever a step
+    # needs more, so the table never holds more than twice the rows logged.
+    table = np.empty((n_agents, 0, 10))
     step_lines: list[str] = []
     history: list[list[np.ndarray]] = [[p.copy()] for p in positions]
 
@@ -150,13 +155,15 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
                 state.previous_corridor = result.corridor
 
             step_lines.append(_step_line(step, now, states))
-            base_tick = step * ticks
-            times = [
-                (base_tick + j) / _TICKS_PER_SECOND for j in range(ticks)
-            ]
+            first_row = step * ticks
+            if first_row + ticks >= table.shape[1]:
+                # Room for this step and the end row after it.
+                table = _grown(table, first_row + ticks + 1)
             for i in range(n_agents):
-                csv_rows[i].extend(
-                    _sample_rows(states[i].previous_trajectory, times, basis)
+                _sample_states(
+                    states[i].previous_trajectory,
+                    basis,
+                    table[i, first_row : first_row + ticks],
                 )
 
             step += 1
@@ -181,14 +188,16 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
         error = str(exc)
 
     sim_time = step * dt
+    rows = step * ticks + 1 if step else 0
     if step > 0:
         # The last row is the end state of the last flown segment.
-        final_t = step * ticks / _TICKS_PER_SECOND
         end_basis = _segment_basis(params.degree, [1.0])
         for i in range(n_agents):
-            csv_rows[i].extend(
-                _sample_rows(states[i].previous_trajectory, [final_t], end_basis)
+            _sample_states(
+                states[i].previous_trajectory, end_basis, table[i, rows - 1 : rows]
             )
+    table = _packed(table, rows)
+    table[:, :, 0] = np.arange(rows) / _TICKS_PER_SECOND
 
     deadlock = False
     if not success and error is None and step > _STALL_STEPS:
@@ -203,13 +212,10 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
         deadlock = bool(stalled) and all(stalled)
 
     (out / "scenario.json").write_text(scenario.to_json())
-    traj_dir = out / "trajectories"
-    traj_dir.mkdir(exist_ok=True)
-    for i in range(n_agents):
-        (traj_dir / f"agent_{i:03d}.csv").write_text("\n".join(csv_rows[i]) + "\n")
+    np.save(out / "states.npy", table, allow_pickle=False)
     (out / "steps.jsonl").write_text("\n".join(step_lines) + ("\n" if step_lines else ""))
-    # The logs are on disk now; free their text before verify reads it back.
-    del csv_rows, step_lines
+    # The logs are on disk now; free them before verify reads them back.
+    del table, step_lines
 
     metrics = RunMetrics(
         success=success,
@@ -231,7 +237,9 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
         metrics.violations = report.violations
         metrics.flight_distance_per_agent = report.flight_distance_per_agent
         metrics.min_inter_agent_distance = report.min_inter_agent_distance
+        metrics.min_pair_margin = report.min_pair_margin
         metrics.min_obstacle_clearance = report.min_obstacle_clearance
+        metrics.max_continuity_error = report.max_continuity_error
     (out / "metrics.json").write_text(
         json.dumps(metrics.to_dict(), sort_keys=True, indent=2) + "\n"
     )
@@ -250,17 +258,56 @@ def _segment_basis(degree: int, taus):
     )
 
 
-def _sample_rows(traj, times, basis) -> list[str]:
+def _sample_states(traj, basis, out):
+    """Write the flown segment's position, velocity and acceleration at the
+    basis's parameters into columns 1-9 of out (one row per parameter)."""
     from swarmplan.bernstein import derivative
 
     seg = traj.segments[0]
     d1 = derivative(seg)
     d2 = derivative(d1)
     b0, b1, b2 = basis
-    states = np.hstack(
-        [b0 @ seg.control_points, b1 @ d1.control_points, b2 @ d2.control_points]
-    )
-    return _csv_rows(times, states)
+    out[:, 1:4] = b0 @ seg.control_points
+    out[:, 4:7] = b1 @ d1.control_points
+    out[:, 7:10] = b2 @ d2.control_points
+
+
+def _grown(table, rows):
+    """A copy of table with room for at least `rows` rows, and at least twice
+    the rows it had."""
+    agents, room, width = table.shape
+    grown = np.empty((agents, max(rows, 2 * room), width))
+    grown[:, :room] = table
+    return grown
+
+
+def _packed(table, rows):
+    """The first `rows` rows of every agent as one C-ordered (agents, rows,
+    10) array in table's own buffer: each agent's rows move down in place
+    instead of into a second table."""
+    agents, room, width = table.shape
+    flat = table.reshape(-1)
+    size = rows * width
+    for i in range(1, agents):
+        start = i * room * width
+        flat[i * size : (i + 1) * size] = flat[start : start + size]
+    return flat[: agents * size].reshape(agents, rows, width)
+
+
+def export_csv(log_dir) -> Path:
+    """Write a run's states as text: trajectories/agent_NNN.csv per agent,
+    header `t,px,py,pz,vx,vy,vz,ax,ay,az` and one row per 10 ms, each value
+    the shortest text that reads back as the logged double. Returns the
+    trajectories directory."""
+    log_dir = Path(log_dir)
+    table = verify_mod.load_states(log_dir / "states.npy")
+    traj_dir = log_dir / "trajectories"
+    traj_dir.mkdir(exist_ok=True)
+    for i, agent in enumerate(table):
+        rows = _csv_rows(agent[:, 0].tolist(), agent[:, 1:])
+        text = "\n".join([_CSV_HEADER, *rows]) + "\n"
+        (traj_dir / f"agent_{i:03d}.csv").write_text(text)
+    return traj_dir
 
 
 def _csv_rows(times, states) -> list[str]:

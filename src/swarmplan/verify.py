@@ -1,18 +1,21 @@
 """Offline log verifier: an independent oracle for run safety claims.
 
-Reads only the artifacts a run writes (scenario, per-agent 100 Hz CSV logs,
-per-step control-point dumps) and re-derives every safety quantity with its
-own evaluation code: de Casteljau evaluation instead of basis expansion,
-direct point-to-box distances against the original obstacle boxes instead of
-voxel queries, and its own pairwise distance math. It shares no constraint
-machinery with the planner, so agreement is evidence rather than tautology.
+Reads only the artifacts a run writes (scenario, the 100 Hz states of every
+agent as one binary array, per-step control-point dumps) and re-derives every
+safety quantity with its own evaluation code: de Casteljau evaluation instead
+of basis expansion, direct point-to-box distances against the original
+obstacle boxes instead of voxel queries, and its own pairwise distance math.
+It shares no constraint machinery with the planner, so agreement is evidence
+rather than tautology.
 
-The logs are loaded once into preallocated arrays (control points as
-steps × agents × segments × points × 3, CSV rows as agents × rows × 10, the
-CSVs parsed in chunks of rows), and each check is one array pass over steps ×
-agents × samples, reporting violations in (step, agent, sample) order. One
-3-vector's length is np.sqrt of np.vecdot, the BLAS dot np.linalg.norm takes
-for it, so every figure equals the sample-by-sample loop's bit for bit.
+The logs are loaded once into arrays (control points as steps × agents ×
+segments × points × 3, parsed from text into one preallocated array, and the
+states as agents × rows × 10, read with np.load), and each check is one array
+pass over steps × agents × samples, reporting violations in (step, agent,
+sample) order. One 3-vector's length is np.sqrt of np.vecdot, the BLAS dot
+np.linalg.norm takes for it, so every figure equals the sample-by-sample
+loop's bit for bit. Non-finite control points or states are malformed logs:
+NaN compares false against every tolerance and would pass each check.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from swarmplan.scenarios import Scenario
 
 #: Mirrors the simulator's log rate; a run not sampled at 100 Hz is malformed.
 _TICKS_PER_SECOND = 100
-#: CSV rows parsed per pass and steps per log-consistency pass; they bound
-#: the verifier's temporary memory.
-_ROW_CHUNK = 512
+#: Steps per log-consistency pass; it bounds the verifier's temporary memory.
 _STEP_CHUNK = 32
 
 PAIR_DISTANCE_TOL = 1e-4
@@ -82,14 +83,40 @@ def _derivative_points(points: np.ndarray, duration: float) -> np.ndarray:
     return n * (points[..., 1:, :] - points[..., :-1, :]) / duration
 
 
+def load_states(path: Path) -> np.ndarray:
+    """A run's states.npy as a float64 (agents, rows, 10) array of finite
+    values (columns t, px, py, pz, vx, vy, vz, ax, ay, az); anything else is
+    a LogFormatError."""
+    try:
+        with open(path, "rb") as f:
+            states = np.load(f, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise LogFormatError(f"cannot read {path.name}: {exc}") from exc
+    if not isinstance(states, np.ndarray):
+        raise LogFormatError(f"{path.name} does not hold a single array")
+    if states.dtype != np.float64 or states.ndim != 3 or states.shape[2] != 10:
+        raise LogFormatError(
+            f"{path.name} holds {states.dtype} {states.shape}, "
+            "expected float64 (agents, rows, 10)"
+        )
+    if not np.isfinite(states).all():
+        raise LogFormatError(f"{path.name} holds non-finite values")
+    return states
+
+
 def _load_logs(log_dir: Path):
     """The scenario, its world bounds (2, 3) and boxes (B, 2, 3) as min/max
     corners, the steps' start times t0 (S,), their control points
-    (S, N, M, degree + 1, 3) and the agents' logged rows (N, R, 10)."""
+    (S, N, M, degree + 1, 3) and the agents' states (N, R, 10)."""
     scenario_path = log_dir / "scenario.json"
     steps_path = log_dir / "steps.jsonl"
-    traj_dir = log_dir / "trajectories"
-    if not scenario_path.is_file() or not steps_path.is_file() or not traj_dir.is_dir():
+    states_path = log_dir / "states.npy"
+    if not states_path.is_file() and (log_dir / "trajectories").is_dir():
+        raise LogFormatError(
+            f"{log_dir} holds per-agent CSV logs (trajectories/agent_NNN.csv) "
+            "from an older version, and no states.npy"
+        )
+    if not scenario_path.is_file() or not steps_path.is_file() or not states_path.is_file():
         raise LogFormatError(f"{log_dir} is missing run artifacts")
     try:
         scenario = Scenario.from_json(scenario_path.read_text())
@@ -126,36 +153,23 @@ def _load_logs(log_dir: Path):
             raise LogFormatError(f"steps.jsonl line {lineno}: {exc}") from exc
         if block.shape != shape or not np.isfinite(t0[k]):
             raise LogFormatError(f"step {k}: control points {block.shape}, t0 {t0[k]}")
+        if not np.isfinite(block).all():
+            raise LogFormatError(f"step {k}: non-finite control points")
         cpts[k] = block
         k += 1
     del lines
 
-    ticks = round(params.segment_time * _TICKS_PER_SECOND)
-    rows = n_steps * ticks + 1
-    tables = np.empty((n_agents, rows, 10))
-    grid_t = np.arange(rows) / _TICKS_PER_SECOND
-    for i in range(n_agents):
-        path = traj_dir / f"agent_{i:03d}.csv"
-        if not path.is_file():
-            raise LogFormatError(f"missing trajectory log {path.name}")
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != "t,px,py,pz,vx,vy,vz,ax,ay,az":
-            raise LogFormatError(f"{path.name}: bad header")
-        if len(lines) - 1 != rows:
-            raise LogFormatError(
-                f"agent {i} log has {len(lines) - 1} rows, expected {rows}"
-            )
-        for start in range(0, rows, _ROW_CHUNK):
-            chunk = lines[1 + start : 1 + start + _ROW_CHUNK]
-            if any(line.count(",") != 9 for line in chunk):
-                raise LogFormatError(f"{path.name}: expected 10 columns")
-            try:
-                values = np.fromiter(map(float, ",".join(chunk).split(",")), float)
-            except ValueError as exc:
-                raise LogFormatError(f"{path.name}: {exc}") from exc
-            tables[i, start : start + len(chunk)] = values.reshape(-1, 10)
-        if np.max(np.abs(tables[i, :, 0] - grid_t)) > 1e-6:
-            raise LogFormatError(f"agent {i} log is not on the 10 ms grid")
+    tables = load_states(states_path)
+    rows = n_steps * round(params.segment_time * _TICKS_PER_SECOND) + 1
+    if tables.shape[:2] != (n_agents, rows):
+        raise LogFormatError(
+            f"states.npy holds {tables.shape[0]} agents x {tables.shape[1]} rows, "
+            f"expected {n_agents} x {rows}"
+        )
+    off_grid = tables[:, :, 0] != np.arange(rows) / _TICKS_PER_SECOND
+    if off_grid.any():
+        i, row = np.argwhere(off_grid)[0]
+        raise LogFormatError(f"agent {i} row {row} is not on the 10 ms grid")
     return scenario, bounds, boxes, t0, cpts, tables
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -604,13 +605,15 @@ def _loop_plan_state(cpts: np.ndarray, t0: float, dt: float, t: float):
 def _loop_load_logs(log_dir: Path):
     scenario_path = log_dir / "scenario.json"
     steps_path = log_dir / "steps.jsonl"
-    traj_dir = log_dir / "trajectories"
-    if not scenario_path.is_file() or not steps_path.is_file() or not traj_dir.is_dir():
+    states_path = log_dir / "states.npy"
+    if not scenario_path.is_file() or not steps_path.is_file() or not states_path.is_file():
         raise LogFormatError(f"{log_dir} is missing run artifacts")
     try:
         scenario = Scenario.from_json(scenario_path.read_text())
     except (ValueError, json.JSONDecodeError) as exc:
         raise LogFormatError(f"bad scenario.json: {exc}") from exc
+    if "bounds" not in scenario.map_data:
+        raise LogFormatError("scenario.json has no world bounds")
 
     n_agents = len(scenario.agents)
     steps = []
@@ -629,41 +632,40 @@ def _loop_load_logs(log_dir: Path):
         raise LogFormatError("steps.jsonl is not a contiguous step sequence")
     m_count = scenario.params.segment_count
     degree = scenario.params.degree
-    for k, _, cpts in steps:
+    for k, t0, cpts in steps:
+        if not math.isfinite(t0):
+            raise LogFormatError(f"step {k} starts at {t0}")
         if sorted(cpts) != list(range(n_agents)):
             raise LogFormatError(f"step {k} does not cover every agent")
         for arr in cpts.values():
             if arr.shape != (m_count, degree + 1, 3):
                 raise LogFormatError(f"step {k} control points have shape {arr.shape}")
+            if not all(math.isfinite(v) for v in arr.ravel().tolist()):
+                raise LogFormatError(f"step {k} control points are not finite")
 
-    tables = []
-    for i in range(n_agents):
-        path = traj_dir / f"agent_{i:03d}.csv"
-        if not path.is_file():
-            raise LogFormatError(f"missing trajectory log {path.name}")
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != "t,px,py,pz,vx,vy,vz,ax,ay,az":
-            raise LogFormatError(f"{path.name}: bad header")
-        try:
-            table = np.array(
-                [[float(v) for v in line.split(",")] for line in lines[1:]]
-            )
-        except ValueError as exc:
-            raise LogFormatError(f"{path.name}: {exc}") from exc
-        if table.ndim != 2 or table.shape[1] != 10:
-            raise LogFormatError(f"{path.name}: expected 10 columns")
-        tables.append(table)
+    try:
+        with open(states_path, "rb") as f:
+            states = np.load(f, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise LogFormatError(f"states.npy: {exc}") from exc
+    if not isinstance(states, np.ndarray) or states.dtype != np.float64:
+        raise LogFormatError("states.npy does not hold a float64 array")
+    if states.ndim != 3 or len(states) != n_agents:
+        raise LogFormatError(f"states.npy has shape {states.shape}, not a table per agent")
+    tables = list(states)
 
     ticks = round(scenario.params.segment_time * _TICKS_PER_SECOND)
     expected_rows = len(steps) * ticks + (1 if steps else 0)
     for i, table in enumerate(tables):
-        if len(table) != expected_rows:
+        if table.shape != (expected_rows, 10):
             raise LogFormatError(
-                f"agent {i} log has {len(table)} rows, expected {expected_rows}"
+                f"agent {i} log has shape {table.shape}, expected ({expected_rows}, 10)"
             )
-        grid_t = np.arange(len(table)) / _TICKS_PER_SECOND
-        if np.max(np.abs(table[:, 0] - grid_t)) > 1e-6:
-            raise LogFormatError(f"agent {i} log is not on the 10 ms grid")
+        for row, values in enumerate(table.tolist()):
+            if not all(math.isfinite(v) for v in values):
+                raise LogFormatError(f"agent {i} row {row} is not finite")
+            if values[0] != row / _TICKS_PER_SECOND:
+                raise LogFormatError(f"agent {i} log is not on the 10 ms grid")
     return scenario, steps, tables
 
 

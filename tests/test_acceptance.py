@@ -17,7 +17,6 @@ from swarmplan.params import PlanningParams
 from swarmplan.qp import QpProblem, jerk_gram_matrix, solve
 from swarmplan.scenarios import generate_scenario
 from swarmplan.sim import run
-from swarmplan.verify import verify
 
 from helpers import closest_point_to_origin, pair_segments
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
@@ -33,6 +32,8 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="session")
 def batches(tmp_path_factory):
+    """RunMetrics of every run; `sim.run` verifies each run's logs and copies
+    the verifier's report into them."""
     root = tmp_path_factory.mktemp("acceptance")
     out = {}
     start = time.perf_counter()
@@ -40,8 +41,7 @@ def batches(tmp_path_factory):
     for seed in range(1, EMPTY_RUNS + 1):
         scenario = generate_scenario("empty", 10, seed=seed, timeout=40.0)
         out_dir = root / f"empty_{seed:02d}"
-        metrics = run(scenario, out_dir)
-        empty.append((metrics, verify(out_dir)))
+        empty.append(run(scenario, out_dir))
     out["empty"] = empty
     out["empty_wall_time"] = time.perf_counter() - start
 
@@ -49,16 +49,14 @@ def batches(tmp_path_factory):
     for seed in range(1, FOREST_RUNS + 1):
         scenario = generate_scenario("forest", 8, seed=seed, timeout=60.0)
         out_dir = root / f"forest_{seed:02d}"
-        metrics = run(scenario, out_dir)
-        forest.append((metrics, verify(out_dir)))
+        forest.append(run(scenario, out_dir))
     out["forest"] = forest
 
     indoor = []
     for seed in range(1, INDOOR_RUNS + 1):
         scenario = generate_scenario("indoor", 8, seed=seed, timeout=60.0)
         out_dir = root / f"indoor_{seed:02d}"
-        metrics = run(scenario, out_dir)
-        indoor.append((metrics, verify(out_dir)))
+        indoor.append(run(scenario, out_dir))
     out["indoor"] = indoor
     return out
 
@@ -69,9 +67,9 @@ def all_runs(batches):
 
 class TestCriterion1RecursiveFeasibility:
     def test_candidates_always_feasible_and_no_fallbacks(self, batches):
-        worst = max(m.max_candidate_violation for m, _ in batches["empty"])
-        fallbacks = sum(m.fallback_count for m, _ in batches["empty"])
-        aborted = [m.error for m, _ in batches["empty"] if m.error]
+        worst = max(m.max_candidate_violation for m in batches["empty"])
+        fallbacks = sum(m.fallback_count for m in batches["empty"])
+        aborted = [m.error for m in batches["empty"] if m.error]
         ok = worst <= 1e-9 and fallbacks == 0 and not aborted
         _report(
             "criterion 1 (recursive feasibility)",
@@ -92,19 +90,19 @@ class TestCriterion1RecursiveFeasibility:
         assert elapsed < 300.0
 
     def test_feasibility_extends_to_obstacle_runs(self, batches):
-        worst = max(m.max_candidate_violation for m, _ in all_runs(batches))
-        fallbacks = sum(m.fallback_count for m, _ in all_runs(batches))
+        worst = max(m.max_candidate_violation for m in all_runs(batches))
+        fallbacks = sum(m.fallback_count for m in all_runs(batches))
         assert worst <= 1e-9
         assert fallbacks == 0
 
 
 class TestCriterion2ZeroCollisions:
     def test_inter_agent_and_obstacle_safety(self, batches):
-        worst_margin = min(r.min_pair_margin for _, r in all_runs(batches))
+        worst_margin = min(m.min_pair_margin for m in all_runs(batches))
         obstacle_violations = [
             v
-            for _, r in all_runs(batches)
-            for v in r.violations
+            for m in all_runs(batches)
+            for v in m.violations
             if "clearance" in v or "scaled distance" in v
         ]
         ok = worst_margin >= -1e-4 and not obstacle_violations
@@ -118,14 +116,14 @@ class TestCriterion2ZeroCollisions:
         assert not obstacle_violations
 
     def test_every_run_verified(self, batches):
-        assert all(m.verified for m, _ in all_runs(batches))
-        bad = [v for _, r in all_runs(batches) for v in r.violations]
+        assert all(m.verified for m in all_runs(batches))
+        bad = [v for m in all_runs(batches) for v in m.violations]
         assert bad == []
 
 
 class TestCriterion3DeadlockResolution:
     def test_forest_success_rate(self, batches):
-        successes = sum(m.success for m, _ in batches["forest"])
+        successes = sum(m.success for m in batches["forest"])
         ok = successes >= 0.9 * FOREST_RUNS
         _report(
             "criterion 3 (forest deadlock resolution)",
@@ -135,7 +133,7 @@ class TestCriterion3DeadlockResolution:
         assert successes >= 0.9 * FOREST_RUNS
 
     def test_indoor_success_rate(self, batches):
-        successes = sum(m.success for m, _ in batches["indoor"])
+        successes = sum(m.success for m in batches["indoor"])
         ok = successes >= 0.8 * INDOOR_RUNS
         _report(
             "criterion 3 (indoor deadlock resolution)",
@@ -147,7 +145,7 @@ class TestCriterion3DeadlockResolution:
 
 class TestCriterion4ComputeBudget:
     def test_mean_plan_time(self, batches):
-        means = [m.mean_plan_ms for m, _ in batches["empty"]]
+        means = [m.mean_plan_ms for m in batches["empty"]]
         mean = float(np.mean(means))
         ok = mean <= 50.0
         _report(
@@ -323,10 +321,10 @@ class TestCriterion6InvariantSuite:
         # corridor containment and separation slack are enforced at runtime
         # (any breach aborts the run), so completed runs certify them.
         worst_cont = 0.0
-        for _, report in all_runs(batches):
-            worst_cont = max(worst_cont, max(report.max_continuity_error.values()))
-            assert not [v for v in report.violations if "limit" in v]
-        errored = [m.error for m, _ in all_runs(batches) if m.error]
+        for m in all_runs(batches):
+            worst_cont = max(worst_cont, max(m.max_continuity_error.values()))
+            assert not [v for v in m.violations if "limit" in v]
+        errored = [m.error for m in all_runs(batches) if m.error]
         ok = worst_cont <= 1e-6 and not errored
         _report(
             "criterion 6 (run-level invariants)",

@@ -14,7 +14,7 @@ from swarmplan.errors import LogFormatError, ScenarioGenerationError, StepAbortE
 from swarmplan.params import PlanningParams
 from swarmplan.qp import param_matrices
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
-from swarmplan.sim import run
+from swarmplan.sim import export_csv, run
 from swarmplan.verify import verify
 from swarmplan.world import OccupancyGrid
 
@@ -121,7 +121,7 @@ class TestRun:
         assert metrics.safety_ok
         assert (tmp_path / "out" / "metrics.json").is_file()
         assert (tmp_path / "out" / "steps.jsonl").is_file()
-        assert (tmp_path / "out" / "trajectories" / "agent_000.csv").is_file()
+        assert (tmp_path / "out" / "states.npy").is_file()
 
     def test_metrics_reproducible_modulo_timing(self, tmp_path):
         sc = generate_scenario("empty", 3, seed=8, timeout=20.0)
@@ -131,9 +131,8 @@ class TestRun:
         for key in ("mean_plan_ms", "max_plan_ms", "pair_ms_per_step"):
             m1.pop(key), m2.pop(key)
         assert m1 == m2
-        csv1 = (tmp_path / "a" / "trajectories" / "agent_000.csv").read_bytes()
-        csv2 = (tmp_path / "b" / "trajectories" / "agent_000.csv").read_bytes()
-        assert csv1 == csv2
+        states1 = (tmp_path / "a" / "states.npy").read_bytes()
+        assert states1 == (tmp_path / "b" / "states.npy").read_bytes()
 
     def test_run_rejects_more_threads(self, tmp_path):
         sc = generate_scenario("empty", 1, seed=3, timeout=2.0)
@@ -255,11 +254,22 @@ class TestRun:
     def test_log_grid_and_header(self, tmp_path):
         sc = generate_scenario("empty", 1, seed=3, timeout=10.0)
         metrics = run(sc, tmp_path / "out")
+        states = np.load(tmp_path / "out" / "states.npy", allow_pickle=False)
+        assert states.dtype == np.float64 and states.flags.c_contiguous
+        assert states.shape == (1, metrics.steps * 20 + 1, 10)
+        # Row k's time is the double k / 100, the value its "%.2f" text reads back as.
+        times = [float(f"{k / 100:.2f}") for k in range(len(states[0]))]
+        assert states[0, :, 0].tolist() == times
+        export_csv(tmp_path / "out")
         lines = (tmp_path / "out" / "trajectories" / "agent_000.csv").read_text().splitlines()
         assert lines[0] == "t,px,py,pz,vx,vy,vz,ax,ay,az"
         assert len(lines) == 1 + metrics.steps * 20 + 1
-        times = [float(line.split(",")[0]) for line in lines[1:]]
-        assert np.allclose(np.diff(times), 0.01, atol=1e-9)
+
+    def test_grid_times_read_back_from_their_text(self):
+        # One simulated hour of 10 ms rows: k / 100 is the double nearest
+        # the decimal that "%.2f" prints for it.
+        k = np.arange(360_001)
+        assert (k / 100).tolist() == [float(f"{t:.2f}") for t in (k / 100).tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -281,10 +291,12 @@ class TestVerify:
             "flight_distance_per_agent",
             "flight_time",
             "max_candidate_violation",
+            "max_continuity_error",
             "max_plan_ms",
             "mean_plan_ms",
             "min_inter_agent_distance",
             "min_obstacle_clearance",
+            "min_pair_margin",
             "pair_ms_per_step",
             "safety_ok",
             "sim_time",
@@ -293,6 +305,13 @@ class TestVerify:
             "verified",
             "violations",
         ]
+
+    def test_metrics_carry_the_verifier_report(self, run_dir):
+        report = verify(run_dir)
+        payload = json.loads((run_dir / "metrics.json").read_text())
+        assert payload["min_pair_margin"] == report.min_pair_margin
+        assert payload["max_continuity_error"] == report.max_continuity_error
+        assert payload["violations"] == report.violations
 
     def test_clean_run_verifies(self, run_dir):
         report = verify(run_dir)
@@ -309,16 +328,12 @@ class TestVerify:
 
         bad = tmp_path / "bad"
         shutil.copytree(run_dir, bad)
-        path = bad / "trajectories" / "agent_000.csv"
-        lines = path.read_text().splitlines()
-        mid = len(lines) // 2
-        parts = lines[mid].split(",")
+        states = np.load(bad / "states.npy")
         # Teleport the sample into the first obstacle box.
         box = json.loads((bad / "scenario.json").read_text())["map"]["boxes"][0]
         center = [(lo + hi) / 2 for lo, hi in zip(box["min"], box["max"])]
-        parts[1:4] = [repr(c) for c in center]
-        lines[mid] = ",".join(parts)
-        path.write_text("\n".join(lines) + "\n")
+        states[0, states.shape[1] // 2, 1:4] = center
+        np.save(bad / "states.npy", states)
         report = verify(bad)
         assert not report.ok
         assert any("clearance" in v or "deviates" in v for v in report.violations)
@@ -328,9 +343,9 @@ class TestVerify:
 
         bad = tmp_path / "bad"
         shutil.copytree(run_dir, bad)
-        path = bad / "trajectories" / "agent_001.csv"
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+        path = bad / "states.npy"
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
         with pytest.raises(LogFormatError):
             verify(bad)
 
@@ -412,13 +427,30 @@ class TestCli:
         )
         out_dir = tmp_path / "logs"
         cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)])
-        csv = out_dir / "trajectories" / "agent_000.csv"
-        lines = csv.read_text().splitlines()
-        parts = lines[5].split(",")
-        parts[1] = "99.0"  # far outside the world bounds
-        lines[5] = ",".join(parts)
-        csv.write_text("\n".join(lines) + "\n")
+        states = np.load(out_dir / "states.npy")
+        states[0, 4, 1] = 99.0  # far outside the world bounds
+        np.save(out_dir / "states.npy", states)
         assert cli_main(["check", "--log", str(out_dir)]) == 2
+
+    def test_export_writes_the_states_as_csv(self, tmp_path, capsys):
+        sc = generate_scenario("circle", 3, seed=2, timeout=1.0)
+        out_dir = tmp_path / "logs"
+        run(sc, out_dir)
+        assert cli_main(["export", "--log", str(out_dir)]) == 0
+        assert "trajectories" in capsys.readouterr().out
+        states = np.load(out_dir / "states.npy", allow_pickle=False)
+        for i, agent in enumerate(states):
+            text = (out_dir / "trajectories" / f"agent_{i:03d}.csv").read_text()
+            rows = csv_rows_by_float(agent[:, 0].tolist(), agent[:, 1:])
+            assert text == "\n".join(["t,px,py,pz,vx,vy,vz,ax,ay,az", *rows]) + "\n"
+            parsed = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+            assert np.array_equal(np.array(parsed), agent)
+            # Bit for bit, signed zeros included.
+            assert np.array(parsed).tobytes() == agent.tobytes()
+
+    def test_export_of_malformed_logs_is_config_error(self, tmp_path, capsys):
+        assert cli_main(["export", "--log", str(tmp_path)]) == 3
+        assert "malformed logs" in capsys.readouterr().err
 
     def test_bad_scenario_is_config_error(self, tmp_path):
         bad = tmp_path / "scenario.json"
@@ -448,19 +480,19 @@ class TestCli:
 
 
 def _assert_final_rows_end_last_dumped_plan(out, sc, steps):
-    """Each agent's last CSV row is its last dumped plan's segment 0 at
+    """Each agent's last state row is its last dumped plan's segment 0 at
     tau = 1, within 1e-12 in position, velocity and acceleration."""
     dt = sc.params.segment_time
     lines = (out / "steps.jsonl").read_text().splitlines()
     assert len(lines) == steps
     last = json.loads(lines[-1])
+    states = np.load(out / "states.npy", allow_pickle=False)
     for i in range(len(sc.agents)):
         pts = np.array(last["cpts"][str(i)][0])
         n = len(pts) - 1
         vel = n * np.diff(pts, axis=0) / dt
         acc = (n - 1) * np.diff(vel, axis=0) / dt
         expected = np.concatenate([de_casteljau(c, 1.0) for c in (pts, vel, acc)])
-        csv = out / "trajectories" / f"agent_{i:03d}.csv"
-        row = csv.read_text().splitlines()[-1].split(",")
-        assert float(row[0]) == pytest.approx(steps * dt, abs=1e-9)
-        assert np.max(np.abs(np.array(row[1:], dtype=float) - expected)) <= 1e-12
+        row = states[i, -1]
+        assert row[0] == pytest.approx(steps * dt, abs=1e-9)
+        assert np.max(np.abs(row[1:] - expected)) <= 1e-12

@@ -5,12 +5,13 @@ import dataclasses
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from swarmplan.cli import main as cli_main
 from swarmplan.errors import LogFormatError
 from swarmplan.scenarios import Scenario, generate_scenario
-from swarmplan.sim import run
+from swarmplan.sim import export_csv, run
 from swarmplan.verify import verify
 
 from oracles import verify_by_loops
@@ -50,19 +51,19 @@ def scenario_of(log_dir):
     return Scenario.from_json((log_dir / "scenario.json").read_text())
 
 
-def edit_csv(log_dir, agent, edit):
-    """Rewrite one agent's CSV log (header included) through edit(lines)."""
-    path = log_dir / "trajectories" / f"agent_{agent:03d}.csv"
-    lines = path.read_text().splitlines()
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
+def edit_states(log_dir, edit):
+    """Rewrite states.npy after edit(states) changed the (agents, rows, 10)
+    array in place."""
+    path = log_dir / "states.npy"
+    states = np.load(path)
+    edit(states)
+    np.save(path, states)
 
 
-def set_fields(lines, row, first, values):
-    """Overwrite fields first, first + 1, ... of data row `row`."""
-    parts = lines[1 + row].split(",")
-    parts[first : first + len(values)] = [repr(float(v)) for v in values]
-    lines[1 + row] = ",".join(parts)
+def replace_states(log_dir, make):
+    """Overwrite states.npy with make(states), pickled if it holds objects."""
+    path = log_dir / "states.npy"
+    np.save(path, make(np.load(path)), allow_pickle=True)
 
 
 def edit_steps(log_dir, edit):
@@ -83,14 +84,18 @@ class TestAgainstLoopVerifier:
         logs = copy_logs("forest-8")
         box = scenario_of(logs).map_data["boxes"][0]
         center = [(lo + hi) / 2 for lo, hi in zip(box["min"], box["max"])]
-        edit_csv(logs, 0, lambda lines: set_fields(lines, len(lines) // 2, 1, center))
+
+        def teleport(states):
+            states[0, states.shape[1] // 2, 1:4] = center
+
+        edit_states(logs, teleport)
         report = assert_same_report(logs)
         assert any("obstacle clearance" in v for v in report.violations)
 
     def test_velocity_over_its_limit(self, copy_logs):
         logs = copy_logs("indoor-8")
         vmax = scenario_of(logs).params.max_velocity
-        edit_csv(logs, 3, lambda lines: set_fields(lines, 7, 5, [vmax[1] + 0.01]))
+        edit_states(logs, lambda states: states[3, 7].__setitem__(5, vmax[1] + 0.01))
         report = assert_same_report(logs)
         assert report.violations == ["agent 3: velocity exceeds its limit by 1.000e-02"]
 
@@ -98,34 +103,25 @@ class TestAgainstLoopVerifier:
         # Exchanging two agents' logs leaves every pair distance as it was;
         # only the dumped plans tell the agents apart.
         logs = copy_logs("circle-32")
-        first, second = (logs / "trajectories" / f"agent_{i:03d}.csv" for i in (0, 1))
-        text = first.read_text()
-        first.write_text(second.read_text())
-        second.write_text(text)
+        edit_states(logs, lambda states: states.__setitem__([0, 1], states[[1, 0]]))
         report = assert_same_report(logs)
         assert all("deviates" in v for v in report.violations)
         assert {v.split()[1] for v in report.violations} == {"0", "1"}
 
     def test_agent_logged_on_top_of_another(self, copy_logs):
         logs = copy_logs("circle-32")
-        (logs / "trajectories" / "agent_005.csv").write_text(
-            (logs / "trajectories" / "agent_004.csv").read_text()
-        )
+        edit_states(logs, lambda states: states.__setitem__(5, states[4]))
         report = assert_same_report(logs)
         assert "agents 4,5 at t=0.00: scaled distance 0.0000 under required 0.3000" in report.violations
 
     def test_violations_capped_in_step_agent_sample_order(self, copy_logs):
         # 32 agents x 6 steps x 5 samples deviate: 960 violations, 250 kept.
         logs = copy_logs("circle-32")
-        for agent in range(32):
-            edit_csv(
-                logs,
-                agent,
-                lambda lines: [
-                    set_fields(lines, row, 1, [float(lines[1 + row].split(",")[1]) + 0.5])
-                    for row in range(len(lines) - 1)
-                ],
-            )
+
+        def shift(states):
+            states[:, :, 1] += 0.5
+
+        edit_states(logs, shift)
         report = assert_same_report(logs)
         assert len(report.violations) == 250
         assert report.violations[0].startswith("agent 0 row t=0.00:")
@@ -180,16 +176,40 @@ def _unbounded_map(logs):
     (logs / "scenario.json").write_text(json.dumps(data))
 
 
-def _ragged_rows(lines):
-    # Rows 3 and 4 hold 11 and 9 fields: 20 in all, as many as two rows.
-    parts = lines[4].split(",")
-    lines[4] = ",".join(parts + ["0.0"])
-    lines[5] = ",".join(lines[5].split(",")[:-1])
+def _garble(path, old, new):
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _archive(logs):
+    states = np.load(logs / "states.npy")
+    with open(logs / "states.npy", "wb") as f:
+        np.savez(f, states=states)
+
+
+def _ragged_rows(states):
+    # Agents with unequal row counts fit only an array of Python objects,
+    # which np.save pickles and allow_pickle=False refuses.
+    return np.array([states[0].tolist(), states[1, :-1].tolist()], dtype=object)
+
+
+def _set_states(index, value):
+    return lambda logs: edit_states(logs, lambda s: s.__setitem__(index, value))
+
+
+def _nan_control_point(payloads):
+    # NaN compares false against every tolerance: before the loaders refused
+    # non-finite values, it passed every check.
+    payloads[1]["cpts"]["1"][0][2][0] = float("nan")
 
 
 MALFORMED = {
-    "no trajectories": lambda logs: shutil.rmtree(logs / "trajectories"),
-    "no agent log": lambda logs: (logs / "trajectories" / "agent_001.csv").unlink(),
+    "no trajectories": lambda logs: (logs / "states.npy").unlink(),
+    "no agent log": lambda logs: replace_states(logs, lambda s: s[:1]),
     "scenario not json": _write("scenario.json", "{"),
     "scenario without bounds": _unbounded_map,
     "step not json": lambda logs: _break_line(logs / "steps.jsonl", 1),
@@ -198,17 +218,21 @@ MALFORMED = {
     "step misses an agent": lambda logs: edit_steps(logs, _drop_step_agent),
     "step has an extra agent": lambda logs: edit_steps(logs, _add_step_agent),
     "control points of a wrong shape": lambda logs: edit_steps(logs, _drop_segment),
+    "control point not finite": lambda logs: edit_steps(logs, _nan_control_point),
     "steps not contiguous": lambda logs: edit_steps(logs, _skip_step),
     "start time not finite": lambda logs: edit_steps(logs, _nan_start_time),
-    "bad header": lambda logs: edit_csv(logs, 0, lambda l: l.__setitem__(0, "t,x,y,z")),
-    "ragged rows": lambda logs: edit_csv(logs, 1, _ragged_rows),
-    "field not a number": lambda logs: edit_csv(
-        logs, 0, lambda l: l.__setitem__(3, l[3].replace(",", ",x", 1))
+    "bad header": lambda logs: _garble(logs / "states.npy", b"'descr'", b"'dtype'"),
+    "states truncated": lambda logs: _truncate(logs / "states.npy"),
+    "states of float32": lambda logs: replace_states(logs, lambda s: s.astype(np.float32)),
+    "states of nine columns": lambda logs: replace_states(logs, lambda s: s[:, :, :9]),
+    "states in an archive": _archive,
+    "ragged rows": lambda logs: replace_states(logs, _ragged_rows),
+    "field not a number": _set_states((0, slice(5, 300), slice(1, 4)), float("nan")),
+    "field infinite": _set_states((1, 3, 8), float("inf")),
+    "extra row": lambda logs: replace_states(
+        logs, lambda s: np.concatenate([s, s[:, -1:]], axis=1)
     ),
-    "extra row": lambda logs: edit_csv(logs, 0, lambda l: l.append(l[-1])),
-    "row off the 10 ms grid": lambda logs: edit_csv(
-        logs, 1, lambda l: set_fields(l, 6, 0, [0.065])
-    ),
+    "row off the 10 ms grid": _set_states((1, 6, 0), 0.065),
 }
 
 
@@ -217,7 +241,18 @@ class TestMalformedLogs:
     def test_rejected_as_format_error(self, copy_logs, capsys, case):
         logs = copy_logs("circle-2")
         MALFORMED[case](logs)
-        with pytest.raises(LogFormatError):
-            verify(logs)
+        for check in (verify, verify_by_loops):
+            with pytest.raises(LogFormatError):
+                check(logs)
         assert cli_main(["check", "--log", str(logs)]) == 3
         assert "malformed logs" in capsys.readouterr().err
+
+    def test_csv_logs_of_an_older_version_name_the_old_format(self, copy_logs, capsys):
+        logs = copy_logs("circle-2")
+        export_csv(logs)
+        (logs / "states.npy").unlink()
+        with pytest.raises(LogFormatError, match="CSV logs"):
+            verify(logs)
+        assert cli_main(["check", "--log", str(logs)]) == 3
+        assert "agent_NNN.csv" in capsys.readouterr().err
+
