@@ -59,15 +59,14 @@ def advance_corridor(
         if len(prev) != init_traj.segment_count:
             raise ValueError("previous corridor length does not match trajectory")
         corridor = SafeBoxCorridor(prev.boxes[1:] + (fresh,))
-    for box, seg in zip(corridor.boxes, init_traj.segments):
-        inside = np.all(seg.control_points >= box.lo - _CONTAINMENT_TOL) and np.all(
-            seg.control_points <= box.hi + _CONTAINMENT_TOL
+    points = np.stack([seg.control_points for seg in init_traj.segments])
+    lo = np.array([box.min_corner for box in corridor.boxes])[:, None, :]
+    hi = np.array([box.max_corner for box in corridor.boxes])[:, None, :]
+    if not (np.all(points >= lo - _CONTAINMENT_TOL) and np.all(points <= hi + _CONTAINMENT_TOL)):
+        raise PlannerError(
+            "corridor does not contain the shifted trajectory; the previous "
+            "plan must have violated its corridor constraints"
         )
-        if not inside:
-            raise PlannerError(
-                "corridor does not contain the shifted trajectory; the previous "
-                "plan must have violated its corridor constraints"
-            )
     return corridor
 
 
@@ -80,12 +79,52 @@ class PairSeparation:
     l of segment m must satisfy
     (c_l - anchors[m, l]) . normals[m] - margins[m, l] >= 0, where anchors
     are the neighbor's shifted control points. The arrays are read-only
-    views into the arrays separate_pairs computed for every pair at once.
+    views into a PairTable's arrays.
     """
 
     normals: np.ndarray
     anchors: np.ndarray
     margins: np.ndarray
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Separating half-spaces of many pairs, as separate_pairs computes them.
+
+    Pair p joins the trajectories low[p] < high[p], indices into `ids`.
+    `points` (N, M, n+1, 3) holds every trajectory's control points, which
+    are its neighbours' anchors; `normals` (P, M, 3) are the low agent's,
+    the high agent's are their negation; `margins` (P, M, n+1) serve both.
+    All arrays are read-only.
+    """
+
+    ids: tuple
+    low: np.ndarray
+    high: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    margins: np.ndarray
+
+    def rows_for(self, agent_id) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half-spaces of one agent against each of its K neighbours in
+        the table, in table order: normals (K, M, 3), negated where the
+        agent is the high one, anchors (K, M, n+1, 3) and margins
+        (K, M, n+1), gathered by index (exact copies)."""
+        me = self.ids.index(agent_id)
+        pick = np.flatnonzero((self.low == me) | (self.high == me))
+        is_low = self.low[pick] == me
+        others = np.where(is_low, self.high[pick], self.low[pick])
+        sign = np.where(is_low, 1.0, -1.0)[:, None, None]
+        return self.normals[pick] * sign, self.points[others], self.margins[pick]
+
+    def pair(self, p) -> tuple[PairSeparation, PairSeparation]:
+        """Pair p as (constraints for low, for high)."""
+        mirrored = -self.normals[p]
+        mirrored.setflags(write=False)
+        return (
+            PairSeparation(self.normals[p], self.points[self.high[p]], self.margins[p]),
+            PairSeparation(mirrored, self.points[self.low[p]], self.margins[p]),
+        )
 
 
 def separate_pairs(
@@ -96,34 +135,47 @@ def separate_pairs(
     downwash: float,
     safety_buffer: float,
     ids,
-) -> list[tuple[PairSeparation, PairSeparation]]:
+) -> PairTable:
     """Separating half-spaces for many pairs, one normal per pair and segment.
 
     `trajectories` are the N agents' shifted plans, all of one shape, and
-    `ids` names them in errors. Pair p joins trajectories low[p] and high[p]
-    with collision radius radius_sums[p]. Per pair and segment: transform
-    the control-point differences low-high into the frame where the
-    collision model is a sphere, take the closest hull point to the origin
-    as the separating direction, map it back, and split the required
-    separation evenly between the two agents. All P*M hulls go through one
+    `ids` names them. Pair p joins trajectories low[p] < high[p] with
+    collision radius radius_sums[p]. Per pair and segment: transform the
+    control-point differences low-high into the frame where the collision
+    model is a sphere, take the closest hull point to the origin as the
+    separating direction, map it back, and split the required separation
+    evenly between the two agents. All P*M hulls go through one
     closest_points_to_origin call. Each hull's arithmetic does not depend on
     the batch it sits in, so a pair's result is bit-identical whether it is
     built alone or with the whole swarm.
 
-    Returns (constraints for low, for high) per pair. The two are exact
-    mirrors (negated normals, identical margins), computed once from the
-    shared data; swapping low and high yields bit-identical constraints
-    because every geometric step is deterministic and odd under negation.
+    The constraints of the two agents of a pair are exact mirrors (negated
+    normals, identical margins), computed once from the shared data;
+    swapping low and high yields bit-identical constraints because every
+    geometric step is deterministic and odd under negation.
 
     Raises SafetyDegeneracyError, naming ids[low[p]], ids[high[p]] and the
     segment, for the first pair whose hull clears the model by less than
     1e-9, i.e. whose feasibility premise is already violated.
     """
-    if len(low) == 0:
-        return []
     points = np.stack(
         [np.stack([seg.control_points for seg in traj.segments]) for traj in trajectories]
     )
+    seg_count, pts_per_seg = points.shape[1:3]
+    normals = np.zeros((0, 3))
+    margins = np.zeros((0, pts_per_seg))
+    if len(low):
+        normals, margins = _separations(points, low, high, radius_sums, downwash, ids)
+    normals = normals.reshape(len(low), seg_count, 3)
+    margins = (margins + safety_buffer).reshape(len(low), seg_count, pts_per_seg)
+    for arr in (points, normals, margins):
+        arr.setflags(write=False)
+    return PairTable(tuple(ids), low, high, points, normals, margins)
+
+
+def _separations(points, low, high, radius_sums, downwash, ids):
+    """separate_pairs' normals (P*M, 3) and margins (P*M, n+1) before the
+    safety buffer, for at least one pair."""
     pair_count, seg_count = len(low), points.shape[1]
     frame = EllipsoidModel(1.0, downwash)  # only the scaling E is used
     diffs = (points[low] - points[high]).reshape(pair_count * seg_count, -1, 3)
@@ -165,18 +217,7 @@ def separate_pairs(
     slack = np.min(0.5 * (projections - reach[:, None]), axis=1)
     check(slack, slack <= 0.0, "non-positive separation slack {:.3e}")
 
-    normals = normals.reshape(pair_count, seg_count, 3)
-    mirrored = -normals
-    margins = (margins + safety_buffer).reshape(pair_count, seg_count, -1)
-    for arr in (points, normals, mirrored, margins):
-        arr.setflags(write=False)
-    return [
-        (
-            PairSeparation(normals[p], points[high[p]], margins[p]),
-            PairSeparation(mirrored[p], points[low[p]], margins[p]),
-        )
-        for p in range(pair_count)
-    ]
+    return normals, margins
 
 
 def build_pair_separations(
@@ -194,7 +235,7 @@ def build_pair_separations(
         raise ValueError("trajectories must have the same segment count")
     if init_a.degree != init_b.degree:
         raise ValueError("trajectories must have the same degree")
-    (pair,) = separate_pairs(
+    table = separate_pairs(
         [init_a, init_b],
         np.array([0]),
         np.array([1]),
@@ -203,5 +244,5 @@ def build_pair_separations(
         safety_buffer,
         ids,
     )
-    return pair
+    return table.pair(0)
 

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmplan.bernstein import PiecewiseTrajectory, shift_for_initial
+# build_pair_separations is not called here: it is imported because
+# perfbench/tracing.py patches it under this module's name.
 from swarmplan.corridor import (
-    PairSeparation,
+    PairTable,
     SafeBoxCorridor,
     advance_corridor,
     build_pair_separations,
     separate_pairs,
 )
 from swarmplan.errors import PlannerError, QpInfeasibleError, StepAbortError
-from swarmplan.geometry import EllipsoidModel
 from swarmplan.goalplan import SwarmView, plan_current_goal, swarm_view_from_arrays
 from swarmplan.params import PlanningParams
 from swarmplan.qp import assemble, solve, trajectory_from_values
@@ -107,17 +108,23 @@ def shared_pair_separations(
     inits: dict[int, PiecewiseTrajectory],
     radii: dict[int, float],
     params: PlanningParams,
-) -> dict[tuple[int, int], tuple[PairSeparation, PairSeparation]]:
-    """Separating half-spaces for every unordered pair, computed once.
+    agent: int | None = None,
+) -> PairTable:
+    """Separating half-spaces for every unordered pair, or only for the
+    pairs of `agent`, through one batched separate_pairs call.
 
-    Keyed (low_id, high_id); values are (constraints for low, for high).
-    All pairs go through one batched separate_pairs call; each pair's result
-    is bit-identical to build_pair_separations on that pair alone.
+    The table's trajectories are the agents in ascending id order, and its
+    pairs run (low, high) in row-major upper-triangle order. Each pair's
+    result does not depend on the batch it is built in.
     """
     ids = sorted(inits)
     low, high = np.triu_indices(len(ids), k=1)
+    if agent is not None:
+        mine = ids.index(agent)
+        keep = (low == mine) | (high == mine)
+        low, high = low[keep], high[keep]
     radius = np.array([radii[i] for i in ids], dtype=float)
-    pairs = separate_pairs(
+    return separate_pairs(
         [inits[i] for i in ids],
         low,
         high,
@@ -126,7 +133,6 @@ def shared_pair_separations(
         params.safety_buffer,
         ids,
     )
-    return {(ids[a], ids[b]): pair for a, b, pair in zip(low, high, pairs)}
 
 
 def goal_view(
@@ -153,7 +159,7 @@ def plan_step(
     state: PlannerState,
     snapshots: list[AgentSnapshot],
     grid: OccupancyGrid,
-    pair_separations=None,
+    pair_separations: PairTable | None = None,
     inits: dict[int, PiecewiseTrajectory] | None = None,
     view: SwarmView | None = None,
 ) -> PlanStepResult:
@@ -161,9 +167,11 @@ def plan_step(
 
     `pair_separations`, `inits` and `view` let a simulator driving many
     agents do the swarm-wide work once per step: the shifted plans, the
-    per-pair separating half-spaces and the goal-planning view with its
-    priority relation (`goal_view`). Each defaults to local recomputation
-    through the same functions, which is bit-identical. Raises
+    table of per-pair separating half-spaces (`shared_pair_separations`),
+    from which the agent gathers its own rows, and the goal-planning view
+    with its priority relation (`goal_view`). Each defaults to local
+    recomputation through the same functions, only for this agent's pairs
+    in the case of the table, which is bit-identical. Raises
     StepAbortError when a sub-step detects broken assumptions (colliding
     start, occupied seed, unreachable goal); solver failures are absorbed
     by falling back to the shifted previous plan.
@@ -185,21 +193,10 @@ def plan_step(
         if abs(my_init.start_time - now) > _SYNC_TOL:
             raise PlannerError("snapshots are not synchronized to this step")
 
-        mine = []
-        for other in sorted(by_id):
-            if other == me:
-                continue
-            low, high = min(me, other), max(me, other)
-            if pair_separations is not None and (low, high) in pair_separations:
-                pair = pair_separations[(low, high)]
-            else:
-                model = EllipsoidModel(
-                    state.radius + by_id[other].radius, params.downwash
-                )
-                pair = build_pair_separations(
-                    inits[low], inits[high], model, params.safety_buffer, (low, high)
-                )
-            mine.append(pair[0] if me == low else pair[1])
+        if pair_separations is None:
+            radii = {i: snap.radius for i, snap in by_id.items()}
+            pair_separations = shared_pair_separations(inits, radii, params, me)
+        normals, anchors, margins = pair_separations.rows_for(me)
 
         if view is None:
             view = goal_view(snapshots, inits, params)
@@ -213,7 +210,9 @@ def plan_step(
     except PlannerError as exc:
         raise StepAbortError(f"agent {me}: {exc}", agent_id=me) from exc
 
-    problem, candidate = assemble(my_init, goal, corridor, mine, params)
+    problem, candidate = assemble(
+        my_init, goal, corridor, normals, anchors, margins, params
+    )
     report = problem.check(candidate)
     diagnostics = StepDiagnostics(goal=goal, candidate_violation=report.max_violation())
     if diagnostics.candidate_violation > CANDIDATE_TOL:

@@ -150,17 +150,19 @@ def reduce_equalities(quadratic, eq_matrix, static_blocks=()) -> EqualityReducti
 
 @dataclass
 class QpProblem:
-    """Dense convex QP: minimize 0.5 x'Px + q'x + c0 subject to
-    eq_matrix x = eq_rhs and ineq_matrix x <= ineq_rhs.
+    """Convex QP: minimize 0.5 x'Px + q'x + c0 subject to eq_matrix x =
+    eq_rhs and the inequality rows `ineq_rhs` bounds, in two groups.
 
-    The trailing `len(separation_coefficients)` rows of ineq_matrix are
-    separation rows, in groups of one row per control point (three
-    consecutive columns each): row s holds `separation_coefficients[s]` on
-    the columns of point s mod (dimension / 3) and zeros elsewhere; solve
-    sets them up from the coefficients and reads ineq_matrix only to check
-    its result. Every other row is static. `reduction`, when given, must
-    have been built from this problem's quadratic and eq_matrix with exactly
-    the static rows; without one, solve builds a generic reduction.
+    The leading rows are dense: `ineq_matrix` holds them, and for planner
+    problems it is the parameter set's read-only static block (dynamic
+    limits, then safe-box faces) that every step shares. The trailing
+    `len(separation_coefficients)` rows are separation rows, stored only as
+    their 3-vector coefficients, in groups of one row per control point:
+    row s reads `separation_coefficients[s] . x[3p : 3p + 3]` with
+    p = s mod (dimension / 3). `check` evaluates both groups from this
+    structure. `reduction`, when given, must have been built from this
+    problem's quadratic and eq_matrix with ineq_matrix as its static rows;
+    without one, solve builds a generic reduction.
     """
 
     quadratic: np.ndarray
@@ -181,6 +183,20 @@ class QpProblem:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.quadratic @ x + self.linear @ x + self.constant)
 
+    def inequality_residuals(self, x) -> np.ndarray:
+        """Every inequality row's left side minus its bound at x: the dense
+        rows by one product, each separation row as its coefficient dotted
+        with its control point."""
+        lhs = np.empty(len(self.ineq_rhs))
+        n_dense = len(self.ineq_matrix)
+        lhs[:n_dense] = self.ineq_matrix @ x
+        coefficients = self.separation_coefficients
+        if len(coefficients):
+            points = x.reshape(-1, 3)
+            per_point = coefficients.reshape(-1, len(points), 3)
+            lhs[n_dense:] = np.einsum("spd,pd->sp", per_point, points).reshape(-1)
+        return lhs - self.ineq_rhs
+
     def check(self, x) -> ResidualReport:
         """Recompute residuals of every row at x (never trusts the solver)."""
         x = np.asarray(x, dtype=float)
@@ -189,7 +205,7 @@ class QpProblem:
         eq = 0.0
         if len(self.eq_rhs):
             eq = float(np.max(np.abs(self.eq_matrix @ x - self.eq_rhs)))
-        viol = self.ineq_matrix @ x - self.ineq_rhs if len(self.ineq_rhs) else np.zeros(0)
+        viol = self.inequality_residuals(x)
         max_ineq = float(np.max(viol)) if viol.size else 0.0
         return ResidualReport(eq, max_ineq)
 
@@ -314,26 +330,13 @@ class ParamMatrices:
                     box_rows.append(-row)
         self.box_matrix = np.vstack(box_rows)
 
-        # Equality elimination for the solver, shared across steps; the
-        # dynamic and box rows lead every step's inequality matrix.
+        # The static inequality rows every step shares, read-only, and the
+        # equality elimination for the solver built with them.
+        self.ineq_matrix = np.vstack([self.dyn_matrix, self.box_matrix])
+        self.ineq_matrix.setflags(write=False)
         self.reduction = reduce_equalities(
             self.quadratic, self.eq_matrix, (self.dyn_matrix, self.box_matrix)
         )
-
-        # Column triples of each (segment, point) block, for fast separation
-        # row fills, plus cached full inequality templates per neighbor count.
-        self.sep_cols = np.arange(self.dim).reshape(-1, 3)
-        self._ineq_templates: dict[int, np.ndarray] = {}
-
-    def ineq_template(self, separation_rows: int) -> np.ndarray:
-        """Full inequality matrix with zeroed separation rows (copy per use)."""
-        cached = self._ineq_templates.get(separation_rows)
-        if cached is None:
-            separation = np.zeros((separation_rows, self.dim))
-            cached = np.vstack([self.dyn_matrix, self.box_matrix, separation])
-            cached.setflags(write=False)
-            self._ineq_templates[separation_rows] = cached
-        return cached.copy()
 
 
 _MATRIX_CACHE: dict = {}
@@ -351,15 +354,20 @@ def assemble(
     init_traj: PiecewiseTrajectory,
     goal,
     corridor,
-    separations,
+    normals,
+    anchors,
+    margins,
     params,
 ) -> tuple[QpProblem, np.ndarray]:
     """Build the step QP around the shifted trajectory.
 
-    Returns the problem and the candidate decision vector (the stacked
-    control points of init_traj). The initial-state rows take their
-    right-hand side from the candidate itself, which is exactly the desired
-    state carried over from the previous plan.
+    normals (K, M, 3), anchors (K, M, n+1, 3) and margins (K, M, n+1) hold
+    the separating half-spaces against K neighbours (see PairSeparation):
+    point l of segment m must keep (c - anchors[k, m, l]) . normals[k, m]
+    >= margins[k, m, l]. Returns the problem and the candidate decision
+    vector (the stacked control points of init_traj). The initial-state
+    rows take their right-hand side from the candidate itself, which is
+    exactly the desired state carried over from the previous plan.
     """
     if init_traj.degree != params.degree or init_traj.segment_count != params.segment_count:
         raise ValueError("trajectory shape does not match parameters")
@@ -369,6 +377,8 @@ def assemble(
     n = params.degree
     m_count = params.segment_count
     pts_per_seg = n + 1
+    if anchors.shape[1:] != (m_count, pts_per_seg, 3):
+        raise ValueError("separation constraint length does not match parameters")
 
     candidate = init_traj.control_point_stack().reshape(-1)
     goal = np.asarray(goal, dtype=float).reshape(3)
@@ -384,36 +394,17 @@ def assemble(
     eq_rhs[mats.initial_rows] = mats.eq_matrix[mats.initial_rows] @ candidate
 
     # Box rows per (m, l, axis) are interleaved (upper, lower).
-    his = np.array([box.hi for box in corridor.boxes])  # (M, 3)
-    los = np.array([box.lo for box in corridor.boxes])
-    box_pairs = np.empty((m_count, pts_per_seg, 3, 2))
-    box_pairs[..., 0] = his[:, None, :]
-    box_pairs[..., 1] = -los[:, None, :]
-    box_rhs = box_pairs.reshape(-1)
-
     n_dyn = len(mats.dyn_rhs)
-    n_box = len(box_rhs)
-    rows_per_pair = m_count * pts_per_seg
-    n_sep = len(separations) * rows_per_pair
-    ineq = mats.ineq_template(n_sep)
-    ineq_rhs = np.empty(n_dyn + n_box + n_sep)
+    n_static = len(mats.ineq_matrix)
+    ineq_rhs = np.empty(n_static + len(anchors) * m_count * pts_per_seg)
     ineq_rhs[:n_dyn] = mats.dyn_rhs
-    ineq_rhs[n_dyn : n_dyn + n_box] = box_rhs
-    coefficients = np.zeros((0, 3))
-    if separations:
-        normals = np.stack([pair.normals for pair in separations])  # (K, M, 3)
-        anchors = np.stack([pair.anchors for pair in separations])  # (K, M, n+1, 3)
-        margins = np.stack([pair.margins for pair in separations])  # (K, M, n+1)
-        if anchors.shape[1:] != (m_count, pts_per_seg, 3):
-            raise ValueError("separation constraint length does not match parameters")
-        # A batched matrix-vector product per segment: bit-identical to
-        # anchors[k, m] @ normals[k, m], which einsum is not.
-        offsets = (anchors @ normals[..., None])[..., 0] + margins
-        rows = n_dyn + n_box + np.arange(n_sep)
-        cols = np.tile(mats.sep_cols, (len(separations), 1))
-        coefficients = -np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0)
-        ineq[rows[:, None], cols] = coefficients
-        ineq_rhs[rows] = -offsets.reshape(-1)
+    box_pairs = ineq_rhs[n_dyn:n_static].reshape(m_count, pts_per_seg, 3, 2)
+    box_pairs[..., 0] = np.array([box.max_corner for box in corridor.boxes])[:, None, :]
+    box_pairs[..., 1] = -np.array([box.min_corner for box in corridor.boxes])[:, None, :]
+    # A batched matrix-vector product per segment: bit-identical to
+    # anchors[k, m] @ normals[k, m], which einsum is not.
+    offsets = (anchors @ normals[..., None])[..., 0] + margins
+    ineq_rhs[n_static:] = -offsets.reshape(-1)
 
     problem = QpProblem(
         quadratic=mats.quadratic,
@@ -421,10 +412,10 @@ def assemble(
         constant=constant,
         eq_matrix=mats.eq_matrix,
         eq_rhs=eq_rhs,
-        ineq_matrix=ineq,
+        ineq_matrix=mats.ineq_matrix,
         ineq_rhs=ineq_rhs,
         reduction=mats.reduction,
-        separation_coefficients=coefficients,
+        separation_coefficients=-np.repeat(normals.reshape(-1, 3), pts_per_seg, axis=0),
     )
     return problem, candidate
 
@@ -469,8 +460,9 @@ def solve(
     if max_iterations <= 0:
         raise QpInfeasibleError("iteration budget exhausted before solving", 0)
 
-    static = problem.ineq_matrix[: mi - len(problem.separation_coefficients)]
-    red = problem.reduction or reduce_equalities(problem.quadratic, problem.eq_matrix, (static,))
+    red = problem.reduction or reduce_equalities(
+        problem.quadratic, problem.eq_matrix, (problem.ineq_matrix,)
+    )
     null = red.nullspace
     x_part = red.pinv @ problem.eq_rhs
     eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs), initial=0.0))
@@ -525,8 +517,7 @@ def _reduced_rows(problem, red, x_part):
     a = np.empty((len(problem.ineq_rhs), k))
     a[:n_static] = red.static_rows
     d = np.empty(len(problem.ineq_rhs))
-    static = problem.ineq_matrix[:n_static]
-    d[:n_static] = (problem.ineq_rhs[:n_static] - static @ x_part) / red.static_norms
+    d[:n_static] = (problem.ineq_rhs[:n_static] - problem.ineq_matrix @ x_part) / red.static_norms
     if len(coefficients):
         blocks = red.basis.reshape(-1, 3, k)
         count = len(coefficients) // len(blocks)  # pairs; views below are point-major

@@ -158,6 +158,12 @@ def _load_logs(log_dir: Path):
         cpts[k] = block
         k += 1
     del lines
+    # sim.run starts step k at k * segment_time exactly; the continuity check
+    # relies on that to pick the earlier plan's segment by step count.
+    off_grid = np.flatnonzero(t0 != np.arange(n_steps) * params.segment_time)
+    if len(off_grid):
+        k = int(off_grid[0])
+        raise LogFormatError(f"step {k} starts at t0 {t0[k]!r}, off the replanning grid")
 
     tables = load_states(states_path)
     rows = n_steps * round(params.segment_time * _TICKS_PER_SECOND) + 1
@@ -207,16 +213,19 @@ def verify(log_dir) -> VerificationReport:
             )
 
     # Acceleration-level continuity between consecutive plans: the earlier
-    # plan at the later plan's start time against the later plan at tau 0.
-    elapsed = t0[1:] - t0[:-1]
-    segment = np.minimum(np.maximum(np.floor(elapsed / dt), 0.0), params.segment_count - 1)
-    tau = np.minimum(np.maximum((elapsed - segment * dt) / dt, 0.0), 1.0)
-    before = cpts[np.arange(len(elapsed)), :, segment.astype(int)]
+    # plan at the later plan's start time, one segment on, against the later
+    # plan at tau 0. The segment is indexed by the step difference, not by
+    # floor of the float difference of start times, which falls just short
+    # of one segment on many steps: segment 1 at tau 0, or segment 0 at
+    # tau 1 in a one-segment plan.
+    segment = min(1, params.segment_count - 1)
+    tau = 1.0 - segment
+    before = cpts[:-1, :, segment]
     after = cpts[1:, :, 0]
     names = ("position", "velocity", "acceleration")
     jumps = []
     for _ in names:
-        gap = _de_casteljau(before, tau[:, None, None, None]) - _de_casteljau(after, 0.0)
+        gap = _de_casteljau(before, tau) - _de_casteljau(after, 0.0)
         jumps.append(np.sqrt(np.vecdot(gap, gap)))
         before, after = _derivative_points(before, dt), _derivative_points(after, dt)
     jumps = np.stack(jumps, axis=-1)  # (step pairs, agents, 3)

@@ -243,10 +243,15 @@ class OccupancyGrid:
             raise ValueError("inflation must be non-negative")
         lo = [v - inflation for v in box.min_corner]
         hi = [v + inflation for v in box.max_corner]
-        for a in range(3):
-            if lo[a] < self.bounds_min[a] - _EPS_BOUNDS or hi[a] > self.bounds_max[a] + _EPS_BOUNDS:
+        return self._in_bounds(lo, hi) and self._cells_occupied(*self._cube_cells(lo, hi)) == 0
+
+    def _in_bounds(self, lo, hi) -> bool:
+        """points_free's bounds test of the inflated box [lo, hi], on Python
+        floats; a NaN corner fails it."""
+        for v0, v1, m0, m1 in zip(lo, hi, self.bounds_min.tolist(), self.bounds_max.tolist()):
+            if not (v0 >= m0 - _EPS_BOUNDS and v1 <= m1 + _EPS_BOUNDS):
                 return False
-        return self._cells_occupied(*self._cube_cells(lo, hi)) == 0
+        return True
 
     def points_free(self, points, inflation: float) -> np.ndarray:
         """Vectorized box_is_free for point queries (inflated cubes)."""
@@ -287,12 +292,20 @@ class OccupancyGrid:
         if inflation < 0:
             raise ValueError("inflation must be non-negative")
         seed = np.asarray(seed, dtype=float).reshape(3)
-        if not self.point_is_free(seed, inflation):
+        # The seed test of point_is_free on box_is_free's scalar path. On a
+        # map without obstacles (the summed-area table's last entry counts
+        # every occupied cell) the bounds decide it.
+        seed_lo = [v - inflation for v in seed.tolist()]
+        seed_hi = [v + inflation for v in seed.tolist()]
+        free = self._in_bounds(seed_lo, seed_hi)
+        if free:
+            # The cells [lo, hi) of the seed cube; 0 <= lo <= hi <= dims.
+            lo, hi = self._cube_cells(seed_lo, seed_hi)
+            free = self._prefix.item(-1, -1, -1) == 0 or self._cells_occupied(lo, hi) == 0
+        if not free:
             raise InfeasibleSeedError(
                 f"seed {seed.tolist()} is not free under inflation {inflation}"
             )
-        # The cells [lo, hi) of the free seed cube; 0 <= lo <= hi <= dims.
-        lo, hi = self._cube_cells((seed - inflation).tolist(), (seed + inflation).tolist())
 
         order = list(range(6))  # +x, -x, +y, -y, +z, -z
         if toward is not None:
@@ -328,9 +341,14 @@ class OccupancyGrid:
                 else:
                     lo[axis] = new
 
-        region_lo = self.bounds_min + np.array(lo) * self.resolution
-        region_hi = self.bounds_min + np.array(hi) * self.resolution
-        return AxisBox(tuple(region_lo + inflation), tuple(region_hi - inflation))
+        # The region's corners, eroded by the inflation, in Python floats:
+        # the same expressions as bounds_min + index * resolution on arrays.
+        res = self.resolution
+        base = self.bounds_min.tolist()
+        return AxisBox(
+            tuple(m + i * res + inflation for m, i in zip(base, lo)),
+            tuple(m + i * res - inflation for m, i in zip(base, hi)),
+        )
 
     # -- grid search ---------------------------------------------------------
     # The search works on arrays padded by one cell per face: blocked on

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +13,34 @@ import numpy as np
 from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, derivative
 from swarmplan.geometry import closest_points_to_origin
 from swarmplan.goalplan import SwarmView, swarm_view_from_arrays
+
+
+def run_in_workers(fn, jobs) -> list:
+    """[fn(*job) for job in jobs], in job order, from a spawn-context process
+    pool with at most one worker per usable CPU. Workers start with
+    OPENBLAS_NUM_THREADS=1, so their numpy loads with one BLAS thread."""
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
+def timed_run(kind, agents, seed, timeout, out_dir):
+    """sim.run of one generated scenario: (RunMetrics, its wall time in s)."""
+    from swarmplan.scenarios import generate_scenario
+    from swarmplan.sim import run
+
+    start = time.perf_counter()
+    metrics = run(generate_scenario(kind, agents, seed=seed, timeout=timeout), out_dir)
+    return metrics, time.perf_counter() - start
 
 
 def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
@@ -87,6 +119,17 @@ def pair_segments(pair) -> tuple[SegmentSeparation, ...]:
     return tuple(
         SegmentSeparation(normal, anchors, margins)
         for normal, anchors, margins in zip(pair.normals, pair.anchors, pair.margins)
+    )
+
+
+def neighbour_rows(separations, segment_count=5, degree=5):
+    """`assemble`'s neighbour arrays (normals, anchors, margins) from a list
+    of PairSeparation, one row per neighbour; empty arrays for no list."""
+    m, pts = segment_count, degree + 1
+    return (
+        np.array([pair.normals for pair in separations]).reshape(-1, m, 3),
+        np.array([pair.anchors for pair in separations]).reshape(-1, m, pts, 3),
+        np.array([pair.margins for pair in separations]).reshape(-1, m, pts),
     )
 
 

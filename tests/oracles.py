@@ -375,20 +375,41 @@ def block_discs_by_loop(grid, blocked, agent_obstacles, inflation: float, downwa
 # -- QP set-up referee ----------------------------------------------------------
 
 
+def dense_inequalities(problem):
+    """The full inequality matrix of a QpProblem: its dense rows, then every
+    separation row written out, with its coefficient on the three columns
+    of its control point and zeros elsewhere."""
+    coefficients = problem.separation_coefficients
+    count = len(coefficients)
+    separation = np.zeros((count, problem.dimension))
+    for s in range(count):
+        point = s % (problem.dimension // 3)
+        separation[s, 3 * point : 3 * point + 3] = coefficients[s]
+    return np.vstack([problem.ineq_matrix, separation])
+
+
+def dense_residuals(problem, x):
+    """Every inequality residual at x by one dense product: the referee of
+    QpProblem.check's structured evaluation."""
+    return dense_inequalities(problem) @ np.asarray(x, dtype=float) - problem.ineq_rhs
+
+
 def dense_reduced_rows(problem, red, x_part, static_blocks=()):
     """Reduced, normalised inequalities (c_red, d_red) by dense products:
     each static block times the nullspace on its own, then every remaining
-    row by one `ineq_matrix @ nullspace`, all rows divided by their norms.
-    `static_blocks` are the blocks `red` was built from."""
+    row of the full matrix by one product with the nullspace, all rows
+    divided by their norms. `static_blocks` are the blocks `red` was built
+    from."""
     null = red.nullspace
+    full = dense_inequalities(problem)
     n_static = sum(len(block) for block in static_blocks)
     c_red = np.vstack(
         [np.zeros((0, null.shape[1]))]
         + [block @ null for block in static_blocks]
-        + [problem.ineq_matrix[n_static:] @ null]
+        + [full[n_static:] @ null]
     )
-    d_red = problem.ineq_rhs - problem.ineq_matrix @ x_part
-    row_norms = np.linalg.norm(problem.ineq_matrix, axis=1)
+    d_red = problem.ineq_rhs - full @ x_part
+    row_norms = np.linalg.norm(full, axis=1)
     return c_red / row_norms[:, None], d_red / row_norms
 
 
@@ -396,7 +417,7 @@ def dense_separation_rows(problem, red, norms):
     """Separation rows in the reduction's Cholesky coordinates by one dense
     product: every full separation row divided by its norm, times the
     reduction's basis."""
-    separation = problem.ineq_matrix[len(red.static_norms):]
+    separation = dense_inequalities(problem)[len(red.static_norms):]
     return (separation / norms[:, None]) @ red.basis
 
 
@@ -587,11 +608,12 @@ def _loop_derivative_points(points: np.ndarray, duration: float) -> np.ndarray:
     return n * (points[1:] - points[:-1]) / duration
 
 
-def _loop_plan_state(cpts: np.ndarray, t0: float, dt: float, t: float):
-    """Position, velocity, acceleration of a dumped plan at absolute time t."""
-    m = min(max(int(np.floor((t - t0) / dt)), 0), len(cpts) - 1)
-    tau = (t - t0 - m * dt) / dt
-    tau = min(max(tau, 0.0), 1.0)
+def _loop_plan_state(cpts: np.ndarray, dt: float, steps: int):
+    """Position, velocity, acceleration of a dumped plan `steps` replanning
+    periods after its start: segment `steps` at tau 0, or the end of the
+    last segment when the plan is shorter."""
+    m = min(steps, len(cpts) - 1)
+    tau = min(float(steps - m), 1.0)
     seg = cpts[m]
     vel = _loop_derivative_points(seg, dt)
     acc = _loop_derivative_points(vel, dt)
@@ -635,6 +657,8 @@ def _loop_load_logs(log_dir: Path):
     for k, t0, cpts in steps:
         if not math.isfinite(t0):
             raise LogFormatError(f"step {k} starts at {t0}")
+        if t0 != k * scenario.params.segment_time:
+            raise LogFormatError(f"step {k} starts at {t0}, off the replanning grid")
         if sorted(cpts) != list(range(n_agents)):
             raise LogFormatError(f"step {k} does not cover every agent")
         for arr in cpts.values():
@@ -709,8 +733,8 @@ def verify_by_loops(log_dir) -> VerificationReport:
     cont = {"position": 0.0, "velocity": 0.0, "acceleration": 0.0}
     for (k0, t0_a, cpts_a), (k1, t0_b, cpts_b) in zip(steps, steps[1:]):
         for i in range(n_agents):
-            sa = _loop_plan_state(cpts_a[i], t0_a, dt, t0_b)
-            sb = _loop_plan_state(cpts_b[i], t0_b, dt, t0_b)
+            sa = _loop_plan_state(cpts_a[i], dt, k1 - k0)
+            sb = _loop_plan_state(cpts_b[i], dt, 0)
             for name, va, vb in zip(cont, sa, sb):
                 err = float(np.linalg.norm(va - vb))
                 cont[name] = max(cont[name], err)

@@ -5,8 +5,6 @@ criterion. The run batches (30 empty-box, 10 forest, 5 indoor) execute once
 per session and every criterion reads from that shared evidence.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -15,10 +13,8 @@ from swarmplan.corridor import build_pair_separations
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.qp import QpProblem, jerk_gram_matrix, solve
-from swarmplan.scenarios import generate_scenario
-from swarmplan.sim import run
 
-from helpers import closest_point_to_origin, pair_segments
+from helpers import closest_point_to_origin, pair_segments, run_in_workers, timed_run
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
 
 EMPTY_RUNS = 30
@@ -32,32 +28,31 @@ def _report(name, ok, detail):
 
 @pytest.fixture(scope="session")
 def batches(tmp_path_factory):
-    """RunMetrics of every run; `sim.run` verifies each run's logs and copies
-    the verifier's report into them."""
+    """RunMetrics of every run, in seed order; `sim.run` verifies each run's
+    logs and copies the verifier's report into them. The runs are
+    independent and deterministic, so they go to a process pool; the empty
+    batch's wall time is the sum of its runs' own."""
     root = tmp_path_factory.mktemp("acceptance")
-    out = {}
-    start = time.perf_counter()
-    empty = []
-    for seed in range(1, EMPTY_RUNS + 1):
-        scenario = generate_scenario("empty", 10, seed=seed, timeout=40.0)
-        out_dir = root / f"empty_{seed:02d}"
-        empty.append(run(scenario, out_dir))
-    out["empty"] = empty
-    out["empty_wall_time"] = time.perf_counter() - start
-
-    forest = []
-    for seed in range(1, FOREST_RUNS + 1):
-        scenario = generate_scenario("forest", 8, seed=seed, timeout=60.0)
-        out_dir = root / f"forest_{seed:02d}"
-        forest.append(run(scenario, out_dir))
-    out["forest"] = forest
-
-    indoor = []
-    for seed in range(1, INDOOR_RUNS + 1):
-        scenario = generate_scenario("indoor", 8, seed=seed, timeout=60.0)
-        out_dir = root / f"indoor_{seed:02d}"
-        indoor.append(run(scenario, out_dir))
-    out["indoor"] = indoor
+    # The longer obstacle missions go first, so the short empty runs fill
+    # the workers' last gaps.
+    batch_specs = {
+        "forest": (FOREST_RUNS, 8, 60.0),
+        "indoor": (INDOOR_RUNS, 8, 60.0),
+        "empty": (EMPTY_RUNS, 10, 40.0),
+    }
+    jobs = [
+        (kind, agents, seed, timeout, root / f"{kind}_{seed:02d}")
+        for kind, (runs, agents, timeout) in batch_specs.items()
+        for seed in range(1, runs + 1)
+    ]
+    results = run_in_workers(timed_run, jobs)
+    out = {
+        kind: [metrics for job, (metrics, _) in zip(jobs, results) if job[0] == kind]
+        for kind in batch_specs
+    }
+    out["empty_wall_time"] = sum(
+        elapsed for job, (_, elapsed) in zip(jobs, results) if job[0] == "empty"
+    )
     return out
 
 

@@ -14,11 +14,11 @@ from swarmplan.corridor import (
     advance_corridor,
     build_pair_separations,
 )
-from swarmplan.errors import SafetyDegeneracyError
+from swarmplan.errors import PlannerError, SafetyDegeneracyError
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.planner import shared_pair_separations
-from swarmplan.world import OccupancyGrid
+from swarmplan.world import AxisBox, OccupancyGrid
 
 from helpers import pair_segments, random_trajectory, separation_residuals
 
@@ -87,6 +87,31 @@ class TestAdvanceCorridor:
             for seg_box, seg in zip(corridor.boxes, traj.segments):
                 assert np.all(seg.control_points >= seg_box.lo - 1e-9)
                 assert np.all(seg.control_points <= seg_box.hi + 1e-9)
+
+
+    @pytest.mark.parametrize("segment", range(4))
+    def test_point_outside_its_inherited_box_is_refused(self, segment):
+        # One control point of one segment 2e-9 past a face of that
+        # segment's inherited box: the containment tolerance is 1e-9.
+        grid = empty_grid()
+        traj = hover_trajectory((1.5, 1.5, 1.0))
+        tight = AxisBox((1.0, 1.0, 0.5), (2.0, 2.0, 1.5))
+        prev = SafeBoxCorridor((tight,) * 5)
+        points = [seg.control_points.copy() for seg in traj.segments]
+        inside = advance_corridor(prev, traj, grid, 0.15)
+        assert inside.boxes[:-1] == prev.boxes[1:]
+        # The inherited boxes serve segments 0..3; segment 4 gets a fresh box.
+        points[segment][2, 1] = tight.max_corner[1] + 2e-9
+        moved = PiecewiseTrajectory(
+            [BernsteinSegment(p, traj.segment_time) for p in points], traj.start_time
+        )
+        with pytest.raises(PlannerError, match="does not contain"):
+            advance_corridor(prev, moved, grid, 0.15)
+        points[segment][2, 1] = tight.max_corner[1] + 0.5e-9
+        within = PiecewiseTrajectory(
+            [BernsteinSegment(p, traj.segment_time) for p in points], traj.start_time
+        )
+        advance_corridor(prev, within, grid, 0.15)
 
 
 class TestPairSeparations:
@@ -280,8 +305,10 @@ class TestBatchedSeparations:
         inits = random_swarm(rng, ids)
         radii = {i: float(rng.uniform(0.08, 0.3)) for i in ids}
         shared = shared_pair_separations(inits, radii, params)
-        assert list(shared) == list(itertools.combinations(ids, 2))
-        for (a, b), (for_a, for_b) in shared.items():
+        pairs = [(ids[a], ids[b]) for a, b in zip(shared.low, shared.high)]
+        assert pairs == list(itertools.combinations(ids, 2))
+        for p, (a, b) in enumerate(pairs):
+            for_a, for_b = shared.pair(p)
             model = EllipsoidModel(radii[a] + radii[b], params.downwash)
             ref_a, ref_b = build_pair_separations(
                 inits[a], inits[b], model, params.safety_buffer
@@ -294,6 +321,19 @@ class TestBatchedSeparations:
             assert np.array_equal(for_b.anchors, inits[a].control_point_stack().reshape(shape))
             assert np.array_equal(for_b.normals, -for_a.normals)
             assert np.array_equal(for_b.margins, for_a.margins)
+        # Each agent's gathered rows are its side of its pairs, in neighbour
+        # order, and a table of that agent's pairs alone gathers the same.
+        for me in ids:
+            mine = [
+                shared.pair(p)[0 if a == me else 1] for p, (a, b) in enumerate(pairs) if me in (a, b)
+            ]
+            gathered = shared.rows_for(me)
+            local = shared_pair_separations(inits, radii, params, agent=me)
+            assert len(local.low) == len(mine) == len(ids) - 1
+            for index, name in enumerate(("normals", "anchors", "margins")):
+                expected = np.array([getattr(pair, name) for pair in mine])
+                assert np.array_equal(gathered[index], expected.reshape(gathered[index].shape))
+                assert np.array_equal(local.rows_for(me)[index], gathered[index])
 
     def test_segments_view_rows(self):
         rng = np.random.default_rng(63)

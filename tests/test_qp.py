@@ -20,8 +20,14 @@ from swarmplan.qp import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import pair_segments, random_trajectory, state_at
-from oracles import dense_reduced_rows, gauss_legendre_integral, solve_by_kkt
+from helpers import neighbour_rows, pair_segments, random_trajectory, state_at
+from oracles import (
+    dense_inequalities,
+    dense_reduced_rows,
+    dense_residuals,
+    gauss_legendre_integral,
+    solve_by_kkt,
+)
 
 
 PARAMS = PlanningParams()
@@ -128,12 +134,29 @@ class TestAssemble:
         assert mats.box_matrix.shape[0] == 180
         assert mats.reduction.nullspace.shape == (90, 30)
         assert mats.reduction.static_rows.shape == (450, 30)
+        assert np.array_equal(mats.ineq_matrix, np.vstack([mats.dyn_matrix, mats.box_matrix]))
+        assert not mats.ineq_matrix.flags.writeable
+
+    def test_static_rows_shared_not_copied(self):
+        # Every step's problem reads the parameter set's one static block;
+        # only the bounds and the separation coefficients are per step.
+        grid = empty_grid()
+        a = hover((1.0, 1.5, 1.0))
+        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), EllipsoidModel(0.3, 2.0))[0]
+        corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
+        for separations in ([], [pair], [pair, pair]):
+            problem, _ = assemble(
+                a, (2.5, 1.5, 1.0), corridor, *neighbour_rows(separations), PARAMS
+            )
+            assert problem.ineq_matrix is param_matrices(PARAMS).ineq_matrix
+            assert len(problem.ineq_rhs) == 450 + 30 * len(separations)
+            assert problem.separation_coefficients.shape == (30 * len(separations), 3)
 
     def test_candidate_satisfies_own_problem(self):
         grid = empty_grid()
         traj = hover((1.5, 1.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.5), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.5), corridor, *neighbour_rows([]), PARAMS)
         report = problem.check(candidate)
         assert report.max_equality_residual <= 1e-12
         assert report.max_inequality_violation <= 1e-12
@@ -143,7 +166,7 @@ class TestAssemble:
         goal = np.array([1.5, 1.5, 1.0])
         traj = hover(goal)
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, goal, corridor, [], PARAMS)
+        problem, candidate = assemble(traj, goal, corridor, *neighbour_rows([]), PARAMS)
         p = problem.quadratic
         scale = np.max(np.abs(p))
         assert np.max(np.abs(p - p.T)) <= 1e-12 * scale
@@ -159,7 +182,7 @@ class TestAssemble:
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         goal = np.array([2.5, 2.5, 1.0])
-        problem, candidate = assemble(traj, goal, corridor, [], PARAMS)
+        problem, candidate = assemble(traj, goal, corridor, *neighbour_rows([]), PARAMS)
         solution = solve(problem, warm_start=candidate)
         assert solution.objective < problem.objective(candidate)
         out = trajectory_from_values(solution.values, PARAMS, 0.0)
@@ -174,15 +197,16 @@ class TestAssemble:
         b = hover((2.0, 1.5, 1.0))
         for_a, _ = build_pair_separations(a, b, model)
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, [for_a], PARAMS)
+        problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, *neighbour_rows([for_a]), PARAMS)
         n_static = param_matrices(PARAMS).reduction.static_rows.shape[0]
         assert len(problem.ineq_rhs) - n_static == 30
         report = problem.check(candidate)
         assert report.max_inequality_violation <= 0.0
 
     def test_separation_rows_match_per_segment_expression(self):
-        # The batched fill must write exactly the rows and right-hand side
-        # of -(c_l . normal) <= -(anchors[l] . normal + margins[l]).
+        # The batched set-up must give exactly the rows and right-hand side
+        # of -(c_l . normal) <= -(anchors[l] . normal + margins[l]), with
+        # the rows written out by the dense referee.
         rng = np.random.default_rng(54)
         grid = empty_grid()
         mine = random_trajectory(rng, scale=0.05)
@@ -200,7 +224,7 @@ class TestAssemble:
             model = EllipsoidModel(float(rng.uniform(0.2, 0.5)), 2.0)
             separations.append(build_pair_separations(mine, other, model, 1e-6)[0])
         corridor = advance_corridor(None, mine, grid, PARAMS.agent_radius)
-        problem, _ = assemble(mine, (2.0, 1.0, 1.0), corridor, separations, PARAMS)
+        problem, _ = assemble(mine, (2.0, 1.0, 1.0), corridor, *neighbour_rows(separations), PARAMS)
         mats = param_matrices(PARAMS)
         rows = []
         rhs = []
@@ -209,11 +233,12 @@ class TestAssemble:
                 offsets = seg.anchors @ seg.normal + seg.margins
                 for l, offset in enumerate(offsets):
                     row = np.zeros(mats.dim)
-                    row[mats.sep_cols[seg_index * (PARAMS.degree + 1) + l]] = -seg.normal
+                    point = seg_index * (PARAMS.degree + 1) + l
+                    row[3 * point : 3 * point + 3] = -seg.normal
                     rows.append(row)
                     rhs.append(-offset)
         n_static = mats.reduction.static_rows.shape[0]
-        assert np.array_equal(problem.ineq_matrix[n_static:], np.array(rows))
+        assert np.array_equal(dense_inequalities(problem)[n_static:], np.array(rows))
         assert np.array_equal(problem.ineq_rhs[n_static:], np.array(rhs))
 
     def test_goal_only_changes_linear_term(self):
@@ -221,8 +246,8 @@ class TestAssemble:
         grid = empty_grid()
         traj = hover((1.5, 1.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        p1, _ = assemble(traj, (2.0, 1.0, 1.0), corridor, [], PARAMS)
-        p2, _ = assemble(traj, (0.4, 2.2, 0.6), corridor, [], PARAMS)
+        p1, _ = assemble(traj, (2.0, 1.0, 1.0), corridor, *neighbour_rows([]), PARAMS)
+        p2, _ = assemble(traj, (0.4, 2.2, 0.6), corridor, *neighbour_rows([]), PARAMS)
         assert np.array_equal(p1.ineq_matrix, p2.ineq_matrix)
         assert np.array_equal(p1.ineq_rhs, p2.ineq_rhs)
         assert np.array_equal(p1.eq_matrix, p2.eq_matrix)
@@ -235,7 +260,7 @@ class TestAssemble:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         other = PlanningParams(segment_count=4, goal_weights=(1, 1, 1, 1))
         with pytest.raises(ValueError):
-            assemble(traj, (1, 1, 1), corridor, [], other)
+            assemble(traj, (1, 1, 1), corridor, *neighbour_rows([]), other)
 
 
 class TestSolve:
@@ -293,7 +318,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         solution = solve(problem, warm_start=candidate)
         report = problem.check(solution.values)
         assert report.max_equality_residual == solution.max_equality_residual
@@ -305,7 +330,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         bumped = candidate.copy()
         bumped[0] += 1.0
         report = problem.check(bumped)
@@ -315,7 +340,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         s1 = solve(problem, warm_start=candidate)
         s2 = solve(problem, warm_start=candidate)
         assert np.array_equal(s1.values, s2.values)
@@ -335,7 +360,7 @@ class TestSolve:
             for_a, _ = build_pair_separations(a, b, model)
             corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
-            problem, candidate = assemble(a, goal, corridor, [for_a], PARAMS)
+            problem, candidate = assemble(a, goal, corridor, *neighbour_rows([for_a]), PARAMS)
             solution = solve(problem, warm_start=candidate)
             assert solution.objective <= problem.objective(candidate) + 1e-6
 
@@ -343,7 +368,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.3, 0.3, 0.3))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.7, 2.7, 1.7), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.7, 2.7, 1.7), corridor, *neighbour_rows([]), PARAMS)
         solution = solve(problem, warm_start=candidate)
         out = trajectory_from_values(solution.values, PARAMS, 0.0)
         for t in np.linspace(0.0, out.end_time, 200):
@@ -426,7 +451,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         outside = candidate.copy()
         outside[0::3] = corridor.boxes[0].hi[0] + 0.5  # every point, same x
         with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
@@ -491,7 +516,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         with pytest.raises(QpInfeasibleError, match="singular active-set system"):
             solve(problem, warm_start=candidate)
         assert sizes == [0]
@@ -531,7 +556,7 @@ class TestSolve:
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
-        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, [], PARAMS)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         with pytest.raises(QpInfeasibleError, match="solution outside tolerance"):
             solve(problem, warm_start=candidate)
 
@@ -552,7 +577,7 @@ class TestSolve:
             separations = [build_pair_separations(a, hover(pb), model, 1e-6)[0]]
             corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
-            problem, candidate = assemble(a, goal, corridor, separations, PARAMS)
+            problem, candidate = assemble(a, goal, corridor, *neighbour_rows(separations), PARAMS)
             assert problem.reduction is param_matrices(PARAMS).reduction
             shared = solve(problem, warm_start=candidate)
             generic = solve(replace(problem, reduction=None), warm_start=candidate)
@@ -611,6 +636,53 @@ class TestStructuredRows:
             assert np.max(np.abs(got.values - ref.values)) <= 1e-7
             assert abs(got.objective - ref.objective) <= tol
 
+    @pytest.mark.parametrize("workload", ["circle-1", "circle-2", "indoor-8", "circle-32"])
+    def test_check_matches_dense_residuals(self, recorded_steps, workload):
+        # Recorded planner problems at their candidates and at points moved
+        # off them: the residuals check takes from the constraint structure
+        # equal the dense referee's to round-off, and so does their maximum.
+        _, problems = recorded_steps[workload]
+        assert problems
+        rng = np.random.default_rng(61)
+        for problem, candidate, _ in problems:
+            scale = 1.0 + float(np.max(np.abs(problem.ineq_rhs)))
+            for x in (candidate, candidate + rng.normal(scale=0.05, size=candidate.shape)):
+                got = problem.inequality_residuals(x)
+                ref = dense_residuals(problem, x)
+                assert got.shape == ref.shape == (problem.ineq_rhs.shape)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+                worst = problem.check(x).max_inequality_violation
+                assert abs(worst - float(np.max(ref))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "group", ["velocity limit", "acceleration limit", "box face", "separation plane"]
+    )
+    def test_check_reports_a_push_across_one_row(self, recorded_steps, group):
+        # A candidate moved along one row's normal until it lies 1e-3 past
+        # that row's bound is reported by the structured check and by the
+        # dense referee alike.
+        _, problems = recorded_steps["circle-2"]
+        problem, candidate, _ = problems[-1]
+        n_vel = 6 * PARAMS.segment_count * PARAMS.degree
+        n_acc = 6 * PARAMS.segment_count * (PARAMS.degree - 1)
+        n_static = len(problem.ineq_matrix)
+        first, stop = {
+            "velocity limit": (0, n_vel),
+            "acceleration limit": (n_vel, n_vel + n_acc),
+            "box face": (n_vel + n_acc, n_static),
+            "separation plane": (n_static, len(problem.ineq_rhs)),
+        }[group]
+        assert stop - first in (150, 120, 180, 30)
+        row_index = (first + stop) // 2
+        row = dense_inequalities(problem)[row_index]
+        slack = -dense_residuals(problem, candidate)[row_index]
+        assert slack >= 0.0
+        pushed = candidate + (slack + 1e-3) * row / (row @ row)
+        for residuals in (problem.inequality_residuals(pushed), dense_residuals(problem, pushed)):
+            assert residuals[row_index] == pytest.approx(1e-3, abs=1e-9)
+        assert problem.check(candidate).max_inequality_violation <= 1e-9
+        assert problem.check(pushed).max_inequality_violation >= 1e-3 - 1e-9
+
     def test_static_rows_are_stored_normalised(self):
         # Stored in Cholesky coordinates: the factor takes the rows and the
         # basis back to the normalised reduced rows and the nullspace.
@@ -634,9 +706,9 @@ class TestStructuredRows:
         model = EllipsoidModel(0.3, 2.0)
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
         pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), model)[0]
-        problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, [pair, pair], PARAMS)
+        problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, *neighbour_rows([pair, pair]), PARAMS)
         n_static = len(problem.reduction.static_norms)
-        problem.ineq_matrix[n_static + 31] = 0.0
         problem.separation_coefficients[31] = 0.0
+        assert not np.any(dense_inequalities(problem)[n_static + 31])
         with pytest.raises(QpInfeasibleError, match="zero inequality row"):
             solve(problem, warm_start=candidate)

@@ -127,6 +127,26 @@ class TestAgainstLoopVerifier:
         assert report.violations[0].startswith("agent 0 row t=0.00:")
         assert report.violations[5].startswith("agent 1 row t=0.00:")
 
+    def test_continuity_reads_segment_one_where_start_times_fall_short(self, copy_logs):
+        # Steps 3 and 4 start at 3 * 0.2 = 0.6000000000000001 and 0.8: their
+        # float difference falls short of one period, and floor of it over
+        # the period would pick segment 0 at tau just under 1. The check
+        # takes segment 1 at tau 0 by step count, so a jump of step 3's
+        # segment 1 against step 4's start is caught.
+        logs = copy_logs("circle-2")
+        steps = [json.loads(line) for line in (logs / "steps.jsonl").read_text().splitlines()]
+        assert steps[4]["t0"] - steps[3]["t0"] == 0.19999999999999996
+
+        def move(payloads):
+            payloads[3]["cpts"]["1"][1][0][0] += 1e-3
+
+        edit_steps(logs, move)
+        report = assert_same_report(logs)
+        assert [v.split(" jumps by ")[0] for v in report.violations] == [
+            f"agent 1 step 4: {name}" for name in ("position", "velocity", "acceleration")
+        ]
+        assert report.violations[0] == "agent 1 step 4: position jumps by 1.000e-03 at t=0.80"
+
     @pytest.mark.parametrize("point", range(6))
     def test_moved_control_point_of_a_later_step_is_caught(self, copy_logs, point):
         logs = copy_logs("circle-32")
@@ -158,6 +178,10 @@ def _skip_step(payloads):
 
 def _nan_start_time(payloads):
     payloads[1]["t0"] = float("nan")
+
+
+def _start_time_off_grid(payloads):
+    payloads[2]["t0"] = 0.41
 
 
 def _write(name, text):
@@ -221,6 +245,7 @@ MALFORMED = {
     "control point not finite": lambda logs: edit_steps(logs, _nan_control_point),
     "steps not contiguous": lambda logs: edit_steps(logs, _skip_step),
     "start time not finite": lambda logs: edit_steps(logs, _nan_start_time),
+    "t0 off the replanning grid": lambda logs: edit_steps(logs, _start_time_off_grid),
     "bad header": lambda logs: _garble(logs / "states.npy", b"'descr'", b"'dtype'"),
     "states truncated": lambda logs: _truncate(logs / "states.npy"),
     "states of float32": lambda logs: replace_states(logs, lambda s: s.astype(np.float32)),

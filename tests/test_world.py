@@ -392,6 +392,44 @@ class TestExactAgainstReferees:
                 )
 
     @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_seed_test_matches_point_is_free(self, referee_grid, inflation):
+        # grow_free_box tests its seed on the scalar path box_is_free takes
+        # for a box of one point. At random points, at points whose inflated cube ends 1e-12 to
+        # either side of a voxel line, and at points 1e-12 to either side of
+        # the world bounds and of their 1e-9 slack, it decides as
+        # point_is_free does.
+        grid = referee_grid
+        rng = np.random.default_rng(10)
+        lo_edge = grid.bounds_min + inflation
+        hi_edge = grid.bounds_max - inflation
+        points = list(rng.uniform(grid.bounds_min - 0.1, grid.bounds_max + 0.1, size=(100, 3)))
+        for _ in range(200):
+            point = rng.uniform(grid.bounds_min, grid.bounds_max)
+            axis = int(rng.integers(3))
+            line = grid.bounds_min[axis] + grid.resolution * int(rng.integers(grid.dims[axis] + 1))
+            face = inflation if rng.integers(2) else -inflation
+            point[axis] = line + face + float(rng.choice([-1e-12, 1e-12]))
+            points.append(point)
+        for _ in range(100):
+            point = rng.uniform(lo_edge, hi_edge) if np.all(lo_edge < hi_edge) else lo_edge.copy()
+            axis = int(rng.integers(3))
+            edge = (lo_edge[axis] - 1e-9, lo_edge[axis], hi_edge[axis], hi_edge[axis] + 1e-9)
+            point[axis] = edge[int(rng.integers(4))] + float(rng.choice([-1e-12, 1e-12]))
+            points.append(point)
+        outcomes = set()
+        for point in points:
+            free = grid.point_is_free(point, inflation)
+            assert grid.box_is_free(AxisBox(tuple(point), tuple(point)), inflation) == free
+            if free:
+                # Seeds within the bounds' 1e-9 slack get boxes clipped to them.
+                assert box_contains(grid.grow_free_box(point, inflation), point, tol=1e-9)
+            else:
+                with pytest.raises(InfeasibleSeedError):
+                    grid.grow_free_box(point, inflation)
+            outcomes.add(free)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
     def test_box_is_free_matches_counts(self, referee_grid, inflation):
         grid = referee_grid
         rng = np.random.default_rng(9)
