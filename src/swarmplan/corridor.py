@@ -29,9 +29,6 @@ class SafeBoxCorridor:
 
     boxes: tuple[AxisBox, ...]
 
-    def __len__(self):
-        return len(self.boxes)
-
 
 def advance_corridor(
     prev: SafeBoxCorridor | None,
@@ -56,7 +53,7 @@ def advance_corridor(
     if prev is None:
         corridor = SafeBoxCorridor((fresh,) * init_traj.segment_count)
     else:
-        if len(prev) != init_traj.segment_count:
+        if len(prev.boxes) != init_traj.segment_count:
             raise ValueError("previous corridor length does not match trajectory")
         corridor = SafeBoxCorridor(prev.boxes[1:] + (fresh,))
     points = np.stack([seg.control_points for seg in init_traj.segments])

@@ -1,11 +1,13 @@
 """One agent's synchronized replanning step.
 
-Every agent runs the same recipe on the same shared snapshot: shift the
-previous plans by one segment, rebuild the safe-box corridor, build pairwise
-separating half-spaces against every other agent, pick a goal, and solve the
-QP warm-started at the shifted plan. The shifted plan provably satisfies
-every constraint, so if the solver ever fails numerically the agent just
-flies the shifted plan; safety never depends on the solver succeeding.
+The swarm-wide work of a step is done once from the shared snapshot: shift
+the previous plans by one segment, build the pairwise separating
+half-spaces of every pair, and build the goal-planning view. Every agent
+then runs the same recipe on those inputs: gather its own pair rows, pick a
+goal, rebuild its safe-box corridor, and solve the QP warm-started at the
+shifted plan. The shifted plan provably satisfies every constraint, so if
+the solver ever fails numerically the agent just flies the shifted plan;
+safety never depends on the solver succeeding.
 """
 
 from __future__ import annotations
@@ -108,10 +110,9 @@ def shared_pair_separations(
     inits: dict[int, PiecewiseTrajectory],
     radii: dict[int, float],
     params: PlanningParams,
-    agent: int | None = None,
 ) -> PairTable:
-    """Separating half-spaces for every unordered pair, or only for the
-    pairs of `agent`, through one batched separate_pairs call.
+    """Separating half-spaces for every unordered pair, through one batched
+    separate_pairs call.
 
     The table's trajectories are the agents in ascending id order, and its
     pairs run (low, high) in row-major upper-triangle order. Each pair's
@@ -119,10 +120,6 @@ def shared_pair_separations(
     """
     ids = sorted(inits)
     low, high = np.triu_indices(len(ids), k=1)
-    if agent is not None:
-        mine = ids.index(agent)
-        keep = (low == mine) | (high == mine)
-        low, high = low[keep], high[keep]
     radius = np.array([radii[i] for i in ids], dtype=float)
     return separate_pairs(
         [inits[i] for i in ids],
@@ -157,49 +154,37 @@ def goal_view(
 
 def plan_step(
     state: PlannerState,
-    snapshots: list[AgentSnapshot],
     grid: OccupancyGrid,
-    pair_separations: PairTable | None = None,
-    inits: dict[int, PiecewiseTrajectory] | None = None,
-    view: SwarmView | None = None,
+    inits: dict[int, PiecewiseTrajectory],
+    pairs: PairTable,
+    view: SwarmView,
 ) -> PlanStepResult:
-    """Produce this agent's next trajectory from the synchronized snapshot.
+    """Produce this agent's next trajectory from the step's shared inputs.
 
-    `pair_separations`, `inits` and `view` let a simulator driving many
-    agents do the swarm-wide work once per step: the shifted plans, the
+    Every agent of a step reads the same three inputs, built once from the
+    synchronized snapshots: the shifted plans (`initial_trajectories`), the
     table of per-pair separating half-spaces (`shared_pair_separations`),
     from which the agent gathers its own rows, and the goal-planning view
-    with its priority relation (`goal_view`). Each defaults to local
-    recomputation through the same functions, only for this agent's pairs
-    in the case of the table, which is bit-identical. Raises
-    StepAbortError when a sub-step detects broken assumptions (colliding
-    start, occupied seed, unreachable goal); solver failures are absorbed
-    by falling back to the shifted previous plan.
+    with its priority relation (`goal_view`). Raises ValueError when the
+    inputs lack this agent, and StepAbortError when they are not shifted to
+    this step or a sub-step detects broken assumptions (occupied seed,
+    unreachable goal); solver failures are absorbed by falling back to the
+    shifted previous plan.
     """
     params = state.params
     me = state.agent_id
-    by_id = {snap.agent_id: snap for snap in snapshots}
-    if me not in by_id:
-        raise ValueError(f"snapshot list is missing agent {me}")
+    if me not in inits:
+        raise ValueError(f"shared inputs are missing agent {me}")
     if state.previous_trajectory is not None:
         now = state.previous_trajectory.start_time + params.segment_time
     else:
         now = 0.0
 
     try:
-        if inits is None:
-            inits = initial_trajectories(snapshots, params, now)
         my_init = inits[me]
         if abs(my_init.start_time - now) > _SYNC_TOL:
-            raise PlannerError("snapshots are not synchronized to this step")
-
-        if pair_separations is None:
-            radii = {i: snap.radius for i, snap in by_id.items()}
-            pair_separations = shared_pair_separations(inits, radii, params, me)
-        normals, anchors, margins = pair_separations.rows_for(me)
-
-        if view is None:
-            view = goal_view(snapshots, inits, params)
+            raise PlannerError("shared inputs are not synchronized to this step")
+        normals, anchors, margins = pairs.rows_for(me)
         goal = plan_current_goal(view, me, grid)
 
         terminal = my_init.segments[-1].control_points[-1]

@@ -142,7 +142,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             results = []
             for state in states:
                 begin = time.perf_counter()
-                result = plan_step(state, snapshots, grid, pairs, inits, view)
+                result = plan_step(state, grid, inits, pairs, view)
                 results.append((result, (time.perf_counter() - begin) * 1e3))
             for state, (result, elapsed_ms) in zip(states, results):
                 plan_times.append(elapsed_ms + shared_ms)

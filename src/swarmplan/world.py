@@ -60,14 +60,6 @@ class AxisBox:
         object.__setattr__(self, "min_corner", (float(lo[0]), float(lo[1]), float(lo[2])))
         object.__setattr__(self, "max_corner", (float(hi[0]), float(hi[1]), float(hi[2])))
 
-    @property
-    def lo(self) -> np.ndarray:
-        return np.array(self.min_corner)
-
-    @property
-    def hi(self) -> np.ndarray:
-        return np.array(self.max_corner)
-
 
 @dataclass(frozen=True)
 class GridPath:
@@ -80,14 +72,11 @@ class GridPath:
         wp.setflags(write=False)
         object.__setattr__(self, "waypoints", wp)
 
-    def __len__(self):
-        return len(self.waypoints)
-
 
 class OccupancyGrid:
     """Voxelized static world with conservative inflated free-space queries."""
 
-    def __init__(self, resolution, bounds_min, bounds_max, occupied=None, boxes=()):
+    def __init__(self, resolution, bounds_min, bounds_max, occupied=None):
         self.resolution = float(resolution)
         self.bounds_min = np.asarray(bounds_min, dtype=float).reshape(3)
         self.bounds_max = np.asarray(bounds_max, dtype=float).reshape(3)
@@ -99,9 +88,6 @@ class OccupancyGrid:
             raise ValueError(f"occupied mask shape {occupied.shape} != dims {self.dims}")
         occupied.setflags(write=False)
         self.occupied = occupied
-        self.boxes = tuple(
-            (np.array(lo, dtype=float), np.array(hi, dtype=float)) for lo, hi in boxes
-        )
         # Summed-area table: _prefix[i, j, k] counts occupied cells below
         # (i, j, k) exclusive, giving O(1) occupied counts for index ranges.
         # Accumulated in place, so the build allocates nothing but the table.
@@ -129,33 +115,18 @@ class OccupancyGrid:
         bmax = bmax.reshape(3)
         dims = _grid_dims(resolution, bmin, bmax)
         occupied = np.zeros(dims, dtype=bool)
-        boxes = []
         for box in raw_boxes:
             lo = np.asarray(box["min"], dtype=float).reshape(3)
             hi = np.asarray(box["max"], dtype=float).reshape(3)
             if np.any(hi < lo):
                 raise ValueError("obstacle box has min > max")
-            boxes.append((lo, hi))
             rel_lo = (lo - bmin) / resolution
             rel_hi = (hi - bmin) / resolution
             i0 = [max(0, math.ceil(rel_lo[a] - 1 - _EPS_CELLS)) for a in range(3)]
             i1 = [min(dims[a] - 1, math.floor(rel_hi[a] + _EPS_CELLS)) for a in range(3)]
             if all(i0[a] <= i1[a] for a in range(3)):
                 occupied[i0[0] : i1[0] + 1, i0[1] : i1[1] + 1, i0[2] : i1[2] + 1] = True
-        return cls(resolution, bmin, bmax, occupied, boxes)
-
-    def to_dict(self) -> dict:
-        return {
-            "resolution": self.resolution,
-            "bounds": {
-                "min": [float(v) for v in self.bounds_min],
-                "max": [float(v) for v in self.bounds_max],
-            },
-            "boxes": [
-                {"min": [float(v) for v in lo], "max": [float(v) for v in hi]}
-                for lo, hi in self.boxes
-            ],
-        }
+        return cls(resolution, bmin, bmax, occupied)
 
     # -- index helpers -----------------------------------------------------
 
@@ -279,8 +250,10 @@ class OccupancyGrid:
         it by descending progress along that vector, which lets the box
         thread doorways before sideways growth walls them off. The returned
         box is the grown cell region eroded by the inflation on every face,
-        so it always contains the seed and passes box_is_free at the same
-        inflation.
+        so it passes box_is_free at the same inflation and contains the
+        seed, except that a seed inside the 1e-9 slack beyond the world
+        bounds is contained only to 1e-9: the box is clipped to the bounds
+        (advance_corridor's 1e-9 containment tolerance absorbs this).
 
         Exact early exit: at the start, and whenever a direction has just
         become blocked, one query counts the region that reaches from the

@@ -79,7 +79,8 @@ def state_at(traj, t):
 def box_contains(box, point, tol=0.0):
     """True iff point lies in the closed AxisBox grown by tol on every side."""
     p = np.asarray(point, dtype=float)
-    return bool(np.all(p >= box.lo - tol) and np.all(p <= box.hi + tol))
+    lo, hi = np.array(box.min_corner), np.array(box.max_corner)
+    return bool(np.all(p >= lo - tol) and np.all(p <= hi + tol))
 
 
 def static_blocked(grid, inflation):

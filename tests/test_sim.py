@@ -373,7 +373,7 @@ class TestVerify:
         grid_methods = {
             name
             for name, value in vars(OccupancyGrid).items()
-            if callable(value) and name not in ("__init__", "from_dict", "to_dict")
+            if callable(value) and name not in ("__init__", "from_dict")
         }
         assert "grow_free_box" in grid_methods and "sight_lines_free" in grid_methods
         used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

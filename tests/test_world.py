@@ -54,12 +54,6 @@ class TestVoxelization:
         assert not grid.occupied[8, 10, 10]
         assert not grid.occupied[11, 10, 10]
 
-    def test_round_trip(self):
-        boxes = [((0.5, 0.5, 0.0), (0.8, 0.9, 2.0))]
-        grid = grid_with_boxes(boxes)
-        again = OccupancyGrid.from_dict(grid.to_dict())
-        assert np.array_equal(grid.occupied, again.occupied)
-
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             OccupancyGrid(0.1, (0, 0, 0), (1.03, 1, 1))
@@ -93,8 +87,8 @@ class TestBoxIsFree:
             assert grid.box_is_free(box, 0.15) == expected
             # Exhaustive oracle: positive-measure overlap of the inflated
             # box with any occupied cell.
-            lo = box.lo - 0.15
-            hi = box.hi + 0.15
+            lo = np.array(box.min_corner) - 0.15
+            hi = np.array(box.max_corner) + 0.15
             overlap = False
             for cell in occ_cells:
                 clo = grid.bounds_min + cell * grid.resolution
@@ -109,16 +103,16 @@ class TestGrowFreeBox:
     def test_empty_grid_fills_bounds(self):
         grid = empty_grid()
         box = grid.grow_free_box((1.5, 1.5, 1.0), 0.15)
-        assert np.allclose(box.lo, [0.15, 0.15, 0.15])
-        assert np.allclose(box.hi, [2.85, 2.85, 1.85])
+        assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
+        assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
 
     def test_corridor(self):
         grid = corridor_grid()
         inflation = 0.04
         box = grid.grow_free_box((0.35, 0.15, 0.15), inflation)
         # The free region is cells [1..5] x 1 x 1, eroded by the inflation.
-        assert np.allclose(box.lo, [0.1 + inflation, 0.1 + inflation, 0.1 + inflation])
-        assert np.allclose(box.hi, [0.6 - inflation, 0.2 - inflation, 0.2 - inflation])
+        assert np.allclose(box.min_corner, [0.1 + inflation, 0.1 + inflation, 0.1 + inflation])
+        assert np.allclose(box.max_corner, [0.6 - inflation, 0.2 - inflation, 0.2 - inflation])
         assert grid.box_is_free(box, inflation)
 
     def test_contains_seed_and_positive_extent(self):
@@ -132,7 +126,7 @@ class TestGrowFreeBox:
                 continue
             box = grid.grow_free_box(seed, 0.15)
             assert box_contains(box, seed, tol=1e-12)
-            assert np.all(box.hi >= box.lo)
+            assert np.all(np.array(box.max_corner) >= box.min_corner)
             assert grid.box_is_free(box, 0.15)
 
     def test_infeasible_seed(self):
@@ -155,8 +149,8 @@ class TestGrowFreeBox:
         )
         box = grid.grow_free_box((1.5, 1.5, 1.0), 0.15, toward=(1.0, 0.0, 0.0))
         assert len(queries) == 1
-        assert np.allclose(box.lo, [0.15, 0.15, 0.15])
-        assert np.allclose(box.hi, [2.85, 2.85, 1.85])
+        assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
+        assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
 
     def test_negative_inflation_rejected(self):
         with pytest.raises(ValueError):
@@ -167,17 +161,17 @@ class TestAstar:
     def test_start_equals_goal(self):
         grid = empty_grid()
         path = grid.astar((1.51, 1.52, 1.0), (1.54, 1.55, 1.02), 0.15)
-        assert len(path) == 1
+        assert len(path.waypoints) == 1
         assert np.allclose(path.waypoints[0], grid.voxel_center((15, 15, 10)))
 
     def test_straight_corridor_matches_dijkstra(self):
         grid = corridor_grid()
         path = grid.astar((0.15, 0.15, 0.15), (0.55, 0.15, 0.15), 0.04)
         assert path is not None
-        assert len(path) == 5
+        assert len(path.waypoints) == 5
         free = ~static_blocked(grid, 0.04)
         hops = dijkstra_grid(free, (1, 1, 1), (5, 1, 1))
-        assert hops == len(path) - 1
+        assert hops == len(path.waypoints) - 1
 
     def test_unreachable_goal(self):
         # Goal cell enclosed by an occupied shell.
@@ -203,7 +197,7 @@ class TestAstar:
             if hops is None:
                 assert path is None
             else:
-                assert path is not None and len(path) - 1 == hops
+                assert path is not None and len(path.waypoints) - 1 == hops
 
     def test_agent_obstacle_blocks(self):
         grid = empty_grid()
@@ -212,7 +206,7 @@ class TestAstar:
         blocker = [((1.5, 1.55, 1.0), 0.15)]
         detour = grid.astar(start, goal, 0.15, agent_obstacles=blocker)
         assert detour is not None
-        assert len(detour) > len(direct)
+        assert len(detour.waypoints) > len(direct.waypoints)
         # Every detour waypoint clears the blocked disc.
         d = np.linalg.norm(detour.waypoints - np.array([1.5, 1.55, 1.0]), axis=1)
         assert np.all(d > 0.3)
@@ -255,7 +249,7 @@ class TestAstar:
         occupied[1, 0, 1] = False
         grid = OccupancyGrid(0.25, (0, 0, 0), (0.75, 0.75, 0.75), occupied)
         path = grid.astar(start, goal, 0.0)
-        assert path is not None and len(path) == 4
+        assert path is not None and len(path.waypoints) == 4
         assert pops
 
     def test_budget_gives_none(self):
