@@ -239,6 +239,28 @@ def verify(log_dir) -> VerificationReport:
             f"at t={t0[p + 1]:.2f}"
         )
 
+    # Acceleration-level continuity at the internal joints of every dumped
+    # plan: segment m - 1 at tau 1 against segment m at tau 0. De Casteljau
+    # returns the end points there exactly, so only the last three control
+    # points of one segment and the first three of the next are read,
+    # differenced as _derivative_points differences whole segments. Only
+    # violations are reported; the planner's equality constraints hold
+    # these joints to round-off.
+    ends, starts = cpts[:, :, :-1, -3:], cpts[:, :, 1:, :3]
+    jumps = []
+    for q in range(len(names)):
+        gap = ends[..., -1, :] - starts[..., 0, :]
+        jumps.append(np.sqrt(np.vecdot(gap, gap)))
+        n = cpts.shape[-2] - 1 - q
+        ends = n * (ends[..., 1:, :] - ends[..., :-1, :]) / dt
+        starts = n * (starts[..., 1:, :] - starts[..., :-1, :]) / dt
+    jumps = np.stack(jumps, axis=-1)  # (steps, agents, joints, 3)
+    for k, i, m, q in np.argwhere(jumps > CONTINUITY_TOL)[: 10 * _MAX_REPORTED]:
+        report(
+            f"agent {i} step {k}: {names[q]} jumps by {jumps[k, i, m, q]:.3e} "
+            f"between segments {m} and {m + 1}"
+        )
+
     # Inter-agent separation in the downwash-scaled metric.
     scale = np.array([1.0, 1.0, 1.0 / params.downwash])
     min_pair = min_margin = None

@@ -8,12 +8,15 @@ counting goes through a 3-D summed-area table, so box tests cost O(1).
 
 The hot queries are written for speed and return exactly what the plain
 formulations in tests/oracles.py return: box growth and box tests read
-eight summed-area corners as Python ints and stop early once the rest of
-the growth region is known to be free; the blocked mask of a search is
+eight summed-area corners as Python ints, and growth takes at once the
+rounds whose layers one query shows free; the blocked mask of a search is
 computed axis by axis (cell centres vary along one axis each); goal
 distance fields are a breadth-first search over flat indices of a padded
-grid, on which A* runs without bounds tests; and sight lines to many
-targets are sampled in one batch, bit for bit as np.linspace samples them.
+grid, on which A* runs without bounds tests; and a sight line is decided
+from its exact distance to each agent disc and one summed-area query over
+its bounding box, so only the lines left undecided are sampled, bit for bit
+as np.linspace samples them. Queries reject a negative inflation and
+non-finite points, which would compare false against every threshold.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from swarmplan.errors import InfeasibleSeedError
 
 _EPS_CELLS = 1e-9  # index-space slack for exact-boundary decisions
 _EPS_BOUNDS = 1e-9  # meters of slack on world-bounds containment
+_EPS_LINE = 1e-9  # meters of slack on closed-form sight-line decisions
 _COARSE = 8  # sight-line samples per first-pass test
 
 
@@ -210,8 +214,7 @@ class OccupancyGrid:
     def box_is_free(self, box: AxisBox, inflation: float) -> bool:
         """True iff the box inflated on every axis touches no occupied cell
         with positive measure and stays inside the world bounds."""
-        if inflation < 0:
-            raise ValueError("inflation must be non-negative")
+        _check_inflation(inflation)
         lo = [v - inflation for v in box.min_corner]
         hi = [v + inflation for v in box.max_corner]
         return self._in_bounds(lo, hi) and self._cells_occupied(*self._cube_cells(lo, hi)) == 0
@@ -255,15 +258,29 @@ class OccupancyGrid:
         bounds is contained only to 1e-9: the box is clipped to the bounds
         (advance_corridor's 1e-9 containment tolerance absorbs this).
 
-        Exact early exit: at the start, and whenever a direction has just
-        become blocked, one query counts the region that reaches from the
-        current extent to the border in every unblocked direction. Every
-        later layer lies inside that region, so if it holds no occupied
-        cell, growth would end exactly at it, and the box jumps there. On a
-        map without obstacles a box costs one query.
+        Rounds are skipped, not tested, where the answer is known. At the
+        start of each round, with U the open directions:
+
+        - Reach. One query counts the region that reaches from the current
+          extent to the border in every direction of U. Every later layer
+          lies inside it, so if it holds no occupied cell, growth would end
+          exactly at it, and the box jumps there. On a map without
+          obstacles a box costs one query.
+        - Gallop. Otherwise, with room the fewest cells left to the border
+          in any direction of U, find the largest j <= room for which the
+          box widened by j layers in every direction of U holds no occupied
+          cell, by doubling, then bisection. The next j rounds would each
+          add one free layer in every direction of U, all inside that
+          region, so the box takes them at once. One ordinary round
+          follows, in the direction order. It blocks at least one
+          direction: were every layer it tests free and inside the grid,
+          the box widened by j + 1 would be, which is occupied or leaves
+          the grid.
+
+        Each box is the one that growing layer by layer gives (the referee
+        is tests/oracles.py:grow_box_by_layers).
         """
-        if inflation < 0:
-            raise ValueError("inflation must be non-negative")
+        _check_inflation(inflation)
         seed = np.asarray(seed, dtype=float).reshape(3)
         # The seed test of point_is_free on box_is_free's scalar path. On a
         # map without obstacles (the summed-area table's last entry counts
@@ -289,15 +306,36 @@ class OccupancyGrid:
             order.sort(key=lambda d: (-scores[d], d))
         dims = self.dims
         blocked = [False] * 6
-        newly_blocked = True
+
+        def widened(j):
+            """The box widened by j layers in every open direction."""
+            return (
+                [lo[a] if blocked[2 * a + 1] else lo[a] - j for a in range(3)],
+                [hi[a] if blocked[2 * a] else hi[a] + j for a in range(3)],
+            )
+
         while not all(blocked):
-            if newly_blocked:
-                reach_lo = [lo[a] if blocked[2 * a + 1] else 0 for a in range(3)]
-                reach_hi = [hi[a] if blocked[2 * a] else dims[a] for a in range(3)]
-                if self._cells_occupied(reach_lo, reach_hi) == 0:
-                    lo, hi = reach_lo, reach_hi
-                    break
-                newly_blocked = False
+            reach_lo = [lo[a] if blocked[2 * a + 1] else 0 for a in range(3)]
+            reach_hi = [hi[a] if blocked[2 * a] else dims[a] for a in range(3)]
+            if self._cells_occupied(reach_lo, reach_hi) == 0:
+                lo, hi = reach_lo, reach_hi
+                break
+            room = min(
+                dims[d // 2] - hi[d // 2] if d % 2 == 0 else lo[d // 2]
+                for d in range(6)
+                if not blocked[d]
+            )
+            good, bad = 0, 1
+            while bad <= room and self._cells_occupied(*widened(bad)) == 0:
+                good, bad = bad, 2 * bad
+            bad = min(bad, room + 1)
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if self._cells_occupied(*widened(mid)) == 0:
+                    good = mid
+                else:
+                    bad = mid
+            lo, hi = widened(good)
             for d in order:
                 if blocked[d]:
                     continue
@@ -308,7 +346,7 @@ class OccupancyGrid:
                 layer_lo[axis] = new
                 layer_hi[axis] = new + 1
                 if not 0 <= new < dims[axis] or self._cells_occupied(layer_lo, layer_hi) > 0:
-                    blocked[d] = newly_blocked = True
+                    blocked[d] = True
                 elif d % 2 == 0:
                     hi[axis] = new + 1
                 else:
@@ -427,6 +465,9 @@ class OccupancyGrid:
         lowest heuristic first, then lowest flat cell index, so results are
         deterministic. Searches exceeding `budget` expansions return None.
         """
+        _check_inflation(inflation)
+        if not (np.isfinite(start).all() and np.isfinite(goal).all()):
+            raise ValueError("search endpoints must be finite")
         blocked = self._padded_blocked(inflation)
         if agent_obstacles:
             blocked = blocked.copy()
@@ -548,25 +589,152 @@ class OccupancyGrid:
     ) -> bool:
         """True iff the segment pq, sampled every resolution/2, stays free
         under inflation and clear of every agent obstacle by more than
-        inflation + its radius in the downwash-scaled metric."""
-        q = np.asarray(q, dtype=float).reshape(1, 3)
-        return bool(self.sight_lines_free(p, q, inflation, agent_obstacles, downwash)[0])
+        inflation + its radius in the downwash-scaled metric.
+
+        sight_lines_free for one target, on Python floats, as numpy's
+        per-call cost would dominate. The static rule is the same. A disc
+        whose distance d to the segment is below reach - h/2 - 1e-9 blocks
+        the line outright, h being the spacing of samples in the scaled
+        metric, since the sample nearest the closest point lies within
+        d + h/2. h comes from a sample count rounded down near a whole
+        number, so it is never below the true spacing: math's sum of
+        squares and np.vecdot's can differ in the last bit. Only a line
+        these rules leave undecided is sampled.
+        """
+        _check_inflation(inflation)
+        p = np.asarray(p, dtype=float).reshape(3)
+        q = np.asarray(q, dtype=float).reshape(3)
+        px, py, pz = p.tolist()
+        qx, qy, qz = q.tolist()
+        if not all(math.isfinite(v) for v in (px, py, pz, qx, qy, qz)):
+            raise ValueError("sight line endpoints must be finite")
+        scale = 1.0 / downwash
+        ux, uy, uz = qx - px, qy - py, (qz - pz) * scale
+        uu = ux * ux + uy * uy + uz * uz
+        dist = math.sqrt((qx - px) ** 2 + (qy - py) ** 2 + (qz - pz) ** 2)
+        half = 0.0
+        if dist > 0:
+            count = max(2, math.ceil(dist / (self.resolution / 2) - _EPS_LINE) + 1)
+            half = math.sqrt(uu) / (count - 1) / 2
+        grazing = []
+        for pos, radius in agent_obstacles:
+            cx, cy, cz = np.asarray(pos, dtype=float).tolist()
+            wx, wy, wz = cx - px, cy - py, (cz - pz) * scale
+            t = min(max((wx * ux + wy * uy + wz * uz) / uu, 0.0), 1.0) if uu > 0 else 0.0
+            dx, dy, dz = wx - t * ux, wy - t * uy, wz - t * uz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            reach = inflation + radius
+            if d < reach - half - _EPS_LINE:
+                return False
+            if not d > reach + _EPS_LINE:
+                grazing.append((pos, radius))
+        if not grazing:
+            ends = list(zip((px, py, pz), (qx, qy, qz)))
+            lo = [min(a, b) - inflation - _EPS_LINE for a, b in ends]
+            hi = [max(a, b) + inflation + _EPS_LINE for a, b in ends]
+            if self._in_bounds(lo, hi) and self._cells_occupied(*self._cube_cells(lo, hi)) == 0:
+                return True
+        return bool(self._sampled_lines_free(p, q[None], inflation, grazing, downwash)[0])
 
     def sight_lines_free(
         self, p, targets, inflation: float, agent_obstacles=(), downwash: float = 1.0
     ) -> np.ndarray:
-        """line_of_sight_free from p to each target, as one bool per target.
+        """line_of_sight_free from p to each target, as one bool per target:
+        bit for bit what sampling every line returns (the referee is
+        tests/oracles.py:sight_lines_by_samples).
 
-        Every sight line's samples are built at once. Most lines of a scan
-        fail, so with several targets every 8th sample is tested first, then
-        the rest of the lines that passed; a line is clear iff all its
-        samples pass either way.
+        Each line is decided before it is sampled. The line to q has
+        _sample_counts samples, p and q exactly among them, evenly spaced
+        in parameter. Each is the point of the segment at its parameter up
+        to coordinate rounding of about 1e-14 m on maps under 20 m, and
+        every decision below keeps a margin of 1e-9 m against it. Distances
+        are in the downwash-scaled metric, and reach = inflation + radius:
+
+        - Discs. d is the exact distance from an agent's centre to the
+          segment. If d > reach + 1e-9, no sample comes within reach.
+          Otherwise the two samples that bracket the segment's closest
+          point are built and measured as sampled lines measure them. The
+          squared distance along the line is a quadratic symmetric about
+          the closest point, so one of the two is the nearest sample: if
+          one is within reach, the line is blocked, and if both are beyond
+          reach + 1e-9, so is every sample. Otherwise the disc grazes the
+          line.
+        - Static. Every sample's inflated cube lies inside the box
+          [min(p, q) - inflation - 1e-9, max(p, q) + inflation + 1e-9]. If
+          that box is in bounds and free, every sample passes points_free,
+          since the bounds test is a comparison and the cell ranges are
+          monotone in the corners.
+
+        A line no disc blocks is clear when no disc grazes it and its static
+        box is free. Only the lines left undecided are sampled, against the
+        discs that graze any of them; a line's samples do not depend on the
+        other lines. Lines and discs are decided as (lines x discs) arrays,
+        and the static boxes by one summed-area query.
         """
-        samples, starts = self._sight_samples(p, targets)
-        counts = np.diff(starts, append=len(samples))
+        _check_inflation(inflation)
+        p = np.asarray(p, dtype=float).reshape(3)
+        targets = np.asarray(targets, dtype=float).reshape(-1, 3)
+        if not (np.isfinite(p).all() and np.isfinite(targets).all()):
+            raise ValueError("sight line endpoints must be finite")
+        delta = targets - p
+        counts = self._sample_counts(delta)
+        lo = np.minimum(p, targets) - inflation - _EPS_LINE
+        hi = np.maximum(p, targets) + inflation + _EPS_LINE
+        inside = (lo >= self.bounds_min - _EPS_BOUNDS) & (hi <= self.bounds_max + _EPS_BOUNDS)
+        clear = inside.all(axis=1) & (self._count_occupied(*self._overlap_range(lo, hi)) == 0)
+        undecided = ~clear
+        grazing = []
+        if agent_obstacles:
+            centres = np.array([c for c, _ in agent_obstacles], dtype=float).reshape(-1, 3)
+            reach = inflation + np.array([r for _, r in agent_obstacles], dtype=float)
+            scale = np.array([1.0, 1.0, 1.0 / downwash])
+            u = delta * scale  # (lines, 3)
+            w = (centres - p) * scale  # (discs, 3)
+            uu = np.vecdot(u, u)[:, None]
+            t = np.divide(u @ w.T, uu, out=np.zeros((len(u), len(w))), where=uu > 0)
+            np.clip(t, 0.0, 1.0, out=t)
+            gap = w - t[:, :, None] * u[:, None, :]
+            near = ~(np.sqrt(np.vecdot(gap, gap)) > reach + _EPS_LINE)  # (lines, discs)
+            line, disc = np.nonzero(near)
+            if line.size:
+                last = counts[line] - 1
+                k = np.minimum(np.floor(t[line, disc] * last).astype(int), np.maximum(last - 1, 0))
+                both = np.concatenate([line, line]), np.concatenate([k, np.minimum(k + 1, last)])
+                x, y, z = self._line_samples(p, targets, counts, *both).T
+                c = centres[np.concatenate([disc, disc])]
+                gx, gy, gz = x - c[:, 0], y - c[:, 1], (z - c[:, 2]) * (1.0 / downwash)
+                nearest = np.minimum(*np.sqrt(gx * gx + gy * gy + gz * gz).reshape(2, -1))
+                blocked = np.zeros(len(targets), dtype=bool)
+                blocked[line[nearest <= reach[disc]]] = True
+                near[line, disc] = ~(nearest > reach[disc] + _EPS_LINE)
+                near[blocked] = False
+                grazed = near.any(axis=1)
+                clear &= ~(blocked | grazed)
+                undecided = (undecided | grazed) & ~blocked
+                grazing = [agent_obstacles[j] for j in np.flatnonzero(near.any(axis=0))]
+        rows = np.flatnonzero(undecided)
+        if rows.size:
+            clear[rows] = self._sampled_lines_free(p, targets[rows], inflation, grazing, downwash)
+        return clear
 
-        def clear(rows):
-            points = samples[rows]
+    def _sampled_lines_free(self, p, targets, inflation, agent_obstacles, downwash):
+        """Each line from p tested at its samples: every sample passes
+        points_free and lies farther than inflation + radius from every
+        agent obstacle in the downwash-scaled metric. Sampled lines mostly
+        fail, so every 8th sample of each line is built and tested first,
+        then every sample of the lines that passed."""
+        p = np.asarray(p, dtype=float).reshape(3)
+        counts = self._sample_counts(targets - p)
+        clear = np.ones(len(targets), dtype=bool)
+        for stride in (_COARSE, 1):
+            rows = np.flatnonzero(clear)
+            if not rows.size:
+                break
+            per_line = (counts[rows] + stride - 1) // stride
+            starts = np.cumsum(per_line) - per_line
+            line = np.repeat(rows, per_line)
+            k = (np.arange(per_line.sum()) - np.repeat(starts, per_line)) * stride
+            points = self._line_samples(p, targets, counts, line, k)
             ok = self.points_free(points, inflation)
             # np.linalg.norm(gap, axis=1) sums the squares left to right;
             # the 1.0 scale factors of x and y are left out, as exact.
@@ -577,48 +745,42 @@ class OccupancyGrid:
                 gy = y - pos[1]
                 gz = (z - pos[2]) * (1.0 / downwash)
                 ok &= ~(np.sqrt(gx * gx + gy * gy + gz * gz) <= inflation + radius)
-            return ok
+            clear[rows] = np.logical_and.reduceat(ok, starts)
+        return clear
 
-        stride = _COARSE if len(starts) > 1 else 1
-        ok = np.ones(len(samples), dtype=bool)
-        ok[::stride] = clear(slice(None, None, stride))
-        rest = np.repeat(np.logical_and.reduceat(ok, starts), counts)
-        rest[::stride] = False
-        rest = np.flatnonzero(rest)
-        if rest.size:
-            ok[rest] = clear(rest)
-        return np.logical_and.reduceat(ok, starts)
-
-    def _sight_samples(self, p, targets) -> tuple[np.ndarray, np.ndarray]:
-        """Samples of every segment p-q, stacked, and each segment's first
-        row. Segment q gets count = ceil(|q - p| / (resolution/2)) + 1
-        samples (at least 2, or 1 when q == p), bit for bit the points
-        np.linspace(p, q, count) returns."""
-        p = np.asarray(p, dtype=float).reshape(3)
-        targets = np.asarray(targets, dtype=float).reshape(-1, 3)
-        delta = targets - p
+    def _sample_counts(self, delta) -> np.ndarray:
+        """Samples of each segment p to p + delta: ceil(|delta| /
+        (resolution/2)) + 1, at least 2, or 1 when delta is zero."""
         # np.linalg.norm of one vector is sqrt(v.dot(v)); vecdot takes the
         # same dot product row by row.
         dist = np.sqrt(np.vecdot(delta, delta))
-        counts = np.where(
+        return np.where(
             dist > 0,
             np.maximum(2, np.ceil(dist / (self.resolution / 2)).astype(int) + 1),
             1,
         )
-        starts = np.cumsum(counts) - counts
-        line = np.repeat(np.arange(len(counts)), counts)
-        k = (np.arange(counts.sum()) - starts[line]).astype(float)[:, None]
+
+    def _line_samples(self, p, targets, counts, line, k) -> np.ndarray:
+        """Sample k[i] of the segment from p to targets[line[i]] with
+        counts[line[i]] samples, bit for bit what np.linspace returns."""
+        delta = targets - p
         # linspace's arithmetic: k * step, or (k / div) * delta on a line
         # with a zero step component, then + p, and the last sample is q.
         # A single sample is 0 * delta + p, which div = 1 reproduces.
         div = np.maximum(counts - 1, 1).astype(float)[:, None]
         step = delta / div
+        k = k.astype(float)[:, None]
         samples = k * step[line]
         zero_step = np.flatnonzero(np.any(step == 0, axis=1)[line])
         if zero_step.size:
             rows = line[zero_step]
             samples[zero_step] = (k[zero_step] / div[rows]) * delta[rows]
         samples += p
-        ends = counts > 1
-        samples[(starts + counts - 1)[ends]] = targets[ends]
-        return samples, starts
+        last = np.flatnonzero((k[:, 0] == div[line, 0]) & (counts[line] > 1))
+        samples[last] = targets[line[last]]
+        return samples
+
+
+def _check_inflation(inflation: float) -> None:
+    if not inflation >= 0:
+        raise ValueError("inflation must be non-negative")

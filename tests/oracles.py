@@ -45,52 +45,63 @@ def gauss_legendre_integral(fn, a: float, b: float, order: int = 64) -> float:
     return 0.5 * (b - a) * float(np.sum(weights * np.array([fn(t) for t in x])))
 
 
-def min_norm_point_pgd(points, max_iterations: int = 200000) -> float:
-    """Distance from the origin to the convex hull of points.
+def min_norm_point_pgd(point_sets, max_iterations: int = 200000) -> np.ndarray:
+    """Distance from the origin to the convex hull of each point set.
 
-    Accelerated projected gradient descent over convex-combination weights.
-    Runs until the Frank-Wolfe duality gap certifies the squared distance to
-    1e-13 of the hull scale, so the returned value carries its own accuracy
-    guarantee instead of trusting a fixed iteration count.
+    `point_sets` has shape (hulls, k, 3). Accelerated projected gradient
+    descent over convex-combination weights, run on every hull at once.
+    Each hull runs until its own Frank-Wolfe duality gap certifies its
+    squared distance to 1e-13 of its scale, then stops, so every returned
+    value carries its own accuracy guarantee instead of trusting a fixed
+    iteration count.
     """
-    pts = np.asarray(points, dtype=float)
-    k = len(pts)
-    gram = pts @ pts.T
-    lipschitz = max(np.linalg.norm(gram, 2), 1e-300)
-    scale2 = max(float(np.max(np.diag(gram))), 1e-300)
-    gap_target = 1e-13 * max(1.0, scale2)
+    pts = np.asarray(point_sets, dtype=float)
+    hulls, k = pts.shape[:2]
+    gram = pts @ pts.transpose(0, 2, 1)
+    lipschitz = np.maximum(np.linalg.norm(gram, 2, axis=(1, 2)), 1e-300)[:, None]
+    diag = np.diagonal(gram, axis1=1, axis2=2)
+    gap_target = 1e-13 * np.maximum(1.0, np.max(diag, axis=1))
 
-    lam = np.zeros(k)
-    lam[int(np.argmin(np.diag(gram)))] = 1.0
+    weights = np.zeros((hulls, k))
+    weights[np.arange(hulls), np.argmin(diag, axis=1)] = 1.0
+    # The hulls still running, and their state, packed in that order.
+    running = np.arange(hulls)
+    lam = weights.copy()
     momentum = lam.copy()
-    t_prev = 1.0
+    t_prev = np.ones(hulls)
     for it in range(max_iterations):
-        grad = gram @ momentum
+        grad = (gram @ momentum[:, :, None])[:, :, 0]
         new = project_to_simplex(momentum - grad / lipschitz)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        momentum = new + ((t_prev - 1.0) / t_new) * (new - lam)
+        momentum = new + ((t_prev - 1.0) / t_new)[:, None] * (new - lam)
         # Restart the momentum when it points uphill.
-        if np.dot(gram @ new, new - lam) > 0:
-            momentum = new.copy()
-            t_new = 1.0
+        uphill = np.vecdot((gram @ new[:, :, None])[:, :, 0], new - lam) > 0
+        momentum[uphill] = new[uphill]
+        t_new[uphill] = 1.0
         lam, t_prev = new, t_new
         if it % 32 == 0:
-            grad = gram @ lam
-            gap = 2.0 * (float(lam @ grad) - float(np.min(grad)))
-            if gap <= gap_target:
+            grad = (gram @ lam[:, :, None])[:, :, 0]
+            gap = 2.0 * (np.vecdot(lam, grad) - np.min(grad, axis=1))
+            done = gap <= gap_target
+            weights[running[done]] = lam[done]
+            keep = ~done
+            running, lam, momentum, t_prev = running[keep], lam[keep], momentum[keep], t_prev[keep]
+            gram, lipschitz, gap_target = gram[keep], lipschitz[keep], gap_target[keep]
+            if not running.size:
                 break
     else:
         raise AssertionError("min-norm oracle failed to certify convergence")
-    return float(np.linalg.norm(lam @ pts))
+    return np.linalg.norm((weights[:, None, :] @ pts)[:, 0], axis=1)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    """Euclidean projection of each row onto the probability simplex
+    (sort-based)."""
+    u = -np.sort(-v, axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
+    idx = np.arange(1, v.shape[-1] + 1)
+    rho = np.sum(u - css / idx > 0, axis=-1) - 1
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
     return np.maximum(v - theta, 0.0)
 
 
@@ -324,6 +335,52 @@ def sight_line_by_linspace(grid, p, q, inflation, agent_obstacles=(), downwash=1
         if np.any(np.linalg.norm(delta, axis=1) <= inflation + radius):
             return False
     return True
+
+
+def sight_samples(grid, p, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample of every segment from p to a target, stacked as the
+    grid builds them, and each segment's first row."""
+    p = np.asarray(p, dtype=float).reshape(3)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 3)
+    counts = grid._sample_counts(targets - p)
+    starts = np.cumsum(counts) - counts
+    line = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(counts.sum()) - starts[line]
+    return grid._line_samples(p, targets, counts, line, k), starts
+
+
+def sight_lines_by_samples(
+    grid, p, targets, inflation: float, agent_obstacles=(), downwash: float = 1.0
+) -> np.ndarray:
+    """Sight lines from p to each target decided from their samples alone:
+    every sample of every line is built at once, as np.linspace builds
+    them, and tested with grid.points_free and against every agent obstacle.
+    With several targets every 8th sample is tested first, then the rest of
+    the lines that passed; a line is clear iff all its samples pass."""
+    samples, starts = sight_samples(grid, p, targets)
+    counts = np.diff(starts, append=len(samples))
+
+    def clear(rows):
+        points = samples[rows]
+        ok = grid.points_free(points, inflation)
+        x, y, z = points.T
+        for pos, radius in agent_obstacles:
+            pos = np.asarray(pos, dtype=float)
+            gx = x - pos[0]
+            gy = y - pos[1]
+            gz = (z - pos[2]) * (1.0 / downwash)
+            ok &= ~(np.sqrt(gx * gx + gy * gy + gz * gz) <= inflation + radius)
+        return ok
+
+    stride = 8 if len(starts) > 1 else 1
+    ok = np.ones(len(samples), dtype=bool)
+    ok[::stride] = clear(slice(None, None, stride))
+    rest = np.repeat(np.logical_and.reduceat(ok, starts), counts)
+    rest[::stride] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        ok[rest] = clear(rest)
+    return np.logical_and.reduceat(ok, starts)
 
 
 def box_free_by_counts(grid, box, inflation: float) -> bool:
@@ -743,6 +800,20 @@ def verify_by_loops(log_dir) -> VerificationReport:
                         f"agent {i} step {k1}: {name} jumps by {err:.3e} "
                         f"at t={t0_b:.2f}"
                     )
+
+    # Acceleration-level continuity at the internal joints of every plan.
+    for k, _, cpts in steps:
+        for i in range(n_agents):
+            for m in range(1, len(cpts[i])):
+                sa = _loop_plan_state(cpts[i][m - 1 : m], dt, 1)
+                sb = _loop_plan_state(cpts[i][m : m + 1], dt, 0)
+                for name, va, vb in zip(cont, sa, sb):
+                    err = float(np.linalg.norm(va - vb))
+                    if err > CONTINUITY_TOL:
+                        report(
+                            f"agent {i} step {k}: {name} jumps by {err:.3e} "
+                            f"between segments {m - 1} and {m}"
+                        )
 
     # Inter-agent separation in the downwash-scaled metric.
     scale = np.array([1.0, 1.0, 1.0 / params.downwash])

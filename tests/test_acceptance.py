@@ -206,11 +206,9 @@ class TestCriterion5OracleEquivalences:
 
     def test_hull_distance_vs_brute_force(self):
         rng = np.random.default_rng(101)
-        worst = 0.0
-        for _ in range(1000):
-            pts = rng.normal(size=(6, 3)) + rng.normal(size=3) * 2
-            _, dist = closest_point_to_origin(pts)
-            worst = max(worst, abs(dist - min_norm_point_pgd(pts)))
+        hulls = [rng.normal(size=(6, 3)) + rng.normal(size=3) * 2 for _ in range(1000)]
+        dists = [closest_point_to_origin(pts)[1] for pts in hulls]
+        worst = float(np.max(np.abs(np.array(dists) - min_norm_point_pgd(hulls))))
         _report(
             "criterion 5 (hull distance vs convex-combination search)",
             worst <= 1e-6,

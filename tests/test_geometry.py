@@ -99,10 +99,9 @@ class TestClosestPoint:
 
     def test_matches_brute_force_on_random_hulls(self):
         rng = np.random.default_rng(23)
-        for _ in range(60):
-            pts = rng.normal(size=(6, 3)) + rng.normal(size=3) * 2
+        hulls = [rng.normal(size=(6, 3)) + rng.normal(size=3) * 2 for _ in range(60)]
+        for pts, oracle in zip(hulls, min_norm_point_pgd(hulls)):
             _, dist = closest_point_to_origin(pts)
-            oracle = min_norm_point_pgd(pts)
             assert dist <= oracle + 1e-9
             assert abs(dist - oracle) < 1e-6
 

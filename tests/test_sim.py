@@ -16,13 +16,15 @@ from swarmplan.qp import param_matrices
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import export_csv, run
 from swarmplan.verify import verify
-from swarmplan.world import OccupancyGrid
+from swarmplan.world import AxisBox, OccupancyGrid
 
 from oracles import (
     closest_by_enumeration,
     csv_rows_by_float,
     de_casteljau,
     dense_separation_rows,
+    grow_box_by_layers,
+    sight_lines_by_samples,
     step_line_by_float,
 )
 
@@ -199,6 +201,48 @@ class TestRun:
         run(sc, tmp_path / "dense")
         structured_bytes = (tmp_path / "structured" / "steps.jsonl").read_bytes()
         assert structured_bytes == (tmp_path / "dense" / "steps.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, agents, timeout, reached",
+        [("circle", 6, 4.0, "_line_samples"), ("indoor", 4, 6.0, "_sampled_lines_free")],
+    )
+    def test_world_queries_match_referees(
+        self, tmp_path, monkeypatch, kind, agents, timeout, reached
+    ):
+        # Sight lines decided in closed form and boxes grown by galloping
+        # must write the steps.jsonl bytes that sampling every line and
+        # growing every layer write. On the circle, agent discs come near
+        # enough to some lines that the samples bracketing their closest
+        # points are built; among the indoor walls and doors, some lines
+        # are left to sampling.
+        sc = generate_scenario(kind, agents, seed=1, timeout=timeout)
+        calls = []
+        real = getattr(OccupancyGrid, reached)
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OccupancyGrid, reached, spy)
+            run(sc, tmp_path / "fast")
+        assert calls
+
+        def lines(self, p, targets, inflation, agent_obstacles=(), downwash=1.0):
+            return sight_lines_by_samples(self, p, targets, inflation, agent_obstacles, downwash)
+
+        def line(self, p, q, inflation, agent_obstacles=(), downwash=1.0):
+            return bool(lines(self, p, [q], inflation, agent_obstacles, downwash)[0])
+
+        def box(self, seed, inflation, toward=None):
+            return AxisBox(*grow_box_by_layers(self, seed, inflation, toward))
+
+        monkeypatch.setattr(OccupancyGrid, "sight_lines_free", lines)
+        monkeypatch.setattr(OccupancyGrid, "line_of_sight_free", line)
+        monkeypatch.setattr(OccupancyGrid, "grow_free_box", box)
+        run(sc, tmp_path / "referees")
+        fast = (tmp_path / "fast" / "steps.jsonl").read_bytes()
+        assert fast == (tmp_path / "referees" / "steps.jsonl").read_bytes()
 
     def test_mean_plan_ms_counts_the_shared_view(self, tmp_path, monkeypatch):
         # Building the goal view is planning work done once per step; the

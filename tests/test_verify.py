@@ -132,7 +132,8 @@ class TestAgainstLoopVerifier:
         # float difference falls short of one period, and floor of it over
         # the period would pick segment 0 at tau just under 1. The check
         # takes segment 1 at tau 0 by step count, so a jump of step 3's
-        # segment 1 against step 4's start is caught.
+        # segment 1 against step 4's start is caught. The move also breaks
+        # step 3's own joint between segments 0 and 1.
         logs = copy_logs("circle-2")
         steps = [json.loads(line) for line in (logs / "steps.jsonl").read_text().splitlines()]
         assert steps[4]["t0"] - steps[3]["t0"] == 0.19999999999999996
@@ -142,10 +143,32 @@ class TestAgainstLoopVerifier:
 
         edit_steps(logs, move)
         report = assert_same_report(logs)
+        names = ("position", "velocity", "acceleration")
         assert [v.split(" jumps by ")[0] for v in report.violations] == [
-            f"agent 1 step 4: {name}" for name in ("position", "velocity", "acceleration")
+            f"agent 1 step {k}: {name}" for k in (4, 3) for name in names
         ]
         assert report.violations[0] == "agent 1 step 4: position jumps by 1.000e-03 at t=0.80"
+        assert report.violations[3] == (
+            "agent 1 step 3: position jumps by 1.000e-03 between segments 0 and 1"
+        )
+
+    @pytest.mark.parametrize("name", ["circle-32", "indoor-8"])
+    def test_moved_internal_joint_is_caught(self, copy_logs, name):
+        # Segment 2 of a dumped plan is read by no other check: neither the
+        # logged states nor the next plan's start depend on it.
+        logs = copy_logs(name)
+
+        def move(payloads):
+            payloads[2]["cpts"]["1"][2][0][0] += 1e-3
+
+        edit_steps(logs, move)
+        report = assert_same_report(logs)
+        assert [v.split(" jumps by ")[0] for v in report.violations] == [
+            f"agent 1 step 2: {name}" for name in ("position", "velocity", "acceleration")
+        ]
+        assert report.violations[0] == (
+            "agent 1 step 2: position jumps by 1.000e-03 between segments 1 and 2"
+        )
 
     @pytest.mark.parametrize("point", range(6))
     def test_moved_control_point_of_a_later_step_is_caught(self, copy_logs, point):

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,8 @@ from oracles import (
     grow_box_by_layers,
     prefix_by_cumsum,
     sight_line_by_linspace,
+    sight_lines_by_samples,
+    sight_samples,
 )
 
 
@@ -311,6 +314,40 @@ class TestLineOfSight:
         assert not grid.line_of_sight_free((1.5, 1.5, 1.0), (1.5, 1.5, 2.5), 0.15)
 
 
+class TestInputChecks:
+    """Bad input raises instead of deciding: a NaN compares false against
+    every threshold, and a negative inflation shrinks the obstacles."""
+
+    def test_negative_inflation_rejected_by_sight_lines(self):
+        grid = empty_grid()
+        p, q = (1.0, 1.0, 1.0), (2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="inflation"):
+            grid.line_of_sight_free(p, q, -0.1)
+        with pytest.raises(ValueError, match="inflation"):
+            grid.sight_lines_free(p, [q, p], -0.1)
+
+    def test_nan_target_rejected_by_sight_lines(self):
+        grid = empty_grid()
+        p, q = (1.0, 1.0, 1.0), (2.0, float("nan"), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            grid.line_of_sight_free(p, q, 0.15)
+        with pytest.raises(ValueError, match="finite"):
+            grid.sight_lines_free(p, [(2.0, 1.0, 1.0), q], 0.15)
+        with pytest.raises(ValueError, match="finite"):
+            grid.line_of_sight_free((float("inf"), 1.0, 1.0), (2.0, 1.0, 1.0), 0.15)
+
+    def test_nan_goal_rejected_by_astar(self):
+        grid = empty_grid()
+        with pytest.raises(ValueError, match="finite"):
+            grid.astar((0.5, 0.5, 1.0), (float("nan"), 2.5, 1.0), 0.15)
+        with pytest.raises(ValueError, match="finite"):
+            grid.astar((0.5, float("inf"), 1.0), (2.5, 2.5, 1.0), 0.15)
+
+    def test_negative_inflation_rejected_by_astar(self):
+        with pytest.raises(ValueError, match="inflation"):
+            empty_grid().astar((0.5, 0.5, 1.0), (2.5, 2.5, 1.0), -0.1)
+
+
 INFLATIONS = (0.0, 0.04, 0.175, 0.3)
 
 
@@ -385,6 +422,23 @@ class TestExactAgainstReferees:
                     grid, seed, inflation, toward
                 )
 
+    @pytest.mark.parametrize("inflation", (0.04, 0.175))
+    def test_grow_free_box_matches_layers_in_every_order(self, referee_grid, inflation):
+        # Every direction order `toward` can give: each ranking of the axes
+        # by weight, with each sign.
+        grid = referee_grid
+        rng = np.random.default_rng(12)
+        towards = [None]
+        for ranks in itertools.permutations((1.0, 2.0, 3.0)):
+            for signs in itertools.product((1.0, -1.0), repeat=3):
+                towards.append(np.multiply(ranks, signs))
+        for seed in free_points(grid, inflation, rng, 2):
+            for toward in towards:
+                box = grid.grow_free_box(seed, inflation, toward)
+                assert (box.min_corner, box.max_corner) == grow_box_by_layers(
+                    grid, seed, inflation, toward
+                )
+
     @pytest.mark.parametrize("inflation", INFLATIONS)
     def test_seed_test_matches_point_is_free(self, referee_grid, inflation):
         # grow_free_box tests its seed on the scalar path box_is_free takes
@@ -448,7 +502,7 @@ class TestExactAgainstReferees:
                 max(2, int(np.ceil(d / (grid.resolution / 2))) + 1) if d > 0 else 1
                 for d in (float(np.linalg.norm(q - p)) for q in targets)
             ]
-            samples, starts = grid._sight_samples(p, targets)
+            samples, starts = sight_samples(grid, p, targets)
             assert np.array_equal(starts, np.cumsum(counts) - counts)
             expected = [np.linspace(p, q, n) for q, n in zip(targets, counts)]
             assert np.array_equal(samples, np.concatenate(expected))
@@ -460,6 +514,98 @@ class TestExactAgainstReferees:
                     sight_line_by_linspace(grid, p, q, inflation, obstacles, downwash)
                     for q in targets
                 ]
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    @pytest.mark.parametrize("downwash", (1.0, 2.0))
+    def test_sight_lines_at_disc_boundaries(self, referee_grid, inflation, downwash):
+        # One disc per line, its scaled distance to the segment or to the
+        # nearest sample at reach + offset for offsets around 0: abreast of
+        # a sample, between two, beyond either end, and around p for a line
+        # of one sample; and at reach - h/2 + offset, h being the spacing of
+        # samples, where line_of_sight_free's outright block begins.
+        grid = referee_grid
+        rng = np.random.default_rng(13)
+        scale = np.array([1.0, 1.0, 1.0 / downwash])
+        radius = 0.15
+        reach = inflation + radius
+        outcomes = set()
+        for p in free_points(grid, inflation, rng, 2):
+            for _ in range(2):
+                q = p + rng.normal(size=3) * rng.uniform(0.05, 1.5)
+                u = (q - p) * scale
+                count = max(2, int(np.ceil(np.linalg.norm(q - p) / (grid.resolution / 2))) + 1)
+                h = float(np.linalg.norm(u)) / (count - 1)
+                side = np.cross(u, rng.normal(size=3))
+                side /= np.linalg.norm(side)
+                beyond = u / np.linalg.norm(u) + side
+                beyond /= np.linalg.norm(beyond)
+                cases = []
+                for offset in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9):
+                    k = int(rng.integers(count - 1))
+                    frac = rng.uniform(0.1, 0.9)
+                    gap = min(frac, 1 - frac) * h
+                    along = u * (k + frac) / (count - 1)
+                    cases += [
+                        (q, u * k / (count - 1) + side * (reach + offset)),
+                        (q, along + side * np.sqrt((reach + offset) ** 2 - gap**2)),
+                        (q, along + side * (reach - h / 2 + offset)),
+                        (q, u + beyond * (reach + offset)),
+                        (q, -beyond * (reach + offset)),
+                        (p, side * (reach + offset)),
+                    ]
+                for target, centre in cases:
+                    disc = [(p + centre / scale, radius)]
+                    expected = sight_line_by_linspace(grid, p, target, inflation, disc, downwash)
+                    assert grid.line_of_sight_free(p, target, inflation, disc, downwash) == expected
+                    got = grid.sight_lines_free(p, [target, q], inflation, disc, downwash)
+                    assert got[0] == expected
+                    outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("inflation", INFLATIONS)
+    def test_sight_lines_at_static_boundaries(self, referee_grid, inflation):
+        # Lines whose inflated samples end a hair to either side of an
+        # occupied cell's face or of the world bounds, and of their 1e-9
+        # slack, against the same lines with several agent discs.
+        grid = referee_grid
+        rng = np.random.default_rng(14)
+        occupied = np.argwhere(grid.occupied)
+        faces = []
+        for _ in range(6):
+            axis = int(rng.integers(3))
+            if len(occupied) and rng.integers(2):
+                cell = occupied[int(rng.integers(len(occupied)))]
+                low = grid.bounds_min[axis] + cell[axis] * grid.resolution
+                faces.append((axis, low - inflation, grid.voxel_center(cell)))
+                faces.append((axis, low + grid.resolution + inflation, grid.voxel_center(cell)))
+            else:
+                centre = rng.uniform(grid.bounds_min, grid.bounds_max)
+                faces.append((axis, grid.bounds_min[axis] + inflation, centre))
+                faces.append((axis, grid.bounds_max[axis] - inflation, centre))
+        for axis, plane, centre in faces:
+            p = centre + rng.normal(size=3) * 0.4
+            targets = []
+            for offset in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9):
+                for end in (0, 1):
+                    a, b = p.copy(), centre + rng.normal(size=3) * 0.4
+                    a[axis] = b[axis] = plane + offset
+                    b[axis] += rng.uniform(-0.2, 0.2) * end
+                    targets.append((a, b))
+            for a, b in targets:
+                expected = sight_line_by_linspace(grid, a, b, inflation)
+                assert grid.line_of_sight_free(a, b, inflation) == expected
+            for start in {tuple(a) for a, _ in targets}:
+                ends = np.array([b for a, b in targets if tuple(a) == start])
+                discs = [(b + rng.normal(size=3) * 0.3, 0.15) for b in ends[:3]]
+                for obstacles in ((), discs):
+                    got = grid.sight_lines_free(start, ends, inflation, obstacles, 2.0)
+                    assert got.tolist() == [
+                        sight_line_by_linspace(grid, start, b, inflation, obstacles, 2.0)
+                        for b in ends
+                    ]
+                    assert np.array_equal(
+                        got, sight_lines_by_samples(grid, start, ends, inflation, obstacles, 2.0)
+                    )
 
     def test_sight_line_touching_agent_disc_is_blocked(self):
         # A sample at exactly inflation + radius from an agent, in the
