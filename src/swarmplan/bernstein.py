@@ -60,10 +60,6 @@ class BernsteinSegment:
     def degree(self) -> int:
         return self.control_points.shape[0] - 1
 
-    def eval(self, tau: float) -> np.ndarray:
-        """Position at local parameter tau in [0, 1]."""
-        return basis_row(self.degree, tau) @ self.control_points
-
     def __repr__(self):
         return f"BernsteinSegment(degree={self.degree}, duration={self.duration})"
 
@@ -125,33 +121,6 @@ class PiecewiseTrajectory:
     @property
     def segment_time(self) -> float:
         return self.segments[0].duration
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.segment_count * self.segment_time
-
-    def segment_index(self, t: float) -> int:
-        """Index of the segment evaluated at time t.
-
-        At an interior knot the later segment wins (evaluation is
-        right-continuous); at the horizon end the last segment is used.
-        """
-        slack = 1e-9 * max(1.0, abs(self.start_time), abs(self.end_time))
-        if t < self.start_time - slack or t > self.end_time + slack:
-            raise ValueError(
-                f"t={t} outside horizon [{self.start_time}, {self.end_time}]"
-            )
-        m = int(np.floor((t - self.start_time) / self.segment_time))
-        return min(max(m, 0), self.segment_count - 1)
-
-    def _local_tau(self, t: float, m: int) -> float:
-        tau = (t - self.start_time - m * self.segment_time) / self.segment_time
-        return min(max(tau, 0.0), 1.0)
-
-    def eval(self, t: float) -> np.ndarray:
-        """Position at absolute time t within the horizon."""
-        m = self.segment_index(t)
-        return self.segments[m].eval(self._local_tau(t, m))
 
     def control_point_stack(self) -> np.ndarray:
         """All control points as one (M*(n+1), 3) array in segment order."""

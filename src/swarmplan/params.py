@@ -66,7 +66,6 @@ class PlanningParams:
     qp_tolerance: float = 1e-6
     qp_max_iterations: int | None = None
     astar_budget: int = 20000
-    grid_resolution: float = 0.1
 
     def __post_init__(self):
         if not 1 <= self.degree <= 10:

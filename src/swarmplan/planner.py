@@ -1,13 +1,14 @@
 """One agent's synchronized replanning step.
 
-The swarm-wide work of a step is done once from the shared snapshot: shift
-the previous plans by one segment, build the pairwise separating
-half-spaces of every pair, and build the goal-planning view. Every agent
-then runs the same recipe on those inputs: gather its own pair rows, pick a
-goal, rebuild its safe-box corridor, and solve the QP warm-started at the
-shifted plan. The shifted plan provably satisfies every constraint, so if
-the solver ever fails numerically the agent just flies the shifted plan;
-safety never depends on the solver succeeding.
+The swarm-wide work of a step is done once from what the swarm holds: the
+agents' previous plans (or their start positions at step 0), goals and
+radii. Shift the previous plans by one segment, build the pairwise
+separating half-spaces of every pair, and build the goal-planning view.
+Every agent then runs the same recipe on those inputs: gather its own pair
+rows, pick a goal, rebuild its safe-box corridor, and solve the QP
+warm-started at the shifted plan. The shifted plan provably satisfies every
+constraint, so if the solver ever fails numerically the agent just flies
+the shifted plan; safety never depends on the solver succeeding.
 """
 
 from __future__ import annotations
@@ -39,27 +40,6 @@ CANDIDATE_TOL = 1e-9
 _SYNC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AgentSnapshot:
-    """One agent's communicated state: everything others need to plan."""
-
-    agent_id: int
-    radius: float
-    position: np.ndarray
-    goal: np.ndarray
-    previous_trajectory: PiecewiseTrajectory | None
-
-    def __post_init__(self):
-        for name in ("position", "goal"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
 @dataclass
 class PlannerState:
     """Mutable per-agent carry-over between steps (owned by one caller)."""
@@ -89,34 +69,40 @@ class PlanStepResult:
 
 
 def initial_trajectories(
-    snapshots: list[AgentSnapshot], params: PlanningParams, now: float = 0.0
+    previous: list[PiecewiseTrajectory | None],
+    starts: list,
+    params: PlanningParams,
+    now: float,
 ) -> dict[int, PiecewiseTrajectory]:
-    """Shift every agent's previous plan to this step (identically on every
-    caller, so decentralized planners agree bit-for-bit)."""
-    out = {}
-    for snap in snapshots:
-        out[snap.agent_id] = shift_for_initial(
-            snap.previous_trajectory,
-            snap.position,
+    """Every agent's previous plan shifted to this step, by agent id
+    (identically on every caller, so decentralized planners agree
+    bit-for-bit). Both lists are indexed by agent id; an agent's start is
+    read only where it has no previous plan, which is step 0."""
+    return {
+        i: shift_for_initial(
+            prev,
+            starts[i] if prev is None else None,
             segment_count=params.segment_count,
             degree=params.degree,
             segment_time=params.segment_time,
             start_time=now,
         )
-    return out
+        for i, prev in enumerate(previous)
+    }
 
 
 def shared_pair_separations(
     inits: dict[int, PiecewiseTrajectory],
-    radii: dict[int, float],
+    radii,
     params: PlanningParams,
 ) -> PairTable:
     """Separating half-spaces for every unordered pair, through one batched
     separate_pairs call.
 
-    The table's trajectories are the agents in ascending id order, and its
-    pairs run (low, high) in row-major upper-triangle order. Each pair's
-    result does not depend on the batch it is built in.
+    Radii are indexed by agent id. The table's trajectories are the agents
+    in ascending id order, and its pairs run (low, high) in row-major
+    upper-triangle order. Each pair's result does not depend on the batch
+    it is built in.
     """
     ids = sorted(inits)
     low, high = np.triu_indices(len(ids), k=1)
@@ -133,21 +119,21 @@ def shared_pair_separations(
 
 
 def goal_view(
-    snapshots: list[AgentSnapshot],
     inits: dict[int, PiecewiseTrajectory],
+    goals,
+    radii,
     params: PlanningParams,
 ) -> SwarmView:
     """Every agent's motion over its shifted plan, and the priority relation
-    between them: the goal-planning view all agents of a step share. The
-    arrays are built straight from the snapshots and shifted plans."""
-    by_id = {snap.agent_id: snap for snap in snapshots}
-    ids = sorted(by_id)
+    between them: the goal-planning view all agents of a step share. Goals
+    and radii are indexed by agent id."""
+    ids = sorted(inits)
     return swarm_view_from_arrays(
         ids,
         np.array([inits[i].segments[0].control_points[0] for i in ids]),
         np.array([inits[i].segments[-1].control_points[-1] for i in ids]),
-        np.array([by_id[i].goal for i in ids]),
-        np.array([by_id[i].radius for i in ids], dtype=float),
+        np.array([goals[i] for i in ids]),
+        np.array([radii[i] for i in ids], dtype=float),
         params,
     )
 
@@ -161,8 +147,8 @@ def plan_step(
 ) -> PlanStepResult:
     """Produce this agent's next trajectory from the step's shared inputs.
 
-    Every agent of a step reads the same three inputs, built once from the
-    synchronized snapshots: the shifted plans (`initial_trajectories`), the
+    Every agent of a step reads the same three inputs, built once for the
+    whole swarm: the shifted plans (`initial_trajectories`), the
     table of per-pair separating half-spaces (`shared_pair_separations`),
     from which the agent gathers its own rows, and the goal-planning view
     with its priority relation (`goal_view`). Raises ValueError when the

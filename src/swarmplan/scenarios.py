@@ -23,6 +23,9 @@ _BOUNDS = {
     "indoor": ((0.0, 0.0, 0.0), (10.0, 15.0, 2.5)),
 }
 
+#: Voxel edge of every generated map, in meters.
+_GRID_RESOLUTION = 0.1
+
 _CIRCLE_RADIUS = 4.0
 _CIRCLE_HEIGHT = 1.0
 _FOREST_OBSTACLES = 10
@@ -106,6 +109,8 @@ class Scenario:
         grid = grid if grid is not None else self.grid()
         scale = np.array([1.0, 1.0, 1.0 / self.params.downwash])
         for i, spec in enumerate(self.agents):
+            if not 0 < spec.radius < np.inf:
+                raise ValueError(f"agent {i} radius {spec.radius} is not positive and finite")
             if not grid.point_is_free(spec.start, spec.radius):
                 raise ValueError(f"agent {i} start is not free under inflation")
             if not grid.point_is_free(spec.goal, spec.radius):
@@ -147,7 +152,7 @@ def generate_scenario(
 def _map_dict(kind: str, boxes=()) -> dict:
     lo, hi = _BOUNDS[kind]
     return {
-        "resolution": PlanningParams().grid_resolution,
+        "resolution": _GRID_RESOLUTION,
         "bounds": {"min": list(lo), "max": list(hi)},
         "boxes": [{"min": list(b[0]), "max": list(b[1])} for b in boxes],
     }

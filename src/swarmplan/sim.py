@@ -1,26 +1,28 @@
 """Synchronized replanning simulator with perfect tracking.
 
-Every segment period, all agents plan from one shared snapshot and then fly
-their new trajectory exactly. The run writes three artifacts into the output
-directory: the scenario itself, the 100 Hz states of every agent as one
-binary array (`states.npy`), and the per-step control-point dump the offline
-verifier uses for exact checks. All safety-relevant metrics are recomputed by
-the verifier from those logs, never taken from the planner's internals.
-`export_csv` writes the states as per-agent CSV text.
+Every segment period, all agents plan from the same shifted previous plans
+and then fly the first segment of their new plan exactly, ending the step at
+that segment's last control point. The run writes three artifacts into the
+output directory: the scenario itself, the 100 Hz states of every agent as
+one binary array (`states.npy`), and the per-step control-point dump the
+offline verifier uses for exact checks. All safety-relevant metrics are
+recomputed by the verifier from those logs, never taken from the planner's
+internals. `export_csv` writes the states as per-agent CSV text.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from swarmplan.bernstein import basis_row, derivative
 from swarmplan.errors import PlannerError
 from swarmplan.planner import (
-    AgentSnapshot,
     PlannerState,
     goal_view,
     initial_trajectories,
@@ -69,15 +71,13 @@ class RunMetrics:
 def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetrics:
     """Simulate a scenario to completion and verify its logs.
 
-    Agents plan one after another, each purely from the shared snapshot, so
-    a fixed scenario gives the same logs every time; only the timing
-    metrics vary between invocations. `threads` must be 1: planning holds
+    Agents plan one after another, each purely from the step's shared
+    inputs, so a fixed scenario gives the same logs every time; only the
+    timing metrics vary between invocations. `threads` must be 1: planning holds
     the GIL, so planner threads made runs no faster.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = scenario.grid()
     scenario.validate(grid)
     params = scenario.params
@@ -85,23 +85,24 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     ticks = round(dt * _TICKS_PER_SECOND)
     if abs(ticks - dt * _TICKS_PER_SECOND) > 1e-9 or ticks < 1:
         raise ValueError("segment_time must be a multiple of the 10 ms log period")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     limit = scenario.timeout if timeout is None else float(timeout)
     basis = _segment_basis(params.degree, [j / ticks for j in range(ticks)])
 
-    n_agents = len(scenario.agents)
     states = [
         PlannerState(agent_id=i, radius=spec.radius, params=params)
         for i, spec in enumerate(scenario.agents)
     ]
-    positions = [np.array(spec.start, dtype=float) for spec in scenario.agents]
+    starts = [np.array(spec.start, dtype=float) for spec in scenario.agents]
     goals = [np.array(spec.goal, dtype=float) for spec in scenario.agents]
-    radii = {i: spec.radius for i, spec in enumerate(scenario.agents)}
+    radii = [spec.radius for spec in scenario.agents]
 
-    # (agents, rows, 10) states. The rows at least double whenever a step
-    # needs more, so the table never holds more than twice the rows logged.
-    table = np.empty((n_agents, 0, 10))
+    # One (agents, ticks, 10) block of 100 Hz states per flown step.
+    blocks: list[np.ndarray] = []
     step_lines: list[str] = []
-    history: list[list[np.ndarray]] = [[p.copy()] for p in positions]
+    # Every agent's end position over the last _STALL_STEPS + 1 steps.
+    recent_ends: deque[list[np.ndarray]] = deque(maxlen=_STALL_STEPS + 1)
 
     plan_times: list[float] = []
     pair_times: list[float] = []
@@ -118,24 +119,16 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             now = step * dt
             if now >= limit:
                 break
-            snapshots = [
-                AgentSnapshot(
-                    agent_id=i,
-                    radius=states[i].radius,
-                    position=positions[i],
-                    goal=goals[i],
-                    previous_trajectory=states[i].previous_trajectory,
-                )
-                for i in range(n_agents)
-            ]
             shared_start = time.perf_counter()
-            inits = initial_trajectories(snapshots, params, now)
+            inits = initial_trajectories(
+                [state.previous_trajectory for state in states], starts, params, now
+            )
             pair_start = time.perf_counter()
             pairs = shared_pair_separations(inits, radii, params)
             pair_end = time.perf_counter()
-            view = goal_view(snapshots, inits, params)
+            view = goal_view(inits, goals, radii, params)
             pair_times.append((pair_end - pair_start) * 1e3)
-            shared_ms = (time.perf_counter() - shared_start) * 1e3 / n_agents
+            shared_ms = (time.perf_counter() - shared_start) * 1e3 / len(states)
 
             # Every agent plans before any state is updated, so a step that
             # aborts part-way leaves all agents on the plan they last flew.
@@ -155,26 +148,20 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
                 state.previous_corridor = result.corridor
 
             step_lines.append(_step_line(step, now, states))
-            first_row = step * ticks
-            if first_row + ticks >= table.shape[1]:
-                # Room for this step and the end row after it.
-                table = _grown(table, first_row + ticks + 1)
-            for i in range(n_agents):
-                _sample_states(
-                    states[i].previous_trajectory,
-                    basis,
-                    table[i, first_row : first_row + ticks],
-                )
+            blocks.append(_sampled_block(states, basis))
 
             step += 1
             now = step * dt
-            for i in range(n_agents):
-                positions[i] = states[i].previous_trajectory.eval(now)
-                history[i].append(positions[i].copy())
+            # Perfect tracking leaves each agent at its flown segment's end.
+            ends = [
+                state.previous_trajectory.segments[0].control_points[-1]
+                for state in states
+            ]
+            recent_ends.append(ends)
 
             if all(
-                float(np.linalg.norm(positions[i] - goals[i])) < params.goal_reach_dist
-                for i in range(n_agents)
+                float(np.linalg.norm(end - goal)) < params.goal_reach_dist
+                for end, goal in zip(ends, goals)
             ):
                 if reach_candidate is None:
                     reach_candidate = now
@@ -188,34 +175,26 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
         error = str(exc)
 
     sim_time = step * dt
-    rows = step * ticks + 1 if step else 0
-    if step > 0:
+    if blocks:
         # The last row is the end state of the last flown segment.
-        end_basis = _segment_basis(params.degree, [1.0])
-        for i in range(n_agents):
-            _sample_states(
-                states[i].previous_trajectory, end_basis, table[i, rows - 1 : rows]
-            )
-    table = _packed(table, rows)
-    table[:, :, 0] = np.arange(rows) / _TICKS_PER_SECOND
+        blocks.append(_sampled_block(states, _segment_basis(params.degree, [1.0])))
+    table = np.concatenate([np.empty((len(states), 0, 10)), *blocks], axis=1)
+    table[:, :, 0] = np.arange(table.shape[1]) / _TICKS_PER_SECOND
 
     deadlock = False
     if not success and error is None and step > _STALL_STEPS:
-        stalled = []
-        for i in range(n_agents):
-            if float(np.linalg.norm(positions[i] - goals[i])) < params.goal_reach_dist:
-                continue
-            moved = float(
-                np.linalg.norm(history[i][-1] - history[i][-1 - _STALL_STEPS])
-            )
-            stalled.append(moved < _STALL_DIST)
+        stalled = [
+            float(np.linalg.norm(end - before)) < _STALL_DIST
+            for end, before, goal in zip(recent_ends[-1], recent_ends[0], goals)
+            if float(np.linalg.norm(end - goal)) >= params.goal_reach_dist
+        ]
         deadlock = bool(stalled) and all(stalled)
 
     (out / "scenario.json").write_text(scenario.to_json())
     np.save(out / "states.npy", table, allow_pickle=False)
     (out / "steps.jsonl").write_text("\n".join(step_lines) + ("\n" if step_lines else ""))
     # The logs are on disk now; free them before verify reads them back.
-    del table, step_lines
+    del table, blocks, step_lines
 
     metrics = RunMetrics(
         success=success,
@@ -250,48 +229,26 @@ def _segment_basis(degree: int, taus):
     """Basis matrices sampling one segment (and its derivatives) at the
     local parameters taus; only the first segment of each plan is ever
     flown."""
-    from swarmplan.bernstein import basis_row
-
     return tuple(
         np.array([basis_row(deg, tau) for tau in taus])
         for deg in (degree, degree - 1, degree - 2)
     )
 
 
-def _sample_states(traj, basis, out):
-    """Write the flown segment's position, velocity and acceleration at the
-    basis's parameters into columns 1-9 of out (one row per parameter)."""
-    from swarmplan.bernstein import derivative
-
-    seg = traj.segments[0]
-    d1 = derivative(seg)
-    d2 = derivative(d1)
+def _sampled_block(states, basis) -> np.ndarray:
+    """An (agents, rows, 10) block of every agent's flown segment sampled at
+    the basis's parameters: position, velocity and acceleration in columns
+    1-9, one row per parameter. Column 0 is left unset."""
     b0, b1, b2 = basis
-    out[:, 1:4] = b0 @ seg.control_points
-    out[:, 4:7] = b1 @ d1.control_points
-    out[:, 7:10] = b2 @ d2.control_points
-
-
-def _grown(table, rows):
-    """A copy of table with room for at least `rows` rows, and at least twice
-    the rows it had."""
-    agents, room, width = table.shape
-    grown = np.empty((agents, max(rows, 2 * room), width))
-    grown[:, :room] = table
-    return grown
-
-
-def _packed(table, rows):
-    """The first `rows` rows of every agent as one C-ordered (agents, rows,
-    10) array in table's own buffer: each agent's rows move down in place
-    instead of into a second table."""
-    agents, room, width = table.shape
-    flat = table.reshape(-1)
-    size = rows * width
-    for i in range(1, agents):
-        start = i * room * width
-        flat[i * size : (i + 1) * size] = flat[start : start + size]
-    return flat[: agents * size].reshape(agents, rows, width)
+    block = np.empty((len(states), len(b0), 10))
+    for state, out in zip(states, block):
+        seg = state.previous_trajectory.segments[0]
+        d1 = derivative(seg)
+        d2 = derivative(d1)
+        out[:, 1:4] = b0 @ seg.control_points
+        out[:, 4:7] = b1 @ d1.control_points
+        out[:, 7:10] = b2 @ d2.control_points
+    return block
 
 
 def export_csv(log_dir) -> Path:

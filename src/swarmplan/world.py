@@ -15,8 +15,9 @@ distance fields are a breadth-first search over flat indices of a padded
 grid, on which A* runs without bounds tests; and a sight line is decided
 from its exact distance to each agent disc and one summed-area query over
 its bounding box, so only the lines left undecided are sampled, bit for bit
-as np.linspace samples them. Queries reject a negative inflation and
-non-finite points, which would compare false against every threshold.
+as np.linspace samples them. Queries reject a negative or non-finite
+inflation and non-finite points, which would compare false against every
+threshold or cast to no cell index.
 """
 
 from __future__ import annotations
@@ -229,6 +230,7 @@ class OccupancyGrid:
 
     def points_free(self, points, inflation: float) -> np.ndarray:
         """Vectorized box_is_free for point queries (inflated cubes)."""
+        _check_inflation(inflation)
         pts = np.asarray(points, dtype=float).reshape(-1, 3)
         lo = pts - inflation
         hi = pts + inflation
@@ -782,5 +784,5 @@ class OccupancyGrid:
 
 
 def _check_inflation(inflation: float) -> None:
-    if not inflation >= 0:
-        raise ValueError("inflation must be non-negative")
+    if not 0 <= inflation < math.inf:
+        raise ValueError("inflation must be non-negative and finite")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, derivative
+from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, basis_row, derivative
 from swarmplan.geometry import closest_points_to_origin
 from swarmplan.goalplan import SwarmView, swarm_view_from_arrays
 
@@ -65,15 +65,52 @@ def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
     return PiecewiseTrajectory(segs, start)
 
 
+def segment_point(seg, tau):
+    """Position of a segment at local parameter tau in [0, 1]."""
+    return basis_row(seg.degree, tau) @ seg.control_points
+
+
+def end_time(traj):
+    """Time at which a piecewise trajectory's horizon ends."""
+    return traj.start_time + traj.segment_count * traj.segment_time
+
+
+def segment_index(traj, t):
+    """Index of the segment evaluated at time t.
+
+    At an interior knot the later segment wins (evaluation is
+    right-continuous); at the horizon end the last segment is used.
+    """
+    slack = 1e-9 * max(1.0, abs(traj.start_time), abs(end_time(traj)))
+    if t < traj.start_time - slack or t > end_time(traj) + slack:
+        raise ValueError(f"t={t} outside horizon [{traj.start_time}, {end_time(traj)}]")
+    m = int(np.floor((t - traj.start_time) / traj.segment_time))
+    return min(max(m, 0), traj.segment_count - 1)
+
+
+def local_tau(traj, t, m):
+    """Local parameter of time t on segment m, clamped to [0, 1]."""
+    tau = (t - traj.start_time - m * traj.segment_time) / traj.segment_time
+    return min(max(tau, 0.0), 1.0)
+
+
+def position_at(traj, t):
+    """Position of a piecewise trajectory at absolute time t within its
+    horizon, on the segment segment_index picks."""
+    m = segment_index(traj, t)
+    return segment_point(traj.segments[m], local_tau(traj, t, m))
+
+
 def state_at(traj, t):
     """Position, velocity and acceleration of a piecewise trajectory at time
-    t, on the segment PiecewiseTrajectory.eval picks (the later one at an
-    interior knot)."""
-    m = traj.segment_index(t)
-    tau = traj._local_tau(t, m)
+    t, on the segment segment_index picks (the later one at an interior
+    knot)."""
+    m = segment_index(traj, t)
+    tau = local_tau(traj, t, m)
     seg = traj.segments[m]
     vel = derivative(seg)
-    return seg.eval(tau), vel.eval(tau), derivative(vel).eval(tau)
+    acc = derivative(vel)
+    return segment_point(seg, tau), segment_point(vel, tau), segment_point(acc, tau)
 
 
 def box_contains(box, point, tol=0.0):

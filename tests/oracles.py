@@ -653,6 +653,37 @@ def step_line_by_float(step: int, now: float, states) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def success_by_steps(log_dir) -> tuple[bool, float | None, int]:
+    """sim.run's success rule recomputed from steps.jsonl alone, with the
+    same float expressions: the first step k after which every agent's
+    dumped segment-0 end lies within goal_reach_dist of its goal, and still
+    does one step later. Returns (success, flight_time, steps read), where
+    flight_time is the end time (k + 1) * dt of step k and the steps read
+    stop at the step that settles success."""
+    log_dir = Path(log_dir)
+    scenario = Scenario.from_json((log_dir / "scenario.json").read_text())
+    params = scenario.params
+    dt = params.segment_time
+    goals = [np.array(spec.goal, dtype=float) for spec in scenario.agents]
+    lines = (log_dir / "steps.jsonl").read_text().splitlines()
+    candidate = None
+    for count, line in enumerate(lines, start=1):
+        record = json.loads(line)
+        now = (record["k"] + 1) * dt
+        ends = [np.array(record["cpts"][str(i)][0][-1]) for i in range(len(goals))]
+        if all(
+            float(np.linalg.norm(end - goal)) < params.goal_reach_dist
+            for end, goal in zip(ends, goals)
+        ):
+            if candidate is None:
+                candidate = now
+            elif now >= candidate + dt:
+                return True, candidate, count
+        else:
+            candidate = None
+    return False, None, len(lines)
+
+
 # -- log-verifier referee -------------------------------------------------------
 # The offline verifier one step, agent, pair and sample at a time, reading the
 # logs into per-step dicts and per-agent lists: swarmplan.verify's array

@@ -14,7 +14,13 @@ from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.qp import QpProblem, jerk_gram_matrix, solve
 
-from helpers import closest_point_to_origin, pair_segments, run_in_workers, timed_run
+from helpers import (
+    closest_point_to_origin,
+    pair_segments,
+    run_in_workers,
+    segment_point,
+    timed_run,
+)
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
 
 EMPTY_RUNS = 30
@@ -164,7 +170,7 @@ class TestCriterion5OracleEquivalences:
             seg = BernsteinSegment(pts, 0.2)
             tau = float(rng.uniform())
             worst = max(
-                worst, float(np.linalg.norm(seg.eval(tau) - de_casteljau(pts, tau)))
+                worst, float(np.linalg.norm(segment_point(seg, tau) - de_casteljau(pts, tau)))
             )
         _report(
             "criterion 5 (basis evaluation vs de Casteljau)",
@@ -184,7 +190,7 @@ class TestCriterion5OracleEquivalences:
             seg = BernsteinSegment(pts, dt)
             for _ in range(3):
                 seg = derivative(seg)
-            return lambda t: seg.eval(t / dt)[0]
+            return lambda t: segment_point(seg, t / dt)[0]
 
         funcs = [jerk_fn(l) for l in range(n + 1)]
         numeric = np.array(
@@ -280,7 +286,7 @@ class TestCriterion6InvariantSuite:
             for tau in rng.uniform(size=40):
                 row = basis_row(5, float(tau))
                 assert np.all(row >= -1e-15) and abs(row.sum() - 1.0) < 1e-12
-                assert np.linalg.norm(seg.eval(float(tau)) - row @ pts) < 1e-9
+                assert np.linalg.norm(segment_point(seg, float(tau)) - row @ pts) < 1e-9
         _report("criterion 6 (convex hull property)", True, "50 segments x 40 samples")
 
     def test_mirror_symmetry_exact(self):

@@ -20,7 +20,13 @@ from swarmplan.params import PlanningParams
 from swarmplan.planner import shared_pair_separations
 from swarmplan.world import AxisBox, OccupancyGrid
 
-from helpers import pair_segments, random_trajectory, separation_residuals
+from helpers import (
+    pair_segments,
+    position_at,
+    random_trajectory,
+    segment_point,
+    separation_residuals,
+)
 
 
 def hover_trajectory(position, segments=5, degree=5, dt=0.2):
@@ -47,7 +53,7 @@ class TestAdvanceCorridor:
         grid = empty_grid()
         traj = hover_trajectory((1.5, 1.5, 1.0))
         first = advance_corridor(None, traj, grid, 0.15)
-        shifted = shift_for_initial(traj, traj.eval(0.2))
+        shifted = shift_for_initial(traj, position_at(traj, 0.2))
         second = advance_corridor(first, shifted, grid, 0.15)
         assert second.boxes[:-1] == first.boxes[1:]
 
@@ -82,7 +88,7 @@ class TestAdvanceCorridor:
                     traj.degree,
                 )
             ]
-            traj = shift_for_initial(traj, traj.eval(traj.start_time + 0.2))
+            traj = shift_for_initial(traj, position_at(traj, traj.start_time + 0.2))
             corridor = advance_corridor(corridor, traj, grid, 0.15)
             for seg_box, seg in zip(corridor.boxes, traj.segments):
                 assert np.all(seg.control_points >= np.array(seg_box.min_corner) - 1e-9)
@@ -267,7 +273,8 @@ class TestPairSeparations:
                 assert np.all(separation_residuals(pair_segments(for_a)[m], sa.control_points) > 0)
                 assert np.all(separation_residuals(pair_segments(for_b)[m], sb.control_points) > 0)
                 for tau in np.linspace(0, 1, 200):
-                    delta = (sa.eval(float(tau)) - sb.eval(float(tau))) * scale
+                    tau = float(tau)
+                    delta = (segment_point(sa, tau) - segment_point(sb, tau)) * scale
                     assert np.linalg.norm(delta) >= model.radius_sum - 1e-6
         assert checked > 10
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from swarmplan import qp
+from swarmplan.bernstein import shift_for_initial
 from swarmplan.errors import SafetyDegeneracyError, StepAbortError
 from swarmplan.params import PlanningParams
 from swarmplan.planner import (
-    AgentSnapshot,
     PlannerState,
     goal_view,
     initial_trajectories,
@@ -14,7 +14,7 @@ from swarmplan.planner import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import state_at
+from helpers import end_time, position_at, state_at
 
 PARAMS = PlanningParams()
 
@@ -29,35 +29,24 @@ class MiniSwarm:
     def __init__(self, starts, goals, grid, params=PARAMS):
         self.grid = grid
         self.params = params
+        self.starts = [np.asarray(s, dtype=float) for s in starts]
         self.goals = [np.asarray(g, dtype=float) for g in goals]
+        self.radii = [params.agent_radius] * len(starts)
         self.states = [
             PlannerState(agent_id=i, radius=params.agent_radius, params=params)
             for i in range(len(starts))
         ]
-        self.positions = [np.asarray(s, dtype=float) for s in starts]
+        self.positions = list(self.starts)
         self.time = 0.0
         self.diagnostics = []
-
-    def snapshots(self):
-        return [
-            AgentSnapshot(
-                agent_id=i,
-                radius=self.states[i].radius,
-                position=self.positions[i],
-                goal=self.goals[i],
-                previous_trajectory=self.states[i].previous_trajectory,
-            )
-            for i in range(len(self.states))
-        ]
 
     def shared_inputs(self):
         """The step's shifted plans, pair table and goal view, as sim.run
         builds them once for all agents."""
-        snaps = self.snapshots()
-        inits = initial_trajectories(snaps, self.params, self.time)
-        radii = {s.agent_id: s.radius for s in snaps}
-        pairs = shared_pair_separations(inits, radii, self.params)
-        return inits, pairs, goal_view(snaps, inits, self.params)
+        previous = [state.previous_trajectory for state in self.states]
+        inits = initial_trajectories(previous, self.starts, self.params, self.time)
+        pairs = shared_pair_separations(inits, self.radii, self.params)
+        return inits, pairs, goal_view(inits, self.goals, self.radii, self.params)
 
     def step(self):
         """One synchronized step."""
@@ -67,7 +56,8 @@ class MiniSwarm:
         for state, result in zip(self.states, results):
             state.previous_trajectory = result.trajectory
             state.previous_corridor = result.corridor
-            self.positions[state.agent_id] = result.trajectory.eval(self.time)
+            # Perfect tracking, as in sim.run: the flown segment's end.
+            self.positions[state.agent_id] = result.trajectory.segments[0].control_points[-1]
             self.diagnostics.append(result.diagnostics)
         return results
 
@@ -122,8 +112,8 @@ class TestTwoAgents:
             # the flown segment.
             ta = swarm.states[0].previous_trajectory
             tb = swarm.states[1].previous_trajectory
-            for t in np.linspace(ta.start_time, ta.end_time, 101):
-                delta = (ta.eval(float(t)) - tb.eval(float(t))) * scale
+            for t in np.linspace(ta.start_time, end_time(ta), 101):
+                delta = (position_at(ta, float(t)) - position_at(tb, float(t))) * scale
                 min_dist = min(min_dist, float(np.linalg.norm(delta)))
             if max(swarm.goal_distances()) < PARAMS.goal_reach_dist:
                 break
@@ -150,16 +140,18 @@ class TestDegeneracyNaming:
     # 0.3); agent 2 is clear of both.
     POSITIONS = {2: (0.5, 0.5, 1.0), 5: (1.5, 1.5, 1.0), 9: (1.8, 1.5, 1.0)}
 
-    def snapshots(self, ids):
-        return [
-            AgentSnapshot(i, PARAMS.agent_radius, self.POSITIONS[i], (1.5, 2.5, 1.0), None)
-            for i in ids
-        ]
-
     def test_shared_builder_names_the_pair(self):
-        snaps = self.snapshots([2, 5, 9])
-        inits = initial_trajectories(snaps, PARAMS)
-        radii = {s.agent_id: s.radius for s in snaps}
+        inits = {
+            i: shift_for_initial(
+                None,
+                position,
+                segment_count=PARAMS.segment_count,
+                degree=PARAMS.degree,
+                segment_time=PARAMS.segment_time,
+            )
+            for i, position in self.POSITIONS.items()
+        }
+        radii = {i: PARAMS.agent_radius for i in inits}
         with pytest.raises(SafetyDegeneracyError, match=r"^agents 5 and 9, segment 0: "):
             shared_pair_separations(inits, radii, PARAMS)
         for clean in ([2, 5], [2, 9]):
@@ -244,8 +236,8 @@ class TestStaticSafety:
             # Every planned horizon keeps the whole inflated sphere clear of
             # the true obstacle box and inside the world bounds.
             traj = swarm.states[0].previous_trajectory
-            for t in np.linspace(traj.start_time, traj.end_time, 120):
-                p = traj.eval(float(t))
+            for t in np.linspace(traj.start_time, end_time(traj), 120):
+                p = position_at(traj, float(t))
                 gap = np.linalg.norm(p - np.clip(p, lo, hi))
                 assert gap >= PARAMS.agent_radius - 1e-9
                 assert np.all(p >= bmin + PARAMS.agent_radius - 1e-9)

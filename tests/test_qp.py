@@ -20,7 +20,15 @@ from swarmplan.qp import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import neighbour_rows, pair_segments, random_trajectory, state_at
+from helpers import (
+    end_time,
+    neighbour_rows,
+    pair_segments,
+    position_at,
+    random_trajectory,
+    segment_point,
+    state_at,
+)
 from oracles import (
     dense_inequalities,
     dense_reduced_rows,
@@ -81,7 +89,7 @@ class TestJerkGram:
 
             for _ in range(3):
                 jerk = derivative(jerk)
-            return lambda t: jerk.eval(t / dt)[0]
+            return lambda t: segment_point(jerk, t / dt)[0]
 
         funcs = [third_derivative(l) for l in range(n + 1)]
         numeric = np.empty((n + 1, n + 1))
@@ -105,7 +113,7 @@ class TestJerkGram:
             seg = BernsteinSegment(pts, 1.0)
             for _ in range(3):
                 seg = derivative(seg)
-            return lambda t: seg.eval(t)[0]
+            return lambda t: segment_point(seg, t)[0]
 
         funcs = [jerk_fn(l) for l in range(n + 1)]
         for i in range(n + 1):
@@ -186,8 +194,8 @@ class TestAssemble:
         solution = solve(problem, warm_start=candidate)
         assert solution.objective < problem.objective(candidate)
         out = trajectory_from_values(solution.values, PARAMS, 0.0)
-        start_dist = np.linalg.norm(traj.eval(0.0) - goal)
-        end_dist = np.linalg.norm(out.eval(out.end_time) - goal)
+        start_dist = np.linalg.norm(position_at(traj, 0.0) - goal)
+        end_dist = np.linalg.norm(position_at(out, end_time(out)) - goal)
         assert end_dist < start_dist
 
     def test_separation_rows_present(self):
@@ -371,7 +379,7 @@ class TestSolve:
         problem, candidate = assemble(traj, (2.7, 2.7, 1.7), corridor, *neighbour_rows([]), PARAMS)
         solution = solve(problem, warm_start=candidate)
         out = trajectory_from_values(solution.values, PARAMS, 0.0)
-        for t in np.linspace(0.0, out.end_time, 200):
+        for t in np.linspace(0.0, end_time(out), 200):
             _, vel, acc = state_at(out, float(t))
             assert np.all(np.abs(vel) <= np.array(PARAMS.max_velocity) + 1e-6)
             assert np.all(np.abs(acc) <= np.array(PARAMS.max_acceleration) + 1e-6)

@@ -26,6 +26,7 @@ from oracles import (
     grow_box_by_layers,
     sight_lines_by_samples,
     step_line_by_float,
+    success_by_steps,
 )
 
 
@@ -100,6 +101,13 @@ class TestGeneration:
         )
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("radius", [0.0, -0.15, float("nan"), float("inf")])
+    def test_bad_radius_rejected_by_validate(self, radius):
+        sc = generate_scenario("circle", 4, seed=1)
+        sc.agents[2] = AgentSpec(sc.agents[2].start, sc.agents[2].goal, radius)
+        with pytest.raises(ValueError, match=r"^agent 2 radius .* is not positive and finite$"):
+            sc.validate()
 
     def test_json_round_trip(self):
         sc = generate_scenario("forest", 3, seed=9)
@@ -294,6 +302,24 @@ class TestRun:
         assert not metrics.success
         assert metrics.deadlock
         assert metrics.safety_ok  # blocked, but never unsafe
+
+    @pytest.mark.parametrize("mission", ["empty-1", "circle-4", "corridor-2"])
+    def test_success_rule_matches_the_logs(self, mission, tmp_path):
+        if mission == "empty-1":
+            sc = generate_scenario("empty", 1, seed=3, timeout=20.0)
+            spec = sc.agents[0]
+            goal = np.array(spec.start) + np.array([1.0, 0.0, 0.0])
+            assert sc.grid().point_is_free(goal, spec.radius)
+            sc.agents[0] = AgentSpec(spec.start, tuple(goal), spec.radius)
+        elif mission == "circle-4":
+            sc = generate_scenario("circle", 4, seed=1, timeout=30.0)
+        else:
+            sc = narrow_corridor_scenario(timeout=4.0)
+        metrics = run(sc, tmp_path / "out")
+        assert metrics.error is None
+        assert metrics.success == (mission != "corridor-2")
+        expected = (metrics.success, metrics.flight_time, metrics.steps)
+        assert success_by_steps(tmp_path / "out") == expected
 
     def test_log_grid_and_header(self, tmp_path):
         sc = generate_scenario("empty", 1, seed=3, timeout=10.0)
@@ -518,6 +544,25 @@ class TestCli:
             )
         assert info.value.code == 3
         assert not out_dir.exists()
+
+    def test_negative_radius_is_config_error(self, tmp_path, capsys):
+        sc = generate_scenario("circle", 4, seed=1)
+        sc.agents[1] = AgentSpec(sc.agents[1].start, sc.agents[1].goal, -0.15)
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(sc.to_json())
+        out_dir = tmp_path / "logs"
+        assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
+        assert "agent 1 radius" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_grid_resolution_key_is_config_error(self, tmp_path, capsys):
+        data = generate_scenario("circle", 4, seed=1).to_dict()
+        data["params"]["grid_resolution"] = 0.1
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "logs"
+        assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
+        assert "unknown parameter keys: ['grid_resolution']" in capsys.readouterr().err
 
     def test_check_missing_dir_is_config_error(self, tmp_path):
         assert cli_main(["check", "--log", str(tmp_path / "nope")]) == 3

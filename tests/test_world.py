@@ -347,6 +347,24 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="inflation"):
             empty_grid().astar((0.5, 0.5, 1.0), (2.5, 2.5, 1.0), -0.1)
 
+    @pytest.mark.parametrize("inflation", [-0.15, float("nan"), float("inf")])
+    def test_bad_inflation_rejected_by_point_queries(self, inflation):
+        # (1, 1, 1) is the centre of an occupied box: a negative inflation
+        # would report it free, and a NaN or infinite one would cast a
+        # non-finite value to int.
+        grid = OccupancyGrid.from_dict(
+            {
+                "resolution": 0.1,
+                "bounds": {"min": [0, 0, 0], "max": [3, 3, 2]},
+                "boxes": [{"min": [0.5, 0.5, 0.5], "max": [1.5, 1.5, 1.5]}],
+            }
+        )
+        assert not grid.point_is_free((1.0, 1.0, 1.0), 0.15)
+        with pytest.raises(ValueError, match="inflation"):
+            grid.point_is_free((1.0, 1.0, 1.0), inflation)
+        with pytest.raises(ValueError, match="inflation"):
+            grid.points_free([(1.0, 1.0, 1.0), (2.5, 2.5, 1.0)], inflation)
+
 
 INFLATIONS = (0.0, 0.04, 0.175, 0.3)
 
