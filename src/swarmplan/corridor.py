@@ -1,11 +1,11 @@
 """Per-agent safe-box corridor and pairwise separating half-spaces.
 
-Both constraint families are built from the shifted previous trajectories,
-which is what makes them feasible by construction: the corridor reuses last
-step's boxes for the segments it inherits, and each separating half-space is
-certified by the closest point between the relative control-point hull and
-the collision model, placed so that both agents' previous control points keep
-strictly positive slack.
+Both constraint families are built from the shifted previous plans, arrays
+of control points (see bernstein), which is what makes them feasible by
+construction: the corridor reuses last step's boxes for the segments it
+inherits, and each separating half-space is certified by the closest point
+between the relative control-point hull and the collision model, placed so
+that both agents' previous control points keep strictly positive slack.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmplan.bernstein import PiecewiseTrajectory
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
 from swarmplan.geometry import EllipsoidModel, closest_points_to_origin, to_sphere_frame
 from swarmplan.world import AxisBox, OccupancyGrid
@@ -32,31 +31,29 @@ class SafeBoxCorridor:
 
 def advance_corridor(
     prev: SafeBoxCorridor | None,
-    init_traj: PiecewiseTrajectory,
+    points: np.ndarray,
     grid: OccupancyGrid,
     radius: float,
     toward=None,
 ) -> SafeBoxCorridor:
     """Corridor for this step: inherit boxes 2..M, grow a fresh final box.
 
-    On the first step every segment shares one box grown at the (constant)
-    trajectory's terminal control point. Afterwards segment m reuses the
-    previous step's box m+1, which contained the previous segment m+1 and
-    therefore contains this step's inherited segment m; only the new final
-    segment, constant at the previous terminal point, needs a new box grown
-    at that point. `toward` biases the growth order of that fresh box (see
-    grow_free_box). Every initial control point of segment m is verified to
-    lie in box m.
+    `points` (M, n+1, 3) is one agent's shifted plan. On the first step
+    every segment shares one box grown at the (constant) plan's terminal
+    control point. Afterwards segment m reuses the previous step's box m+1,
+    which contained the previous segment m+1 and therefore contains this
+    step's inherited segment m; only the new final segment, constant at the
+    previous terminal point, needs a new box grown at that point. `toward`
+    biases the growth order of that fresh box (see grow_free_box). Every
+    control point of segment m is verified to lie in box m.
     """
-    terminal = init_traj.segments[-1].control_points[-1]
-    fresh = grid.grow_free_box(terminal, radius, toward=toward)
+    fresh = grid.grow_free_box(points[-1, -1], radius, toward=toward)
     if prev is None:
-        corridor = SafeBoxCorridor((fresh,) * init_traj.segment_count)
+        corridor = SafeBoxCorridor((fresh,) * len(points))
     else:
-        if len(prev.boxes) != init_traj.segment_count:
+        if len(prev.boxes) != len(points):
             raise ValueError("previous corridor length does not match trajectory")
         corridor = SafeBoxCorridor(prev.boxes[1:] + (fresh,))
-    points = np.stack([seg.control_points for seg in init_traj.segments])
     lo = np.array([box.min_corner for box in corridor.boxes])[:, None, :]
     hi = np.array([box.max_corner for box in corridor.boxes])[:, None, :]
     if not (np.all(points >= lo - _CONTAINMENT_TOL) and np.all(points <= hi + _CONTAINMENT_TOL)):
@@ -88,8 +85,8 @@ class PairSeparation:
 class PairTable:
     """Separating half-spaces of many pairs, as separate_pairs computes them.
 
-    Pair p joins the trajectories low[p] < high[p], indices into `ids`.
-    `points` (N, M, n+1, 3) holds every trajectory's control points, which
+    Pair p joins the plans low[p] < high[p], indices into `ids`.
+    `points` (N, M, n+1, 3) holds every plan's control points, which
     are its neighbours' anchors; `normals` (P, M, 3) are the low agent's,
     the high agent's are their negation; `margins` (P, M, n+1) serve both.
     All arrays are read-only.
@@ -125,7 +122,7 @@ class PairTable:
 
 
 def separate_pairs(
-    trajectories: list[PiecewiseTrajectory],
+    points: np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
     radius_sums: np.ndarray,
@@ -135,16 +132,16 @@ def separate_pairs(
 ) -> PairTable:
     """Separating half-spaces for many pairs, one normal per pair and segment.
 
-    `trajectories` are the N agents' shifted plans, all of one shape, and
-    `ids` names them. Pair p joins trajectories low[p] < high[p] with
-    collision radius radius_sums[p]. Per pair and segment: transform the
-    control-point differences low-high into the frame where the collision
-    model is a sphere, take the closest hull point to the origin as the
-    separating direction, map it back, and split the required separation
-    evenly between the two agents. All P*M hulls go through one
-    closest_points_to_origin call. Each hull's arithmetic does not depend on
-    the batch it sits in, so a pair's result is bit-identical whether it is
-    built alone or with the whole swarm.
+    `points` (N, M, n+1, 3) holds the N agents' shifted plans, and `ids`
+    names them; the table keeps a read-only view of it. Pair p joins plans
+    low[p] < high[p] with collision radius radius_sums[p]. Per pair and
+    segment: transform the control-point differences low-high into the
+    frame where the collision model is a sphere, take the closest hull
+    point to the origin as the separating direction, map it back, and split
+    the required separation evenly between the two agents. All P*M hulls go
+    through one closest_points_to_origin call. Each hull's arithmetic does
+    not depend on the batch it sits in, so a pair's result is bit-identical
+    whether it is built alone or with the whole swarm.
 
     The constraints of the two agents of a pair are exact mirrors (negated
     normals, identical margins), computed once from the shared data;
@@ -155,9 +152,7 @@ def separate_pairs(
     segment, for the first pair whose hull clears the model by less than
     1e-9, i.e. whose feasibility premise is already violated.
     """
-    points = np.stack(
-        [np.stack([seg.control_points for seg in traj.segments]) for traj in trajectories]
-    )
+    points = np.asarray(points, dtype=float).view()
     seg_count, pts_per_seg = points.shape[1:3]
     normals = np.zeros((0, 3))
     margins = np.zeros((0, pts_per_seg))
@@ -218,22 +213,21 @@ def _separations(points, low, high, radius_sums, downwash, ids):
 
 
 def build_pair_separations(
-    init_a: PiecewiseTrajectory,
-    init_b: PiecewiseTrajectory,
+    init_a: np.ndarray,
+    init_b: np.ndarray,
     model: EllipsoidModel,
     safety_buffer: float = 0.0,
     ids=("a", "b"),
 ) -> tuple[PairSeparation, PairSeparation]:
-    """Separating half-spaces for both agents of one pair (see separate_pairs).
+    """Separating half-spaces for both agents of one pair (see separate_pairs),
+    from their shifted plans, two (M, n+1, 3) arrays of one shape.
 
     `ids` names the two agents in degeneracy errors.
     """
-    if init_a.segment_count != init_b.segment_count:
-        raise ValueError("trajectories must have the same segment count")
-    if init_a.degree != init_b.degree:
-        raise ValueError("trajectories must have the same degree")
+    if np.shape(init_a) != np.shape(init_b):
+        raise ValueError("trajectories must have the same shape")
     table = separate_pairs(
-        [init_a, init_b],
+        np.stack([init_a, init_b]),
         np.array([0]),
         np.array([1]),
         np.array([model.radius_sum]),

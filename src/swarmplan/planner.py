@@ -1,14 +1,16 @@
 """One agent's synchronized replanning step.
 
 The swarm-wide work of a step is done once from what the swarm holds: the
-agents' previous plans (or their start positions at step 0), goals and
-radii. Shift the previous plans by one segment, build the pairwise
+plans the agents last flew, one (N, M, n+1, 3) array of control points
+(row i is agent i's; before step 0 each holds still at its start), their
+goals and radii. Shift the plans by one segment, build the pairwise
 separating half-spaces of every pair, and build the goal-planning view.
 Every agent then runs the same recipe on those inputs: gather its own pair
-rows, pick a goal, rebuild its safe-box corridor, and solve the QP
-warm-started at the shifted plan. The shifted plan provably satisfies every
-constraint, so if the solver ever fails numerically the agent just flies
-the shifted plan; safety never depends on the solver succeeding.
+rows, pick a goal, rebuild its safe-box corridor from its slice of the
+shifted plans, and solve the QP warm-started at its shifted plan. The
+shifted plan provably satisfies every constraint, so if the solver ever
+fails numerically the agent just flies the shifted plan; safety never
+depends on the solver succeeding.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmplan.bernstein import PiecewiseTrajectory, shift_for_initial
+from swarmplan.bernstein import shift_for_initial
 # build_pair_separations is not called here: it is imported because
 # perfbench/tracing.py patches it under this module's name.
 from swarmplan.corridor import (
@@ -42,13 +44,22 @@ _SYNC_TOL = 1e-9
 
 @dataclass
 class PlannerState:
-    """Mutable per-agent carry-over between steps (owned by one caller)."""
+    """Mutable per-agent carry-over between steps (owned by one caller):
+    the step the agent plans next and the corridor it last flew in."""
 
     agent_id: int
-    radius: float
     params: PlanningParams
-    previous_trajectory: PiecewiseTrajectory | None = None
+    step: int = 0
     previous_corridor: SafeBoxCorridor | None = None
+
+
+@dataclass(frozen=True)
+class ShiftedPlans:
+    """Every agent's plan shifted to the step that starts at `start_time`:
+    `points` (N, M, n+1, 3), read-only, row i agent i's."""
+
+    start_time: float
+    points: np.ndarray
 
 
 @dataclass
@@ -63,77 +74,60 @@ class StepDiagnostics:
 
 @dataclass
 class PlanStepResult:
-    trajectory: PiecewiseTrajectory
+    trajectory: np.ndarray
     corridor: SafeBoxCorridor
     diagnostics: StepDiagnostics
 
 
-def initial_trajectories(
-    previous: list[PiecewiseTrajectory | None],
-    starts: list,
-    params: PlanningParams,
-    now: float,
-) -> dict[int, PiecewiseTrajectory]:
-    """Every agent's previous plan shifted to this step, by agent id
-    (identically on every caller, so decentralized planners agree
-    bit-for-bit). Both lists are indexed by agent id; an agent's start is
-    read only where it has no previous plan, which is step 0."""
-    return {
-        i: shift_for_initial(
-            prev,
-            starts[i] if prev is None else None,
-            segment_count=params.segment_count,
-            degree=params.degree,
-            segment_time=params.segment_time,
-            start_time=now,
-        )
-        for i, prev in enumerate(previous)
-    }
+def initial_trajectories(plans: np.ndarray, now: float) -> ShiftedPlans:
+    """The plans the agents last flew, (N, M, n+1, 3), shifted to the step
+    that starts at `now`: identical on every caller, so decentralized
+    planners agree bit for bit."""
+    return ShiftedPlans(now, shift_for_initial(plans))
 
 
 def shared_pair_separations(
-    inits: dict[int, PiecewiseTrajectory],
+    inits: ShiftedPlans,
     radii,
     params: PlanningParams,
 ) -> PairTable:
-    """Separating half-spaces for every unordered pair, through one batched
-    separate_pairs call.
+    """Separating half-spaces for every unordered pair, through one
+    separate_pairs call on the shifted plans.
 
-    Radii are indexed by agent id. The table's trajectories are the agents
-    in ascending id order, and its pairs run (low, high) in row-major
-    upper-triangle order. Each pair's result does not depend on the batch
-    it is built in.
+    Radii are indexed by agent id. The table's ids are 0..N-1, and its pairs
+    run (low, high) in row-major upper-triangle order. Each pair's result
+    does not depend on the batch it is built in.
     """
-    ids = sorted(inits)
-    low, high = np.triu_indices(len(ids), k=1)
-    radius = np.array([radii[i] for i in ids], dtype=float)
+    count = len(inits.points)
+    low, high = np.triu_indices(count, k=1)
+    radius = np.array(radii, dtype=float)
     return separate_pairs(
-        [inits[i] for i in ids],
+        inits.points,
         low,
         high,
         radius[low] + radius[high],
         params.downwash,
         params.safety_buffer,
-        ids,
+        range(count),
     )
 
 
 def goal_view(
-    inits: dict[int, PiecewiseTrajectory],
+    inits: ShiftedPlans,
     goals,
     radii,
     params: PlanningParams,
 ) -> SwarmView:
-    """Every agent's motion over its shifted plan, and the priority relation
-    between them: the goal-planning view all agents of a step share. Goals
-    and radii are indexed by agent id."""
-    ids = sorted(inits)
+    """Every agent's motion over its shifted plan, from its first and last
+    control points, and the priority relation between them: the
+    goal-planning view all agents of a step share. Goals and radii are
+    indexed by agent id."""
     return swarm_view_from_arrays(
-        ids,
-        np.array([inits[i].segments[0].control_points[0] for i in ids]),
-        np.array([inits[i].segments[-1].control_points[-1] for i in ids]),
-        np.array([goals[i] for i in ids]),
-        np.array([radii[i] for i in ids], dtype=float),
+        range(len(inits.points)),
+        inits.points[:, 0, 0],
+        inits.points[:, -1, -1],
+        np.array(goals, dtype=float),
+        np.array(radii, dtype=float),
         params,
     )
 
@@ -141,7 +135,7 @@ def goal_view(
 def plan_step(
     state: PlannerState,
     grid: OccupancyGrid,
-    inits: dict[int, PiecewiseTrajectory],
+    inits: ShiftedPlans,
     pairs: PairTable,
     view: SwarmView,
 ) -> PlanStepResult:
@@ -151,32 +145,27 @@ def plan_step(
     whole swarm: the shifted plans (`initial_trajectories`), the
     table of per-pair separating half-spaces (`shared_pair_separations`),
     from which the agent gathers its own rows, and the goal-planning view
-    with its priority relation (`goal_view`). Raises ValueError when the
-    inputs lack this agent, and StepAbortError when they are not shifted to
-    this step or a sub-step detects broken assumptions (occupied seed,
-    unreachable goal); solver failures are absorbed by falling back to the
-    shifted previous plan.
+    with its priority relation and radii (`goal_view`). The corridor is
+    grown for the view's radius, the one the pair table was built with.
+    Raises ValueError when the inputs lack this agent, and StepAbortError
+    when they are not shifted to the agent's step or a sub-step detects
+    broken assumptions (occupied seed, unreachable goal); solver failures
+    are absorbed by falling back to the shifted previous plan.
     """
     params = state.params
     me = state.agent_id
-    if me not in inits:
+    if me not in range(len(inits.points)):
         raise ValueError(f"shared inputs are missing agent {me}")
-    if state.previous_trajectory is not None:
-        now = state.previous_trajectory.start_time + params.segment_time
-    else:
-        now = 0.0
 
     try:
-        my_init = inits[me]
-        if abs(my_init.start_time - now) > _SYNC_TOL:
+        if abs(inits.start_time - state.step * params.segment_time) > _SYNC_TOL:
             raise PlannerError("shared inputs are not synchronized to this step")
+        my_init = inits.points[me]
         normals, anchors, margins = pairs.rows_for(me)
         goal = plan_current_goal(view, me, grid)
-
-        terminal = my_init.segments[-1].control_points[-1]
         corridor = advance_corridor(
-            state.previous_corridor, my_init, grid, state.radius,
-            toward=goal - terminal,
+            state.previous_corridor, my_init, grid, float(view.radii[view.rows[me]]),
+            toward=goal - my_init[-1, -1],
         )
     except PlannerError as exc:
         raise StepAbortError(f"agent {me}: {exc}", agent_id=me) from exc
@@ -213,6 +202,6 @@ def plan_step(
         diagnostics.fallback_reason = "solver regressed below the feasible candidate"
         return PlanStepResult(my_init, corridor, diagnostics)
 
-    trajectory = trajectory_from_values(solution.values, params, now)
+    trajectory = trajectory_from_values(solution.values, params)
     return PlanStepResult(trajectory, corridor, diagnostics)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory
 from swarmplan.errors import QpInfeasibleError
 
 
@@ -160,9 +159,8 @@ class QpProblem:
     their 3-vector coefficients, in groups of one row per control point:
     row s reads `separation_coefficients[s] . x[3p : 3p + 3]` with
     p = s mod (dimension / 3). `check` evaluates both groups from this
-    structure. `reduction`, when given, must have been built from this
-    problem's quadratic and eq_matrix with ineq_matrix as its static rows;
-    without one, solve builds a generic reduction.
+    structure. `reduction` must have been built from this problem's
+    quadratic and eq_matrix with ineq_matrix as its static rows.
     """
 
     quadratic: np.ndarray
@@ -172,7 +170,7 @@ class QpProblem:
     eq_rhs: np.ndarray
     ineq_matrix: np.ndarray
     ineq_rhs: np.ndarray
-    reduction: EqualityReduction | None = None
+    reduction: EqualityReduction
     separation_coefficients: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
     @property
@@ -351,7 +349,7 @@ def param_matrices(params) -> ParamMatrices:
 
 
 def assemble(
-    init_traj: PiecewiseTrajectory,
+    points: np.ndarray,
     goal,
     corridor,
     normals,
@@ -359,17 +357,18 @@ def assemble(
     margins,
     params,
 ) -> tuple[QpProblem, np.ndarray]:
-    """Build the step QP around the shifted trajectory.
+    """Build the step QP around one agent's shifted plan, `points`
+    (M, n+1, 3).
 
     normals (K, M, 3), anchors (K, M, n+1, 3) and margins (K, M, n+1) hold
     the separating half-spaces against K neighbours (see PairSeparation):
     point l of segment m must keep (c - anchors[k, m, l]) . normals[k, m]
     >= margins[k, m, l]. Returns the problem and the candidate decision
-    vector (the stacked control points of init_traj). The initial-state
-    rows take their right-hand side from the candidate itself, which is
-    exactly the desired state carried over from the previous plan.
+    vector (`points` flattened). The initial-state rows take their
+    right-hand side from the candidate itself, which is exactly the
+    desired state carried over from the previous plan.
     """
-    if init_traj.degree != params.degree or init_traj.segment_count != params.segment_count:
+    if points.shape != (params.segment_count, params.degree + 1, 3):
         raise ValueError("trajectory shape does not match parameters")
     if len(corridor.boxes) != params.segment_count:
         raise ValueError("corridor length does not match parameters")
@@ -380,7 +379,7 @@ def assemble(
     if anchors.shape[1:] != (m_count, pts_per_seg, 3):
         raise ValueError("separation constraint length does not match parameters")
 
-    candidate = init_traj.control_point_stack().reshape(-1)
+    candidate = points.reshape(-1)
     goal = np.asarray(goal, dtype=float).reshape(3)
 
     linear = np.zeros(mats.dim)
@@ -420,12 +419,10 @@ def assemble(
     return problem, candidate
 
 
-def trajectory_from_values(values, params, start_time: float) -> PiecewiseTrajectory:
-    """Decode a decision vector back into a piecewise trajectory."""
-    n = params.degree
-    pts = np.asarray(values, dtype=float).reshape(params.segment_count, n + 1, 3)
-    segs = [BernsteinSegment(p, params.segment_time) for p in pts]
-    return PiecewiseTrajectory(segs, start_time)
+def trajectory_from_values(values, params) -> np.ndarray:
+    """Decode a decision vector back into a plan's (M, n+1, 3) control
+    points."""
+    return np.asarray(values, dtype=float).reshape(params.segment_count, params.degree + 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -435,19 +432,20 @@ def trajectory_from_values(values, params, start_time: float) -> PiecewiseTrajec
 
 def solve(
     problem: QpProblem,
-    tol: float = 1e-6,
-    warm_start=None,
-    max_iterations: int | None = None,
+    tol: float,
+    warm_start,
+    max_iterations: int | None,
 ) -> QpSolution:
     """Solve the QP to within tol on feasibility and relative stationarity.
 
     Equalities are eliminated through the problem's nullspace reduction. The
     reduced problem is handled by a primal active-set iteration in the
     reduction's Cholesky coordinates, where the Hessian is the identity,
-    starting at `warm_start`, or at the unconstrained minimum when it is
-    None. Only the separation rows are set up per call, from their
-    coefficients and the reduction's basis (see `_reduced_rows`); the
-    static rows come reduced and normalised with the reduction. The
+    starting at `warm_start`. A None `max_iterations` allows 3 per
+    inequality row plus 120 (PlanningParams' automatic budget). Only the
+    separation rows are set up per call, from their coefficients and the
+    reduction's basis (see `_reduced_rows`); the static rows come reduced
+    and normalised with the reduction. The
     start must be feasible: there is no phase one, and a start more than
     1e-7 outside any normalised inequality row raises QpInfeasibleError, as
     do an inequality row of zero norm, inconsistent equalities, an exhausted
@@ -460,9 +458,7 @@ def solve(
     if max_iterations <= 0:
         raise QpInfeasibleError("iteration budget exhausted before solving", 0)
 
-    red = problem.reduction or reduce_equalities(
-        problem.quadratic, problem.eq_matrix, (problem.ineq_matrix,)
-    )
+    red = problem.reduction
     null = red.nullspace
     x_part = red.pinv @ problem.eq_rhs
     eq_err = float(np.max(np.abs(problem.eq_matrix @ x_part - problem.eq_rhs), initial=0.0))
@@ -479,9 +475,7 @@ def solve(
     g = red.basis.T @ grad_x
     a, d = _reduced_rows(problem, red, x_part)
 
-    z0 = -g
-    if warm_start is not None:
-        z0 = red.factor.T @ (null.T @ (np.asarray(warm_start, dtype=float) - x_part))
+    z0 = red.factor.T @ (null.T @ (np.asarray(warm_start, dtype=float) - x_part))
     slack = d - a @ z0
     worst = float(np.max(-slack, initial=0.0))
     if worst > 1e-7:

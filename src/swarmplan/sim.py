@@ -2,7 +2,9 @@
 
 Every segment period, all agents plan from the same shifted previous plans
 and then fly the first segment of their new plan exactly, ending the step at
-that segment's last control point. The run writes three artifacts into the
+that segment's last control point. The plans the agents last flew are one
+(N, M, n+1, 3) array of control points, which the step shifts, separates,
+views, samples and logs whole. The run writes three artifacts into the
 output directory: the scenario itself, the 100 Hz states of every agent as
 one binary array (`states.npy`), and the per-step control-point dump the
 offline verifier uses for exact checks. All safety-relevant metrics are
@@ -90,13 +92,13 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     limit = scenario.timeout if timeout is None else float(timeout)
     basis = _segment_basis(params.degree, [j / ticks for j in range(ticks)])
 
-    states = [
-        PlannerState(agent_id=i, radius=spec.radius, params=params)
-        for i, spec in enumerate(scenario.agents)
-    ]
-    starts = [np.array(spec.start, dtype=float) for spec in scenario.agents]
+    states = [PlannerState(agent_id=i, params=params) for i in range(len(scenario.agents))]
+    starts = np.array([spec.start for spec in scenario.agents], dtype=float)
     goals = [np.array(spec.goal, dtype=float) for spec in scenario.agents]
     radii = [spec.radius for spec in scenario.agents]
+    # The plans the agents last flew, (agents, M, n+1, 3): before step 0,
+    # every agent holds still at its start.
+    plans = np.tile(starts[:, None, None], (1, params.segment_count, params.degree + 1, 1))
 
     # One (agents, ticks, 10) block of 100 Hz states per flown step.
     blocks: list[np.ndarray] = []
@@ -120,9 +122,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
             if now >= limit:
                 break
             shared_start = time.perf_counter()
-            inits = initial_trajectories(
-                [state.previous_trajectory for state in states], starts, params, now
-            )
+            inits = initial_trajectories(plans, now)
             pair_start = time.perf_counter()
             pairs = shared_pair_separations(inits, radii, params)
             pair_end = time.perf_counter()
@@ -144,19 +144,17 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
                 max_candidate_violation = max(
                     max_candidate_violation, diag.candidate_violation
                 )
-                state.previous_trajectory = result.trajectory
                 state.previous_corridor = result.corridor
+                state.step += 1
+            plans = np.stack([result.trajectory for result, _ in results])
 
-            step_lines.append(_step_line(step, now, states))
-            blocks.append(_sampled_block(states, basis))
+            step_lines.append(_step_line(step, now, plans))
+            blocks.append(_sampled_block(plans, basis, dt))
 
             step += 1
             now = step * dt
             # Perfect tracking leaves each agent at its flown segment's end.
-            ends = [
-                state.previous_trajectory.segments[0].control_points[-1]
-                for state in states
-            ]
+            ends = plans[:, 0, -1]
             recent_ends.append(ends)
 
             if all(
@@ -177,7 +175,7 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     sim_time = step * dt
     if blocks:
         # The last row is the end state of the last flown segment.
-        blocks.append(_sampled_block(states, _segment_basis(params.degree, [1.0])))
+        blocks.append(_sampled_block(plans, _segment_basis(params.degree, [1.0]), dt))
     table = np.concatenate([np.empty((len(states), 0, 10)), *blocks], axis=1)
     table[:, :, 0] = np.arange(table.shape[1]) / _TICKS_PER_SECOND
 
@@ -235,19 +233,19 @@ def _segment_basis(degree: int, taus):
     )
 
 
-def _sampled_block(states, basis) -> np.ndarray:
-    """An (agents, rows, 10) block of every agent's flown segment sampled at
-    the basis's parameters: position, velocity and acceleration in columns
-    1-9, one row per parameter. Column 0 is left unset."""
+def _sampled_block(plans, basis, dt: float) -> np.ndarray:
+    """An (agents, rows, 10) block of every agent's flown segment, segment 0
+    of its plan, sampled at the basis's parameters: position, velocity and
+    acceleration in columns 1-9, one row per parameter. Column 0 is left
+    unset. Each stacked product gives every agent the bits of its own
+    matrix product; the tests hold it to a per-agent referee."""
     b0, b1, b2 = basis
-    block = np.empty((len(states), len(b0), 10))
-    for state, out in zip(states, block):
-        seg = state.previous_trajectory.segments[0]
-        d1 = derivative(seg)
-        d2 = derivative(d1)
-        out[:, 1:4] = b0 @ seg.control_points
-        out[:, 4:7] = b1 @ d1.control_points
-        out[:, 7:10] = b2 @ d2.control_points
+    flown = plans[:, 0]
+    d1 = derivative(flown, dt)
+    block = np.empty((len(plans), len(b0), 10))
+    block[:, :, 1:4] = b0 @ flown
+    block[:, :, 4:7] = b1 @ d1
+    block[:, :, 7:10] = b2 @ derivative(d1, dt)
     return block
 
 
@@ -276,16 +274,10 @@ def _csv_rows(times, states) -> list[str]:
     ]
 
 
-def _step_line(step: int, now: float, states) -> str:
+def _step_line(step: int, now: float, plans) -> str:
     payload = {
         "k": step,
         "t0": now,
-        "cpts": {
-            str(state.agent_id): [
-                seg.control_points.tolist()
-                for seg in state.previous_trajectory.segments
-            ]
-            for state in states
-        },
+        "cpts": {str(i): points for i, points in enumerate(plans.tolist())},
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, basis_row, derivative
+from swarmplan.bernstein import basis_row, derivative
 from swarmplan.geometry import closest_points_to_origin
 from swarmplan.goalplan import SwarmView, swarm_view_from_arrays
+from swarmplan.qp import QpProblem, reduce_equalities, solve
 
 
 def run_in_workers(fn, jobs) -> list:
@@ -43,12 +44,12 @@ def timed_run(kind, agents, seed, timeout, out_dir):
     return metrics, time.perf_counter() - start
 
 
-def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
-    """Random C2-smooth piecewise trajectory (mirrors what the QP emits)."""
-    segs = []
+def random_trajectory(rng, segments=5, degree=5, scale=1.0):
+    """Random C2-smooth plan, (segments, degree+1, 3) control points
+    (mirrors what the QP emits)."""
+    plan = np.empty((segments, degree + 1, 3))
     prev = None
-    for _ in range(segments):
-        pts = np.empty((degree + 1, 3))
+    for pts in plan:
         if prev is None:
             pts[0] = rng.normal(size=3) * scale
             pts[1] = pts[0] + rng.normal(size=3) * 0.1 * scale
@@ -60,57 +61,91 @@ def random_trajectory(rng, segments=5, degree=5, dt=0.2, start=0.0, scale=1.0):
             pts[2] = 2 * pts[1] - pts[0] + (prev[-1] - 2 * prev[-2] + prev[-3])
         for l in range(3, degree + 1):
             pts[l] = pts[l - 1] + rng.normal(size=3) * 0.1 * scale
-        segs.append(BernsteinSegment(pts, dt))
         prev = pts
-    return PiecewiseTrajectory(segs, start)
+    return plan
 
 
-def segment_point(seg, tau):
-    """Position of a segment at local parameter tau in [0, 1]."""
-    return basis_row(seg.degree, tau) @ seg.control_points
+def hold_plan(position, segments=5, degree=5):
+    """A plan that holds still at `position`, (segments, degree+1, 3), as
+    sim.run starts every agent."""
+    return np.tile(np.asarray(position, dtype=float), (segments, degree + 1, 1))
 
 
-def end_time(traj):
-    """Time at which a piecewise trajectory's horizon ends."""
-    return traj.start_time + traj.segment_count * traj.segment_time
+def segment_point(points, tau):
+    """Position of one segment's (n+1, 3) control points at local
+    parameter tau in [0, 1]."""
+    return basis_row(len(points) - 1, tau) @ points
 
 
-def segment_index(traj, t):
-    """Index of the segment evaluated at time t.
+def end_time(points, start, dt):
+    """Time at which a plan starting at `start`, with segments of duration
+    dt, ends its horizon."""
+    return start + len(points) * dt
+
+
+def segment_index(points, start, dt, t):
+    """Index of the segment of a plan evaluated at time t.
 
     At an interior knot the later segment wins (evaluation is
     right-continuous); at the horizon end the last segment is used.
     """
-    slack = 1e-9 * max(1.0, abs(traj.start_time), abs(end_time(traj)))
-    if t < traj.start_time - slack or t > end_time(traj) + slack:
-        raise ValueError(f"t={t} outside horizon [{traj.start_time}, {end_time(traj)}]")
-    m = int(np.floor((t - traj.start_time) / traj.segment_time))
-    return min(max(m, 0), traj.segment_count - 1)
+    end = end_time(points, start, dt)
+    slack = 1e-9 * max(1.0, abs(start), abs(end))
+    if t < start - slack or t > end + slack:
+        raise ValueError(f"t={t} outside horizon [{start}, {end}]")
+    m = int(np.floor((t - start) / dt))
+    return min(max(m, 0), len(points) - 1)
 
 
-def local_tau(traj, t, m):
+def local_tau(start, dt, t, m):
     """Local parameter of time t on segment m, clamped to [0, 1]."""
-    tau = (t - traj.start_time - m * traj.segment_time) / traj.segment_time
+    tau = (t - start - m * dt) / dt
     return min(max(tau, 0.0), 1.0)
 
 
-def position_at(traj, t):
-    """Position of a piecewise trajectory at absolute time t within its
-    horizon, on the segment segment_index picks."""
-    m = segment_index(traj, t)
-    return segment_point(traj.segments[m], local_tau(traj, t, m))
+def position_at(points, start, dt, t):
+    """Position at absolute time t of a plan (M, n+1, 3) that starts at
+    `start` with segments of duration dt, on the segment segment_index
+    picks."""
+    m = segment_index(points, start, dt, t)
+    return segment_point(points[m], local_tau(start, dt, t, m))
 
 
-def state_at(traj, t):
-    """Position, velocity and acceleration of a piecewise trajectory at time
-    t, on the segment segment_index picks (the later one at an interior
-    knot)."""
-    m = segment_index(traj, t)
-    tau = local_tau(traj, t, m)
-    seg = traj.segments[m]
-    vel = derivative(seg)
-    acc = derivative(vel)
-    return segment_point(seg, tau), segment_point(vel, tau), segment_point(acc, tau)
+def state_at(points, start, dt, t):
+    """Position, velocity and acceleration at time t of a plan (M, n+1, 3)
+    that starts at `start` with segments of duration dt, on the segment
+    segment_index picks (the later one at an interior knot)."""
+    m = segment_index(points, start, dt, t)
+    tau = local_tau(start, dt, t, m)
+    vel = derivative(points[m], dt)
+    acc = derivative(vel, dt)
+    return segment_point(points[m], tau), segment_point(vel, tau), segment_point(acc, tau)
+
+
+def simple_problem(quadratic, linear, constant=0.0, eq=None, ineq=None) -> QpProblem:
+    """A QpProblem from dense rows, whose reduction is built from its own
+    quadratic, equalities and inequality rows by reduce_equalities."""
+    dim = len(linear)
+    eq_m, eq_b = eq if eq else (np.zeros((0, dim)), np.zeros(0))
+    in_m, in_b = ineq if ineq else (np.zeros((0, dim)), np.zeros(0))
+    quadratic, eq_m, in_m = (np.asarray(m, float) for m in (quadratic, eq_m, in_m))
+    return QpProblem(
+        quadratic=quadratic,
+        linear=np.asarray(linear, float),
+        constant=constant,
+        eq_matrix=eq_m,
+        eq_rhs=np.asarray(eq_b, float),
+        ineq_matrix=in_m,
+        ineq_rhs=np.asarray(in_b, float),
+        reduction=reduce_equalities(quadratic, eq_m, (in_m,)),
+    )
+
+
+def solve_from_origin(problem, max_iterations=None):
+    """qp.solve of a hand-built problem at tolerance 1e-6, started at the
+    origin: the problems built here are feasible there, or are meant to be
+    refused."""
+    return solve(problem, 1e-6, np.zeros(problem.dimension), max_iterations)
 
 
 def box_contains(box, point, tol=0.0):

@@ -636,21 +636,50 @@ def csv_rows_by_float(times, states) -> list[str]:
     ]
 
 
-def step_line_by_float(step: int, now: float, states) -> str:
-    """One steps.jsonl line from objects with `agent_id` and
-    `previous_trajectory`."""
+def step_line_by_float(step: int, now: float, plans) -> str:
+    """One steps.jsonl line from the step's (N, M, n+1, 3) plans."""
     payload = {
         "k": step,
         "t0": now,
         "cpts": {
-            str(state.agent_id): [
-                [[float(v) for v in pt] for pt in seg.control_points]
-                for seg in state.previous_trajectory.segments
-            ]
-            for state in states
+            str(i): [[[float(v) for v in pt] for pt in seg] for seg in plan]
+            for i, plan in enumerate(plans)
         },
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# -- per-agent referees of a step's batched array work ----------------------------
+# One agent and one segment at a time, on contiguous copies of each segment's
+# control points, as the plans were held when each was its own object: sim's
+# and bernstein's batched forms must give the same bits.
+
+
+def shift_by_segments(plans) -> np.ndarray:
+    """bernstein.shift_for_initial one agent at a time: its segments 2..M,
+    then a constant segment tiled from its final control point."""
+    out = []
+    for plan in plans:
+        segments = [np.array(seg) for seg in plan]
+        hold = np.tile(np.array(segments[-1][-1]), (len(segments[-1]), 1))
+        out.append(np.stack(segments[1:] + [hold]))
+    return np.array(out).reshape(np.shape(plans))
+
+
+def sampled_block_by_agent(plans, basis, dt) -> np.ndarray:
+    """sim._sampled_block one agent at a time: each flown segment and its
+    derivatives sampled by one matrix product each."""
+    b0, b1, b2 = basis
+    block = np.empty((len(plans), len(b0), 10))
+    for plan, out in zip(plans, block):
+        seg = np.array(plan[0])
+        n = len(seg) - 1
+        d1 = n * np.diff(seg, axis=0) / dt
+        d2 = (n - 1) * np.diff(d1, axis=0) / dt
+        out[:, 1:4] = b0 @ seg
+        out[:, 4:7] = b1 @ d1
+        out[:, 7:10] = b2 @ d2
+    return block
 
 
 def success_by_steps(log_dir) -> tuple[bool, float | None, int]:

@@ -8,17 +8,20 @@ per session and every criterion reads from that shared evidence.
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import BernsteinSegment, basis_row, shift_for_initial
+from swarmplan.bernstein import basis_row, derivative
 from swarmplan.corridor import build_pair_separations
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
-from swarmplan.qp import QpProblem, jerk_gram_matrix, solve
+from swarmplan.qp import jerk_gram_matrix
 
 from helpers import (
     closest_point_to_origin,
+    hold_plan,
     pair_segments,
     run_in_workers,
     segment_point,
+    simple_problem,
+    solve_from_origin,
     timed_run,
 )
 from oracles import de_casteljau, gauss_legendre_integral, min_norm_point_pgd
@@ -167,10 +170,9 @@ class TestCriterion5OracleEquivalences:
         worst = 0.0
         for _ in range(200):
             pts = rng.normal(size=(6, 3)) * 2
-            seg = BernsteinSegment(pts, 0.2)
             tau = float(rng.uniform())
             worst = max(
-                worst, float(np.linalg.norm(segment_point(seg, tau) - de_casteljau(pts, tau)))
+                worst, float(np.linalg.norm(segment_point(pts, tau) - de_casteljau(pts, tau)))
             )
         _report(
             "criterion 5 (basis evaluation vs de Casteljau)",
@@ -182,14 +184,12 @@ class TestCriterion5OracleEquivalences:
     def test_jerk_gram_vs_quadrature(self):
         n, dt = 5, 0.2
         gram = jerk_gram_matrix(n, dt)
-        from swarmplan.bernstein import derivative
 
         def jerk_fn(l):
-            pts = np.zeros((n + 1, 3))
-            pts[l, 0] = 1.0
-            seg = BernsteinSegment(pts, dt)
+            seg = np.zeros((n + 1, 3))
+            seg[l, 0] = 1.0
             for _ in range(3):
-                seg = derivative(seg)
+                seg = derivative(seg, dt)
             return lambda t: segment_point(seg, t / dt)[0]
 
         funcs = [jerk_fn(l) for l in range(n + 1)]
@@ -233,16 +233,7 @@ class TestCriterion5OracleEquivalences:
             q = rng.normal(size=dim)
             a = rng.normal(size=(me, dim))
             b = a @ rng.normal(size=dim)
-            problem = QpProblem(
-                quadratic=p,
-                linear=q,
-                constant=0.0,
-                eq_matrix=a,
-                eq_rhs=b,
-                ineq_matrix=np.zeros((0, dim)),
-                ineq_rhs=np.zeros(0),
-            )
-            solution = solve(problem)
+            solution = solve_from_origin(simple_problem(p, q, eq=(a, b)))
             kkt = np.block([[p, a.T], [a, np.zeros((me, me))]])
             oracle = np.linalg.solve(kkt, np.concatenate([-q, b]))[:dim]
             worst = max(worst, float(np.max(np.abs(solution.values - oracle))))
@@ -255,10 +246,7 @@ class TestCriterion5OracleEquivalences:
 
     def test_separation_hand_example(self):
         model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
-        hover = lambda p: shift_for_initial(
-            None, p, segment_count=5, degree=5, segment_time=0.2
-        )
-        for_i, for_j = build_pair_separations(hover((1, 0, 0)), hover((-1, 0, 0)), model)
+        for_i, for_j = build_pair_separations(hold_plan((1, 0, 0)), hold_plan((-1, 0, 0)), model)
         ok = True
         for seg_i, seg_j in zip(pair_segments(for_i), pair_segments(for_j)):
             ok &= bool(np.array_equal(seg_i.normal, [1.0, 0.0, 0.0]))
@@ -282,11 +270,10 @@ class TestCriterion6InvariantSuite:
         rng = np.random.default_rng(103)
         for _ in range(50):
             pts = rng.normal(size=(6, 3))
-            seg = BernsteinSegment(pts, 0.2)
             for tau in rng.uniform(size=40):
                 row = basis_row(5, float(tau))
                 assert np.all(row >= -1e-15) and abs(row.sum() - 1.0) < 1e-12
-                assert np.linalg.norm(segment_point(seg, float(tau)) - row @ pts) < 1e-9
+                assert np.linalg.norm(segment_point(pts, float(tau)) - row @ pts) < 1e-9
         _report("criterion 6 (convex hull property)", True, "50 segments x 40 samples")
 
     def test_mirror_symmetry_exact(self):
@@ -294,16 +281,8 @@ class TestCriterion6InvariantSuite:
         model = EllipsoidModel(0.3, 2.0)
         checked = 0
         while checked < 25:
-            a = shift_for_initial(
-                None, rng.uniform(-1, 1, 3), segment_count=5, degree=5, segment_time=0.2
-            )
-            b = shift_for_initial(
-                None,
-                rng.uniform(-1, 1, 3) + [2.5, 0, 0],
-                segment_count=5,
-                degree=5,
-                segment_time=0.2,
-            )
+            a = hold_plan(rng.uniform(-1, 1, 3))
+            b = hold_plan(rng.uniform(-1, 1, 3) + [2.5, 0, 0])
             for_a, for_b = build_pair_separations(a, b, model)
             for sa, sb in zip(pair_segments(for_a), pair_segments(for_b)):
                 assert np.array_equal(sa.normal, -sb.normal)

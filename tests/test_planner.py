@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from swarmplan import qp
-from swarmplan.bernstein import shift_for_initial
 from swarmplan.errors import SafetyDegeneracyError, StepAbortError
 from swarmplan.params import PlanningParams
 from swarmplan.planner import (
@@ -14,7 +13,7 @@ from swarmplan.planner import (
 )
 from swarmplan.world import OccupancyGrid
 
-from helpers import end_time, position_at, state_at
+from helpers import end_time, hold_plan, position_at, state_at
 
 PARAMS = PlanningParams()
 
@@ -26,25 +25,24 @@ def empty_grid(extent=(3.0, 3.0, 2.0)):
 class MiniSwarm:
     """Drive a few agents through synchronized steps (no logging)."""
 
-    def __init__(self, starts, goals, grid, params=PARAMS):
+    def __init__(self, starts, goals, grid, params=PARAMS, radii=None):
         self.grid = grid
         self.params = params
-        self.starts = [np.asarray(s, dtype=float) for s in starts]
         self.goals = [np.asarray(g, dtype=float) for g in goals]
-        self.radii = [params.agent_radius] * len(starts)
-        self.states = [
-            PlannerState(agent_id=i, radius=params.agent_radius, params=params)
-            for i in range(len(starts))
-        ]
-        self.positions = list(self.starts)
+        self.radii = radii or [params.agent_radius] * len(starts)
+        self.states = [PlannerState(agent_id=i, params=params) for i in range(len(starts))]
+        # The plans last flown, as sim.run holds them: at first, every agent
+        # holds still at its start.
+        self.plans = np.stack(
+            [hold_plan(s, params.segment_count, params.degree) for s in starts]
+        )
         self.time = 0.0
         self.diagnostics = []
 
     def shared_inputs(self):
         """The step's shifted plans, pair table and goal view, as sim.run
         builds them once for all agents."""
-        previous = [state.previous_trajectory for state in self.states]
-        inits = initial_trajectories(previous, self.starts, self.params, self.time)
+        inits = initial_trajectories(self.plans, self.time)
         pairs = shared_pair_separations(inits, self.radii, self.params)
         return inits, pairs, goal_view(inits, self.goals, self.radii, self.params)
 
@@ -54,12 +52,21 @@ class MiniSwarm:
         results = [plan_step(state, self.grid, *shared) for state in self.states]
         self.time += self.params.segment_time
         for state, result in zip(self.states, results):
-            state.previous_trajectory = result.trajectory
             state.previous_corridor = result.corridor
-            # Perfect tracking, as in sim.run: the flown segment's end.
-            self.positions[state.agent_id] = result.trajectory.segments[0].control_points[-1]
+            state.step += 1
             self.diagnostics.append(result.diagnostics)
+        self.plans = np.stack([result.trajectory for result in results])
         return results
+
+    @property
+    def plan_start(self):
+        """Start time of the plans last flown."""
+        return self.time - self.params.segment_time
+
+    @property
+    def positions(self):
+        """Perfect tracking, as in sim.run: each flown segment's end."""
+        return self.plans[:, 0, -1]
 
     def run(self, steps):
         for _ in range(steps):
@@ -83,10 +90,9 @@ class TestSingleAgent:
         prev = None
         for _ in range(10):
             swarm.step()
-            traj = swarm.states[0].previous_trajectory
+            traj, t = swarm.plans[0], swarm.plan_start
             if prev is not None:
-                t = traj.start_time
-                for a, b in zip(state_at(prev, t), state_at(traj, t)):
+                for a, b in zip(state_at(prev, t - 0.2, 0.2, t), state_at(traj, t, 0.2, t)):
                     assert np.linalg.norm(a - b) < 1e-6
             prev = traj
 
@@ -110,10 +116,10 @@ class TestTwoAgents:
             swarm.step()
             # The safety claim covers the whole planned horizon, not just
             # the flown segment.
-            ta = swarm.states[0].previous_trajectory
-            tb = swarm.states[1].previous_trajectory
-            for t in np.linspace(ta.start_time, end_time(ta), 101):
-                delta = (position_at(ta, float(t)) - position_at(tb, float(t))) * scale
+            (ta, tb), start = swarm.plans, swarm.plan_start
+            for t in np.linspace(start, end_time(ta, start, 0.2), 101):
+                t = float(t)
+                delta = (position_at(ta, start, 0.2, t) - position_at(tb, start, 0.2, t)) * scale
                 min_dist = min(min_dist, float(np.linalg.norm(delta)))
             if max(swarm.goal_distances()) < PARAMS.goal_reach_dist:
                 break
@@ -136,26 +142,37 @@ class TestTwoAgents:
 
 
 class TestDegeneracyNaming:
-    # Agents 5 and 9 hover with touching hulls (0.3 m apart on x, radius sum
-    # 0.3); agent 2 is clear of both.
-    POSITIONS = {2: (0.5, 0.5, 1.0), 5: (1.5, 1.5, 1.0), 9: (1.8, 1.5, 1.0)}
+    # Agents 1 and 2 hover with touching hulls (0.3 m apart on x, radius sum
+    # 0.3); agent 0 is clear of both.
+    POSITIONS = [(0.5, 0.5, 1.0), (1.5, 1.5, 1.0), (1.8, 1.5, 1.0)]
 
     def test_shared_builder_names_the_pair(self):
-        inits = {
-            i: shift_for_initial(
-                None,
-                position,
-                segment_count=PARAMS.segment_count,
-                degree=PARAMS.degree,
-                segment_time=PARAMS.segment_time,
-            )
-            for i, position in self.POSITIONS.items()
-        }
-        radii = {i: PARAMS.agent_radius for i in inits}
-        with pytest.raises(SafetyDegeneracyError, match=r"^agents 5 and 9, segment 0: "):
-            shared_pair_separations(inits, radii, PARAMS)
-        for clean in ([2, 5], [2, 9]):
-            shared_pair_separations({i: inits[i] for i in clean}, radii, PARAMS)
+        swarm = MiniSwarm(self.POSITIONS, self.POSITIONS, empty_grid())
+        with pytest.raises(SafetyDegeneracyError, match=r"^agents 1 and 2, segment 0: "):
+            swarm.shared_inputs()
+        for clean in ([0, 1], [0, 2]):
+            positions = [self.POSITIONS[i] for i in clean]
+            MiniSwarm(positions, positions, empty_grid()).shared_inputs()
+
+
+class TestRadius:
+    def test_corridor_grows_for_the_view_radius(self):
+        # Two agents of radii 0.15 and 0.25: agent 1's fresh box is grown
+        # for 0.25, the radius the pair table and the goal view were built
+        # with.
+        grid = empty_grid()
+        swarm = MiniSwarm(
+            [(0.5, 0.5, 1.0), (2.5, 0.5, 1.0)],
+            [(2.5, 2.5, 1.5), (0.5, 2.5, 1.5)],
+            grid,
+            radii=[0.15, 0.25],
+        )
+        inits, pairs, view = swarm.shared_inputs()
+        result = plan_step(swarm.states[1], grid, inits, pairs, view)
+        terminal = inits.points[1, -1, -1]
+        fresh = grid.grow_free_box(terminal, 0.25, toward=result.diagnostics.goal - terminal)
+        assert result.corridor.boxes[-1] == fresh
+        assert fresh != grid.grow_free_box(terminal, 0.15, toward=result.diagnostics.goal - terminal)
 
 
 class TestInputChecks:
@@ -169,7 +186,7 @@ class TestInputChecks:
         with pytest.raises(StepAbortError, match=r"^agent 0: .*not synchronized"):
             plan_step(swarm.states[0], swarm.grid, *stale)
         with pytest.raises(StepAbortError, match=r"^agent 0: .*not synchronized"):
-            plan_step(PlannerState(0, PARAMS.agent_radius, PARAMS), swarm.grid, *ahead)
+            plan_step(PlannerState(0, PARAMS), swarm.grid, *ahead)
 
     def test_agent_missing_from_inputs_raises(self):
         swarm = MiniSwarm(
@@ -177,7 +194,7 @@ class TestInputChecks:
         )
         shared = swarm.shared_inputs()
         with pytest.raises(ValueError, match=r"missing agent 7$"):
-            plan_step(PlannerState(7, PARAMS.agent_radius, PARAMS), swarm.grid, *shared)
+            plan_step(PlannerState(7, PARAMS), swarm.grid, *shared)
 
 
 class TestFallback:
@@ -188,10 +205,8 @@ class TestFallback:
         inits, pairs, view = swarm.shared_inputs()
         result = plan_step(swarm.states[0], grid, inits, pairs, view)
         assert result.diagnostics.used_fallback
-        assert result.trajectory is inits[0]
-        assert np.array_equal(
-            result.trajectory.control_point_stack(), inits[0].control_point_stack()
-        )
+        assert np.array_equal(result.trajectory, inits.points[0])
+        assert not result.trajectory.flags.writeable
 
     def test_singular_active_set_system_returns_shifted_plan(self, monkeypatch):
         real = qp._append_row
@@ -206,7 +221,7 @@ class TestFallback:
         result = plan_step(swarm.states[0], grid, inits, pairs, view)
         assert result.diagnostics.used_fallback
         assert "singular active-set system" in result.diagnostics.fallback_reason
-        assert result.trajectory is inits[0]
+        assert np.array_equal(result.trajectory, inits.points[0])
 
     def test_fallback_is_flyable_over_steps(self):
         params = PlanningParams(qp_max_iterations=0)
@@ -235,9 +250,9 @@ class TestStaticSafety:
             swarm.step()
             # Every planned horizon keeps the whole inflated sphere clear of
             # the true obstacle box and inside the world bounds.
-            traj = swarm.states[0].previous_trajectory
-            for t in np.linspace(traj.start_time, end_time(traj), 120):
-                p = position_at(traj, float(t))
+            traj, start = swarm.plans[0], swarm.plan_start
+            for t in np.linspace(start, end_time(traj, start, 0.2), 120):
+                p = position_at(traj, start, 0.2, float(t))
                 gap = np.linalg.norm(p - np.clip(p, lo, hi))
                 assert gap >= PARAMS.agent_radius - 1e-9
                 assert np.all(p >= bmin + PARAMS.agent_radius - 1e-9)

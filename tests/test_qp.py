@@ -3,18 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swarmplan.bernstein import BernsteinSegment, PiecewiseTrajectory, shift_for_initial
+from swarmplan.bernstein import derivative
 from swarmplan.corridor import advance_corridor, build_pair_separations
 from swarmplan.errors import QpInfeasibleError
 from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan import qp
 from swarmplan.qp import (
-    QpProblem,
     assemble,
     basis_product_integrals,
     jerk_gram_matrix,
     param_matrices,
+    reduce_equalities,
     solve,
     trajectory_from_values,
 )
@@ -22,11 +22,14 @@ from swarmplan.world import OccupancyGrid
 
 from helpers import (
     end_time,
+    hold_plan,
     neighbour_rows,
     pair_segments,
     position_at,
     random_trajectory,
     segment_point,
+    simple_problem,
+    solve_from_origin,
     state_at,
 )
 from oracles import (
@@ -39,56 +42,30 @@ from oracles import (
 
 
 PARAMS = PlanningParams()
+TOL = PARAMS.qp_tolerance
+BUDGET = PARAMS.qp_max_iterations
 
 
 def empty_grid():
     return OccupancyGrid(0.1, (0, 0, 0), (3.0, 3.0, 2.0))
 
 
-def hover(position, params=PARAMS, start_time=0.0):
-    return shift_for_initial(
-        None,
-        position,
-        segment_count=params.segment_count,
-        degree=params.degree,
-        segment_time=params.segment_time,
-        start_time=start_time,
-    )
-
-
-def simple_problem(quadratic, linear, constant=0.0, eq=None, ineq=None):
-    dim = len(linear)
-    eq_m, eq_b = eq if eq else (np.zeros((0, dim)), np.zeros(0))
-    in_m, in_b = ineq if ineq else (np.zeros((0, dim)), np.zeros(0))
-    return QpProblem(
-        quadratic=np.asarray(quadratic, float),
-        linear=np.asarray(linear, float),
-        constant=constant,
-        eq_matrix=np.asarray(eq_m, float),
-        eq_rhs=np.asarray(eq_b, float),
-        ineq_matrix=np.asarray(in_m, float),
-        ineq_rhs=np.asarray(in_b, float),
-    )
+def hover(position):
+    return hold_plan(position, PARAMS.segment_count, PARAMS.degree)
 
 
 class TestJerkGram:
     def test_matches_quadrature_time_domain(self):
         n, dt = 5, 0.2
         gram = jerk_gram_matrix(n, dt)
-        d3 = 1.0  # third time-derivative of basis l via finite chain below
-        from swarmplan.bernstein import BernsteinSegment
 
         # Numerical Gram: integrate products of third derivatives of the
         # scalar basis curves over [0, dt].
         def third_derivative(l):
-            pts = np.zeros((n + 1, 3))
-            pts[l, 0] = 1.0
-            seg = BernsteinSegment(pts, dt)
-            jerk = seg
-            from swarmplan.bernstein import derivative
-
+            jerk = np.zeros((n + 1, 3))
+            jerk[l, 0] = 1.0
             for _ in range(3):
-                jerk = derivative(jerk)
+                jerk = derivative(jerk, dt)
             return lambda t: segment_point(jerk, t / dt)[0]
 
         funcs = [third_derivative(l) for l in range(n + 1)]
@@ -105,14 +82,12 @@ class TestJerkGram:
         # tau-domain check at unit duration where entries are O(1e3).
         n = 5
         gram = jerk_gram_matrix(n, 1.0)
-        from swarmplan.bernstein import BernsteinSegment, derivative
 
         def jerk_fn(l):
-            pts = np.zeros((n + 1, 3))
-            pts[l, 0] = 1.0
-            seg = BernsteinSegment(pts, 1.0)
+            seg = np.zeros((n + 1, 3))
+            seg[l, 0] = 1.0
             for _ in range(3):
-                seg = derivative(seg)
+                seg = derivative(seg, 1.0)
             return lambda t: segment_point(seg, t)[0]
 
         funcs = [jerk_fn(l) for l in range(n + 1)]
@@ -181,7 +156,7 @@ class TestAssemble:
         assert np.linalg.eigvalsh(p)[0] >= -1e-9 * scale
         # The jerk-block matvec cancels to absolute noise ~1e-9 at this scale.
         assert problem.objective(candidate) == pytest.approx(0.0, abs=1e-8)
-        solution = solve(problem, warm_start=candidate)
+        solution = solve(problem, TOL, candidate, BUDGET)
         assert abs(solution.objective) <= 1e-8
         assert np.max(np.abs(solution.values - candidate)) < 1e-9
 
@@ -191,11 +166,11 @@ class TestAssemble:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         goal = np.array([2.5, 2.5, 1.0])
         problem, candidate = assemble(traj, goal, corridor, *neighbour_rows([]), PARAMS)
-        solution = solve(problem, warm_start=candidate)
+        solution = solve(problem, TOL, candidate, BUDGET)
         assert solution.objective < problem.objective(candidate)
-        out = trajectory_from_values(solution.values, PARAMS, 0.0)
-        start_dist = np.linalg.norm(position_at(traj, 0.0) - goal)
-        end_dist = np.linalg.norm(position_at(out, end_time(out)) - goal)
+        out = trajectory_from_values(solution.values, PARAMS)
+        start_dist = np.linalg.norm(position_at(traj, 0.0, 0.2, 0.0) - goal)
+        end_dist = np.linalg.norm(position_at(out, 0.0, 0.2, end_time(out, 0.0, 0.2)) - goal)
         assert end_dist < start_dist
 
     def test_separation_rows_present(self):
@@ -217,14 +192,7 @@ class TestAssemble:
         # the rows written out by the dense referee.
         rng = np.random.default_rng(54)
         grid = empty_grid()
-        mine = random_trajectory(rng, scale=0.05)
-        mine = PiecewiseTrajectory(
-            [
-                BernsteinSegment(s.control_points + [1.5, 1.5, 1.0], s.duration)
-                for s in mine.segments
-            ],
-            0.0,
-        )
+        mine = random_trajectory(rng, scale=0.05) + [1.5, 1.5, 1.0]
         separations = []
         for _ in range(4):
             direction = rng.normal(size=3)
@@ -274,7 +242,7 @@ class TestAssemble:
 class TestSolve:
     def test_unconstrained_scalar(self):
         problem = simple_problem([[2.0]], [-6.0], 9.0)
-        solution = solve(problem)
+        solution = solve_from_origin(problem)
         assert solution.values[0] == pytest.approx(3.0, abs=1e-12)
         assert solution.objective == pytest.approx(0.0, abs=1e-12)
 
@@ -289,7 +257,7 @@ class TestSolve:
             a = rng.normal(size=(me, dim))
             b = a @ rng.normal(size=dim)
             problem = simple_problem(p, q, eq=(a, b))
-            solution = solve(problem)
+            solution = solve_from_origin(problem)
             kkt = np.block([[p, a.T], [a, np.zeros((me, me))]])
             rhs = np.concatenate([-q, b])
             oracle = np.linalg.solve(kkt, rhs)[:dim]
@@ -310,7 +278,7 @@ class TestSolve:
                 np.concatenate([hi, -lo]),
             )
             problem = simple_problem(p, q, eq=None, ineq=ineq)
-            solution = solve(problem, warm_start=np.zeros(dim))
+            solution = solve_from_origin(problem)
             oracle = np.clip(target, lo, hi)
             assert np.max(np.abs(solution.values - oracle)) < 1e-8
 
@@ -319,7 +287,7 @@ class TestSolve:
         problem = simple_problem(
             [[2.0]], [-6.0], 9.0, ineq=(np.array([[1.0]]), np.array([1.0]))
         )
-        solution = solve(problem, warm_start=np.zeros(1))
+        solution = solve_from_origin(problem)
         assert solution.values[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_residuals_recomputed(self):
@@ -327,7 +295,7 @@ class TestSolve:
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
-        solution = solve(problem, warm_start=candidate)
+        solution = solve(problem, TOL, candidate, BUDGET)
         report = problem.check(solution.values)
         assert report.max_equality_residual == solution.max_equality_residual
         assert report.max_inequality_violation == solution.max_inequality_violation
@@ -349,8 +317,8 @@ class TestSolve:
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
-        s1 = solve(problem, warm_start=candidate)
-        s2 = solve(problem, warm_start=candidate)
+        s1 = solve(problem, TOL, candidate, BUDGET)
+        s2 = solve(problem, TOL, candidate, BUDGET)
         assert np.array_equal(s1.values, s2.values)
         assert s1.iterations == s2.iterations
 
@@ -369,7 +337,7 @@ class TestSolve:
             corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
             problem, candidate = assemble(a, goal, corridor, *neighbour_rows([for_a]), PARAMS)
-            solution = solve(problem, warm_start=candidate)
+            solution = solve(problem, TOL, candidate, BUDGET)
             assert solution.objective <= problem.objective(candidate) + 1e-6
 
     def test_sampled_derivatives_within_limits(self):
@@ -377,17 +345,17 @@ class TestSolve:
         traj = hover((0.3, 0.3, 0.3))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.7, 2.7, 1.7), corridor, *neighbour_rows([]), PARAMS)
-        solution = solve(problem, warm_start=candidate)
-        out = trajectory_from_values(solution.values, PARAMS, 0.0)
-        for t in np.linspace(0.0, end_time(out), 200):
-            _, vel, acc = state_at(out, float(t))
+        solution = solve(problem, TOL, candidate, BUDGET)
+        out = trajectory_from_values(solution.values, PARAMS)
+        for t in np.linspace(0.0, end_time(out, 0.0, 0.2), 200):
+            _, vel, acc = state_at(out, 0.0, 0.2, float(t))
             assert np.all(np.abs(vel) <= np.array(PARAMS.max_velocity) + 1e-6)
             assert np.all(np.abs(acc) <= np.array(PARAMS.max_acceleration) + 1e-6)
 
     def test_zero_iteration_budget_reports_infeasible(self):
         problem = simple_problem([[2.0]], [-6.0], 9.0)
         with pytest.raises(QpInfeasibleError):
-            solve(problem, max_iterations=0)
+            solve_from_origin(problem, max_iterations=0)
 
     def test_genuinely_infeasible_inequalities(self):
         # x <= -1 and -x <= -1 cannot both hold.
@@ -397,7 +365,7 @@ class TestSolve:
             ineq=(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])),
         )
         with pytest.raises(QpInfeasibleError):
-            solve(problem)
+            solve_from_origin(problem)
 
     def test_inconsistent_equalities(self):
         problem = simple_problem(
@@ -406,7 +374,7 @@ class TestSolve:
             eq=(np.array([[1.0], [1.0]]), np.array([0.0, 1.0])),
         )
         with pytest.raises(QpInfeasibleError):
-            solve(problem)
+            solve_from_origin(problem)
 
     def test_random_inequality_problems_against_kkt_enumeration(self):
         # Small random QPs checked against brute-force enumeration of
@@ -443,7 +411,7 @@ class TestSolve:
                     if best is None or val < best[0]:
                         best = (val, x)
             problem = simple_problem(p, q, ineq=(g, h))
-            solution = solve(problem, warm_start=np.zeros(dim))
+            solution = solve_from_origin(problem)
             assert best is not None
             assert solution.objective == pytest.approx(best[0], abs=1e-8)
             assert np.max(np.abs(solution.values - best[1])) < 1e-6
@@ -455,7 +423,7 @@ class TestSolve:
             [[2.0]], [-6.0], 9.0, ineq=(np.array([[1.0]]), np.array([1.0]))
         )
         with pytest.raises(QpInfeasibleError, match=r"violation 1\.000e\+00"):
-            solve(problem, warm_start=np.array([2.0]))
+            solve(problem, TOL, np.array([2.0]), BUDGET)
         grid = empty_grid()
         traj = hover((0.5, 0.5, 1.0))
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
@@ -463,20 +431,19 @@ class TestSolve:
         outside = candidate.copy()
         outside[0::3] = np.array(corridor.boxes[0].max_corner)[0] + 0.5  # every point, same x
         with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
-            solve(problem, warm_start=outside)
+            solve(problem, TOL, outside, BUDGET)
 
     def test_zero_inequality_row_raises(self):
         # A row of zero norm has no direction to normalise; it is refused
         # whatever its bound, not filtered out.
         for bound in (1.0, 0.0, -1.0):
-            problem = simple_problem(
-                [[2.0]],
-                [-6.0],
-                9.0,
-                ineq=(np.array([[1.0], [0.0]]), np.array([5.0, bound])),
-            )
             with pytest.raises(QpInfeasibleError, match="zero inequality row"):
-                solve(problem, warm_start=np.zeros(1))
+                simple_problem(
+                    [[2.0]],
+                    [-6.0],
+                    9.0,
+                    ineq=(np.array([[1.0], [0.0]]), np.array([5.0, bound])),
+                )
 
     def test_degenerate_start_solves_or_raises(self):
         # The start lies on one face carried by six rows: five copies of a
@@ -501,7 +468,7 @@ class TestSolve:
             rows = np.vstack([np.tile(a, (5, 1)), 2.0 * a])
             problem = simple_problem(p, q, ineq=(rows, np.array([b] * 5 + [2.0 * b])))
             try:
-                solution = solve(problem, warm_start=start)
+                solution = solve(problem, TOL, start, BUDGET)
             except QpInfeasibleError:
                 continue
             solved += 1
@@ -526,7 +493,7 @@ class TestSolve:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         with pytest.raises(QpInfeasibleError, match="singular active-set system"):
-            solve(problem, warm_start=candidate)
+            solve(problem, TOL, candidate, BUDGET)
         assert sizes == [0]
 
     def test_singular_refactorisation_raises(self, monkeypatch):
@@ -566,12 +533,31 @@ class TestSolve:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         with pytest.raises(QpInfeasibleError, match="solution outside tolerance"):
-            solve(problem, warm_start=candidate)
+            solve(problem, TOL, candidate, BUDGET)
+
+    def test_knot_gap_beyond_tolerance_refused(self):
+        # A plan whose segments part at a knot by more than the tolerance
+        # never leaves the solver: the knot-continuity equality rows are
+        # re-checked on every result.
+        grid = empty_grid()
+        traj = hover((0.5, 0.5, 1.0))
+        corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
+        problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
+        first_point_of_segment_1 = 3 * (PARAMS.degree + 1)
+        for gap in (2e-6, 0.5e-6):
+            moved = candidate.copy()
+            moved[first_point_of_segment_1] += gap
+            assert problem.check(moved).max_equality_residual == pytest.approx(gap, rel=1e-6)
+            if gap > TOL:
+                with pytest.raises(QpInfeasibleError, match="solution outside tolerance"):
+                    qp._package(problem, moved, 0, TOL, 0.0)
+            else:
+                qp._package(problem, moved, 0, TOL, 0.0)
 
     def test_shared_reduction_matches_generic(self):
         # Planner problems carry the parameter set's reduction with its
-        # static rows; solving them with a reduction built from the problem
-        # alone must give the same point.
+        # static rows; solving them with a reduction built from the problem's
+        # own quadratic, equalities and dense rows must give the same point.
         rng = np.random.default_rng(55)
         grid = empty_grid()
         model = EllipsoidModel(0.3, 2.0)
@@ -587,8 +573,11 @@ class TestSolve:
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
             problem, candidate = assemble(a, goal, corridor, *neighbour_rows(separations), PARAMS)
             assert problem.reduction is param_matrices(PARAMS).reduction
-            shared = solve(problem, warm_start=candidate)
-            generic = solve(replace(problem, reduction=None), warm_start=candidate)
+            shared = solve(problem, TOL, candidate, BUDGET)
+            generic_reduction = reduce_equalities(
+                problem.quadratic, problem.eq_matrix, (problem.ineq_matrix,)
+            )
+            generic = solve(replace(problem, reduction=generic_reduction), TOL, candidate, BUDGET)
             assert np.max(np.abs(shared.values - generic.values)) <= 1e-9
             assert shared.objective == pytest.approx(generic.objective, abs=1e-9)
             solved += 1
@@ -636,7 +625,7 @@ class TestStructuredRows:
         blocks = (mats.dyn_matrix, mats.box_matrix)
         tol = PARAMS.qp_tolerance
         for problem, candidate, _ in problems:
-            got = solve(problem, tol, candidate, PARAMS.qp_max_iterations)
+            got = solve(problem, tol, candidate, BUDGET)
             x, iterations, stationarity = solve_by_kkt(
                 problem, problem.reduction, blocks, candidate, PARAMS.qp_max_iterations
             )
@@ -719,4 +708,4 @@ class TestStructuredRows:
         problem.separation_coefficients[31] = 0.0
         assert not np.any(dense_inequalities(problem)[n_static + 31])
         with pytest.raises(QpInfeasibleError, match="zero inequality row"):
-            solve(problem, warm_start=candidate)
+            solve(problem, TOL, candidate, BUDGET)

@@ -2,13 +2,12 @@ import ast
 import json
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from swarmplan import corridor, qp, sim
-from swarmplan.bernstein import BernsteinSegment
+from swarmplan.bernstein import shift_for_initial
 from swarmplan.cli import main as cli_main
 from swarmplan.errors import LogFormatError, ScenarioGenerationError, StepAbortError
 from swarmplan.params import PlanningParams
@@ -24,6 +23,8 @@ from oracles import (
     de_casteljau,
     dense_separation_rows,
     grow_box_by_layers,
+    sampled_block_by_agent,
+    shift_by_segments,
     sight_lines_by_samples,
     step_line_by_float,
     success_by_steps,
@@ -281,18 +282,10 @@ class TestRun:
         assert rows == csv_rows_by_float(times, states)
         assert ",-0.0," in rows[0] and ",5e-324," in rows[0]
         pts = np.resize(values, (4, 6, 3))
-        agents = [
-            SimpleNamespace(
-                agent_id=i,
-                previous_trajectory=SimpleNamespace(
-                    segments=[BernsteinSegment(pts[(i + m) % 4], 0.2) for m in range(5)]
-                ),
-            )
-            for i in range(3)
-        ]
+        plans = np.array([[pts[(i + m) % 4] for m in range(5)] for i in range(3)])
         for step, now in ((0, 0.0), (7, 1.4000000000000001)):
-            line = sim._step_line(step, now, agents)
-            assert line == step_line_by_float(step, now, agents)
+            line = sim._step_line(step, now, plans)
+            assert line == step_line_by_float(step, now, plans)
             assert "[-0.0," in line and "5e-324" in line and "1e+16" in line
 
     def test_narrow_corridor_deadlocks(self, tmp_path):
@@ -340,6 +333,44 @@ class TestRun:
         # the decimal that "%.2f" prints for it.
         k = np.arange(360_001)
         assert (k / 100).tolist() == [float(f"{t:.2f}") for t in (k / 100).tolist()]
+
+
+class TestBatchedPlans:
+    """The step's array work against per-agent referees, bit for bit. On a
+    BLAS kernel whose stacked products differ from one product per agent,
+    these fail before any digest changes unseen."""
+
+    BASES = {
+        "ticks": sim._segment_basis(5, [j / 20 for j in range(20)]),
+        "end": sim._segment_basis(5, [1.0]),
+    }
+
+    def test_recorded_circle_steps(self, recorded_runs):
+        log_dir, _, _ = recorded_runs["circle-32"]
+        lines = (log_dir / "steps.jsonl").read_text().splitlines()
+        states = np.load(log_dir / "states.npy")
+        assert len(lines) >= 5
+        for k, line in enumerate(lines):
+            cpts = json.loads(line)["cpts"]
+            plans = np.array([cpts[str(i)] for i in range(32)])
+            assert np.array_equal(shift_for_initial(plans), shift_by_segments(plans))
+            blocks = {}
+            for name, basis in self.BASES.items():
+                blocks[name] = sim._sampled_block(plans, basis, 0.2)[:, :, 1:]
+                assert np.array_equal(blocks[name], sampled_block_by_agent(plans, basis, 0.2)[:, :, 1:])
+            # The logged states of step k are its sampled block.
+            assert np.array_equal(states[:, 20 * k : 20 * k + 20, 1:], blocks["ticks"])
+        assert np.array_equal(states[:, -1:, 1:], blocks["end"])
+
+    @pytest.mark.parametrize("basis", ["ticks", "end"])
+    def test_random_plans_of_1_to_40_agents(self, basis):
+        rng = np.random.default_rng(70)
+        for agents in range(1, 41):
+            plans = rng.normal(size=(agents, 5, 6, 3)) * rng.uniform(0.1, 10.0)
+            got = sim._sampled_block(plans, self.BASES[basis], 0.2)
+            ref = sampled_block_by_agent(plans, self.BASES[basis], 0.2)
+            assert np.array_equal(got[:, :, 1:], ref[:, :, 1:])
+            assert np.array_equal(shift_for_initial(plans), shift_by_segments(plans))
 
 
 @pytest.fixture(scope="module")
