@@ -6,10 +6,13 @@ that segment's last control point. The plans the agents last flew are one
 (N, M, n+1, 3) array of control points, which the step shifts, separates,
 views, samples and logs whole. The run writes three artifacts into the
 output directory: the scenario itself, the 100 Hz states of every agent as
-one binary array (`states.npy`), and the per-step control-point dump the
-offline verifier uses for exact checks. All safety-relevant metrics are
-recomputed by the verifier from those logs, never taken from the planner's
-internals. `export_csv` writes the states as per-agent CSV text.
+one binary array (`states.npy`), written once after the last step, and the
+per-step control-point dump the offline verifier uses for exact checks
+(`steps.jsonl`), written line by line as each step completes. The grid, with
+its cached goal distance fields, is released before the verifier reads the
+logs back. All safety-relevant metrics are recomputed by the verifier from
+those logs, never taken from the planner's internals. `export_csv` writes
+the states as per-agent CSV text.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     inputs, so a fixed scenario gives the same logs every time; only the
     timing metrics vary between invocations. `threads` must be 1: planning holds
     the GIL, so planner threads made runs no faster.
+
+    A step's line reaches `steps.jsonl` once every agent has planned it, so
+    a run a `PlannerError` stops still logs exactly its completed steps and
+    is verified. Any other exception propagates and leaves the completed
+    steps in `steps.jsonl` and no `states.npy`, which `verify` rejects as a
+    malformed log. A scenario that fails its checks creates no directory.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
@@ -102,7 +111,6 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
 
     # One (agents, ticks, 10) block of 100 Hz states per flown step.
     blocks: list[np.ndarray] = []
-    step_lines: list[str] = []
     # Every agent's end position over the last _STALL_STEPS + 1 steps.
     recent_ends: deque[list[np.ndarray]] = deque(maxlen=_STALL_STEPS + 1)
 
@@ -116,62 +124,67 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     reach_candidate: float | None = None
     step = 0
 
-    try:
-        while True:
-            now = step * dt
-            if now >= limit:
-                break
-            shared_start = time.perf_counter()
-            inits = initial_trajectories(plans, now)
-            pair_start = time.perf_counter()
-            pairs = shared_pair_separations(inits, radii, params)
-            pair_end = time.perf_counter()
-            view = goal_view(inits, goals, radii, params)
-            pair_times.append((pair_end - pair_start) * 1e3)
-            shared_ms = (time.perf_counter() - shared_start) * 1e3 / len(states)
-
-            # Every agent plans before any state is updated, so a step that
-            # aborts part-way leaves all agents on the plan they last flew.
-            results = []
-            for state in states:
-                begin = time.perf_counter()
-                result = plan_step(state, grid, inits, pairs, view)
-                results.append((result, (time.perf_counter() - begin) * 1e3))
-            for state, (result, elapsed_ms) in zip(states, results):
-                plan_times.append(elapsed_ms + shared_ms)
-                diag = result.diagnostics
-                fallback_count += diag.used_fallback
-                max_candidate_violation = max(
-                    max_candidate_violation, diag.candidate_violation
-                )
-                state.previous_corridor = result.corridor
-                state.step += 1
-            plans = np.stack([result.trajectory for result, _ in results])
-
-            step_lines.append(_step_line(step, now, plans))
-            blocks.append(_sampled_block(plans, basis, dt))
-
-            step += 1
-            now = step * dt
-            # Perfect tracking leaves each agent at its flown segment's end.
-            ends = plans[:, 0, -1]
-            recent_ends.append(ends)
-
-            if all(
-                float(np.linalg.norm(end - goal)) < params.goal_reach_dist
-                for end, goal in zip(ends, goals)
-            ):
-                if reach_candidate is None:
-                    reach_candidate = now
-                elif now >= reach_candidate + dt:
-                    success = True
-                    flight_time = reach_candidate
+    # Each step's line is written once the whole step has succeeded.
+    with open(out / "steps.jsonl", "w") as log:
+        try:
+            while True:
+                now = step * dt
+                if now >= limit:
                     break
-            else:
-                reach_candidate = None
-    except PlannerError as exc:
-        error = str(exc)
+                shared_start = time.perf_counter()
+                inits = initial_trajectories(plans, now)
+                pair_start = time.perf_counter()
+                pairs = shared_pair_separations(inits, radii, params)
+                pair_end = time.perf_counter()
+                view = goal_view(inits, goals, radii, params)
+                pair_times.append((pair_end - pair_start) * 1e3)
+                shared_ms = (time.perf_counter() - shared_start) * 1e3 / len(states)
 
+                # Every agent plans before any state is updated, so a step that
+                # aborts part-way leaves all agents on the plan they last flew.
+                results = []
+                for state in states:
+                    begin = time.perf_counter()
+                    result = plan_step(state, grid, inits, pairs, view)
+                    results.append((result, (time.perf_counter() - begin) * 1e3))
+                for state, (result, elapsed_ms) in zip(states, results):
+                    plan_times.append(elapsed_ms + shared_ms)
+                    diag = result.diagnostics
+                    fallback_count += diag.used_fallback
+                    max_candidate_violation = max(
+                        max_candidate_violation, diag.candidate_violation
+                    )
+                    state.previous_corridor = result.corridor
+                    state.step += 1
+                plans = np.stack([result.trajectory for result, _ in results])
+
+                log.write(_step_line(step, now, plans) + "\n")
+                blocks.append(_sampled_block(plans, basis, dt))
+
+                step += 1
+                now = step * dt
+                # Perfect tracking leaves each agent at its flown segment's end.
+                ends = plans[:, 0, -1]
+                recent_ends.append(ends)
+
+                if all(
+                    float(np.linalg.norm(end - goal)) < params.goal_reach_dist
+                    for end, goal in zip(ends, goals)
+                ):
+                    if reach_candidate is None:
+                        reach_candidate = now
+                    elif now >= reach_candidate + dt:
+                        success = True
+                        flight_time = reach_candidate
+                        break
+                else:
+                    reach_candidate = None
+        except PlannerError as exc:
+            error = str(exc)
+
+    # Free the grid, and with it every cached goal field and blocked mask,
+    # before verify runs.
+    del grid
     sim_time = step * dt
     if blocks:
         # The last row is the end state of the last flown segment.
@@ -190,9 +203,8 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
 
     (out / "scenario.json").write_text(scenario.to_json())
     np.save(out / "states.npy", table, allow_pickle=False)
-    (out / "steps.jsonl").write_text("\n".join(step_lines) + ("\n" if step_lines else ""))
     # The logs are on disk now; free them before verify reads them back.
-    del table, blocks, step_lines
+    del table, blocks
 
     metrics = RunMetrics(
         success=success,

@@ -408,7 +408,9 @@ class OccupancyGrid:
         search heuristic. Built by a breadth-first search over flat cell
         indices: each hop visits only the frontier's neighbours. Cached per
         (goal, inflation); goals are fixed for a whole run, so this pays
-        once."""
+        once, and a run keeps one field per agent. The field is int16 when
+        its farthest hop is at most 32,767 and int32 otherwise; A* reads
+        either as the same Python ints."""
         key = (tuple(goal_idx), round(float(inflation), 12))
         cached = self._field_cache.get(key)
         if cached is not None:
@@ -438,6 +440,8 @@ class OccupancyGrid:
                 unseen[reached] = False
                 dist[reached] = hops
                 frontier = reached
+        if dist.max() <= np.iinfo(np.int16).max:
+            dist = dist.astype(np.int16)
         dist = dist.reshape(blocked.shape)
         dist.setflags(write=False)
         self._field_cache[key] = dist
@@ -723,19 +727,24 @@ class OccupancyGrid:
         """Each line from p tested at its samples: every sample passes
         points_free and lies farther than inflation + radius from every
         agent obstacle in the downwash-scaled metric. Sampled lines mostly
-        fail, so every 8th sample of each line is built and tested first,
-        then every sample of the lines that passed."""
+        fail, so every 8th sample of each line (k = 0, 8, 16, ...) is built
+        and tested first, then the other samples of the lines that passed.
+        A line with no other sample keeps its first verdict."""
         p = np.asarray(p, dtype=float).reshape(3)
         counts = self._sample_counts(targets - p)
+        coarse = (counts + _COARSE - 1) // _COARSE
         clear = np.ones(len(targets), dtype=bool)
-        for stride in (_COARSE, 1):
-            rows = np.flatnonzero(clear)
+        for fine in (False, True):
+            per_line = counts - coarse if fine else coarse
+            rows = np.flatnonzero(clear & (per_line > 0))
             if not rows.size:
                 break
-            per_line = (counts[rows] + stride - 1) // stride
+            per_line = per_line[rows]
             starts = np.cumsum(per_line) - per_line
             line = np.repeat(rows, per_line)
-            k = (np.arange(per_line.sum()) - np.repeat(starts, per_line)) * stride
+            j = np.arange(per_line.sum()) - np.repeat(starts, per_line)
+            # The j-th fine sample skips the multiples of _COARSE below it.
+            k = j + j // (_COARSE - 1) + 1 if fine else j * _COARSE
             points = self._line_samples(p, targets, counts, line, k)
             ok = self.points_free(points, inflation)
             # np.linalg.norm(gap, axis=1) sums the squares left to right;

@@ -1,6 +1,8 @@
 import ast
 import json
 import time
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +172,8 @@ class TestRun:
                 raise StepAbortError("agent 1: injected", agent_id=1)
             return real_plan_step(state, *args)
 
+        whole = run(sc, tmp_path / "whole")
+        assert whole.error is None and whole.steps > 2
         monkeypatch.setattr(sim, "plan_step", plan_step)
         metrics = run(sc, tmp_path / "out")
         assert metrics.error == "agent 1: injected"
@@ -177,6 +181,75 @@ class TestRun:
         assert len(metrics.flight_distance_per_agent) == len(sc.agents)
         assert verify(tmp_path / "out").ok
         _assert_final_rows_end_last_dumped_plan(tmp_path / "out", sc, metrics.steps)
+        # The log, written step by step, is the first two lines of the
+        # uncut run's, byte for byte.
+        lines = (tmp_path / "out" / "steps.jsonl").read_bytes().splitlines(keepends=True)
+        expected = (tmp_path / "whole" / "steps.jsonl").read_bytes().splitlines(keepends=True)
+        assert lines == expected[:2]
+
+    def test_other_exception_closes_the_log(self, tmp_path, monkeypatch):
+        # An error that is not a PlannerError propagates; the log is closed
+        # on the way out and holds the two completed steps, and with no
+        # states.npy the run directory is a malformed log.
+        sc = generate_scenario("circle", 4, seed=1, timeout=2.0)
+        calls = []
+        real_plan_step = sim.plan_step
+
+        def plan_step(*args):
+            calls.append(None)
+            if len(calls) == 2 * len(sc.agents) + 1:
+                raise RuntimeError("injected")
+            return real_plan_step(*args)
+
+        opened = []
+
+        def tracked_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(sim, "plan_step", plan_step)
+        monkeypatch.setattr(sim, "open", tracked_open, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(RuntimeError, match="injected"):
+                run(sc, tmp_path / "out")
+            assert opened and all(handle.closed for handle in opened)
+        assert len((tmp_path / "out" / "steps.jsonl").read_text().splitlines()) == 2
+        assert not (tmp_path / "out" / "states.npy").exists()
+        with pytest.raises(LogFormatError):
+            verify(tmp_path / "out")
+
+    def test_grid_and_fields_released_before_verify(self, tmp_path, monkeypatch):
+        # Walls send agents to A*, so the run builds goal fields; neither
+        # they nor the grid that holds them are alive when verify starts.
+        sc = generate_scenario("indoor", 2, seed=1, timeout=0.6)
+        grids, fields, alive = [], [], []
+        real_grid = Scenario.grid
+        real_field = OccupancyGrid._padded_field
+        real_verify = sim.verify_mod.verify
+
+        def grid(self):
+            made = real_grid(self)
+            grids.append(weakref.ref(made))
+            return made
+
+        def padded_field(self, *args):
+            made = real_field(self, *args)
+            fields.append(weakref.ref(made))
+            return made
+
+        def checked_verify(log_dir):
+            alive.extend(ref() is not None for ref in grids + fields)
+            return real_verify(log_dir)
+
+        monkeypatch.setattr(Scenario, "grid", grid)
+        monkeypatch.setattr(OccupancyGrid, "_padded_field", padded_field)
+        monkeypatch.setattr(sim.verify_mod, "verify", checked_verify)
+        metrics = run(sc, tmp_path / "out")
+        assert metrics.verified and metrics.safety_ok
+        assert len(grids) == 1 and fields
+        assert alive == [False] * (len(grids) + len(fields))
 
     def test_staged_closest_points_match_enumeration(self, tmp_path, monkeypatch):
         # Six agents on a circle for 20 steps: 1500 hull queries, of which

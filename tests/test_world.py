@@ -420,8 +420,22 @@ class TestExactAgainstReferees:
         for goal in goals:
             field = goal_distance_field(grid, goal, inflation)
             expected = distance_field_by_sweeps(grid, goal, inflation)
-            assert field.dtype == expected.dtype
+            # Every hop on these maps fits in two bytes.
+            assert field.dtype == np.int16
             assert np.array_equal(field, expected)
+
+    def test_distance_field_past_int16_stays_int32(self):
+        # A one-cell corridor 33,000 cells long: the farthest hop does not
+        # fit in int16, and the field must not wrap around.
+        length, goal = 33000, 100
+        occupied = np.ones((length, 3, 1), dtype=bool)
+        occupied[:, 1] = False
+        grid = OccupancyGrid(1.0, (0, 0, 0), (length, 3, 1), occupied=occupied)
+        field = goal_distance_field(grid, (goal, 1, 0), 0.0)
+        assert field.dtype == np.int32
+        assert field[:, 1, 0].max() > np.iinfo(np.int16).max
+        assert np.array_equal(field[:, 1, 0], np.abs(np.arange(length) - goal))
+        assert (field[:, [0, 2]] == -1).all()
 
     @pytest.mark.parametrize("inflation", INFLATIONS)
     def test_grow_free_box_matches_layers(self, referee_grid, inflation):
