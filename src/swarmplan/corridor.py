@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
-from swarmplan.geometry import EllipsoidModel, closest_points_to_origin, to_sphere_frame
+from swarmplan.geometry import closest_points_to_origin, to_sphere_frame
 from swarmplan.world import AxisBox, OccupancyGrid
 
 _DEGENERACY_EPS = 1e-9  # minimum hull-to-model clearance in the sphere frame
@@ -85,26 +85,23 @@ class PairSeparation:
 class PairTable:
     """Separating half-spaces of many pairs, as separate_pairs computes them.
 
-    Pair p joins the plans low[p] < high[p], indices into `ids`.
-    `points` (N, M, n+1, 3) holds every plan's control points, which
-    are its neighbours' anchors; `normals` (P, M, 3) are the low agent's,
-    the high agent's are their negation; `margins` (P, M, n+1) serve both.
-    All arrays are read-only.
+    Pair p joins agents low[p] < high[p], rows of `points` (N, M, n+1, 3),
+    which holds every agent's control points, its neighbours' anchors;
+    `normals` (P, M, 3) are the low agent's, the high agent's are their
+    negation; `margins` (P, M, n+1) serve both. All arrays are read-only.
     """
 
-    ids: tuple
     low: np.ndarray
     high: np.ndarray
     points: np.ndarray
     normals: np.ndarray
     margins: np.ndarray
 
-    def rows_for(self, agent_id) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The half-spaces of one agent against each of its K neighbours in
-        the table, in table order: normals (K, M, 3), negated where the
-        agent is the high one, anchors (K, M, n+1, 3) and margins
+    def rows_for(self, me: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half-spaces of agent `me` (a row) against each of its K
+        neighbours in the table, in table order: normals (K, M, 3), negated
+        where the agent is the high one, anchors (K, M, n+1, 3) and margins
         (K, M, n+1), gathered by index (exact copies)."""
-        me = self.ids.index(agent_id)
         pick = np.flatnonzero((self.low == me) | (self.high == me))
         is_low = self.low[pick] == me
         others = np.where(is_low, self.high[pick], self.low[pick])
@@ -128,12 +125,11 @@ def separate_pairs(
     radius_sums: np.ndarray,
     downwash: float,
     safety_buffer: float,
-    ids,
 ) -> PairTable:
     """Separating half-spaces for many pairs, one normal per pair and segment.
 
-    `points` (N, M, n+1, 3) holds the N agents' shifted plans, and `ids`
-    names them; the table keeps a read-only view of it. Pair p joins plans
+    `points` (N, M, n+1, 3) holds the N agents' shifted plans, row i agent
+    i's; the table keeps a read-only view of it. Pair p joins agents
     low[p] < high[p] with collision radius radius_sums[p]. Per pair and
     segment: transform the control-point differences low-high into the
     frame where the collision model is a sphere, take the closest hull
@@ -148,7 +144,7 @@ def separate_pairs(
     swapping low and high yields bit-identical constraints because every
     geometric step is deterministic and odd under negation.
 
-    Raises SafetyDegeneracyError, naming ids[low[p]], ids[high[p]] and the
+    Raises SafetyDegeneracyError, naming agents low[p] and high[p] and the
     segment, for the first pair whose hull clears the model by less than
     1e-9, i.e. whose feasibility premise is already violated.
     """
@@ -157,21 +153,20 @@ def separate_pairs(
     normals = np.zeros((0, 3))
     margins = np.zeros((0, pts_per_seg))
     if len(low):
-        normals, margins = _separations(points, low, high, radius_sums, downwash, ids)
+        normals, margins = _separations(points, low, high, radius_sums, downwash)
     normals = normals.reshape(len(low), seg_count, 3)
     margins = (margins + safety_buffer).reshape(len(low), seg_count, pts_per_seg)
     for arr in (points, normals, margins):
         arr.setflags(write=False)
-    return PairTable(tuple(ids), low, high, points, normals, margins)
+    return PairTable(low, high, points, normals, margins)
 
 
-def _separations(points, low, high, radius_sums, downwash, ids):
+def _separations(points, low, high, radius_sums, downwash):
     """separate_pairs' normals (P*M, 3) and margins (P*M, n+1) before the
     safety buffer, for at least one pair."""
     pair_count, seg_count = len(low), points.shape[1]
-    frame = EllipsoidModel(1.0, downwash)  # only the scaling E is used
     diffs = (points[low] - points[high]).reshape(pair_count * seg_count, -1, 3)
-    sphere_diffs = to_sphere_frame(diffs, frame)
+    sphere_diffs = to_sphere_frame(diffs, downwash)
     witnesses, dists = closest_points_to_origin(sphere_diffs)
     radius_rows = np.repeat(radius_sums, seg_count)
 
@@ -183,7 +178,7 @@ def _separations(points, low, high, radius_sums, downwash, ids):
             per_seg = worst.reshape(pair_count, seg_count)[p]
             m = int(np.argmin(per_seg))
             raise SafetyDegeneracyError(
-                f"agents {ids[low[p]]} and {ids[high[p]]}, segment {m}: "
+                f"agents {low[p]} and {high[p]}, segment {m}: "
                 + message.format(per_seg[m])
             )
 
@@ -201,9 +196,9 @@ def _separations(points, low, high, radius_sums, downwash, ids):
         support_gap < -1e-9,
         "closest-point direction fails to support the hull",
     )
-    normals = sphere_normals * frame.scale
+    normals = sphere_normals * np.array([1.0, 1.0, 1.0 / downwash])
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    reach = radius_rows * np.linalg.norm(normals * frame.inverse_scale, axis=1)
+    reach = radius_rows * np.linalg.norm(normals * np.array([1.0, 1.0, downwash]), axis=1)
     projections = np.einsum("mld,md->ml", diffs, normals)
     margins = 0.5 * (reach[:, None] + projections)
     slack = np.min(0.5 * (projections - reach[:, None]), axis=1)
@@ -215,25 +210,22 @@ def _separations(points, low, high, radius_sums, downwash, ids):
 def build_pair_separations(
     init_a: np.ndarray,
     init_b: np.ndarray,
-    model: EllipsoidModel,
+    radius_sum: float,
+    downwash: float,
     safety_buffer: float = 0.0,
-    ids=("a", "b"),
 ) -> tuple[PairSeparation, PairSeparation]:
     """Separating half-spaces for both agents of one pair (see separate_pairs),
-    from their shifted plans, two (M, n+1, 3) arrays of one shape.
-
-    `ids` names the two agents in degeneracy errors.
-    """
+    from their shifted plans, two (M, n+1, 3) arrays of one shape; degeneracy
+    errors name them agents 0 and 1."""
     if np.shape(init_a) != np.shape(init_b):
         raise ValueError("trajectories must have the same shape")
     table = separate_pairs(
         np.stack([init_a, init_b]),
         np.array([0]),
         np.array([1]),
-        np.array([model.radius_sum]),
-        model.downwash,
+        np.array([radius_sum]),
+        downwash,
         safety_buffer,
-        ids,
     )
     return table.pair(0)
 

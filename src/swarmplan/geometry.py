@@ -1,53 +1,25 @@
 """Collision model geometry and closest-point queries.
 
 The inter-agent collision model is an origin-centered ellipsoid stretched
-vertically to cover downwash: {x : ||E x|| <= R} with E = diag(1, 1, 1/dw).
-Scaling space by E turns it into a sphere of radius R, so separating a point
-cloud from the model reduces to finding the closest point of the cloud's
-convex hull to the origin in the scaled frame.
+vertically to cover downwash: {x : ||E x|| <= R} with E = diag(1, 1, 1/dw),
+R the sum of the two agents' radii and dw >= 1 the downwash factor. Scaling
+space by E turns it into a sphere of radius R, so separating a point cloud
+from the model reduces to finding the closest point of the cloud's convex
+hull to the origin in the scaled frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class EllipsoidModel:
-    """Origin-centered inter-agent collision volume.
-
-    radius_sum is the sum of the two agents' radii; downwash >= 1 stretches
-    the volume along z. The set is symmetric, so swapping the agent pair
-    negates nothing but the sign convention of the separating normal.
-    """
-
-    radius_sum: float
-    downwash: float = 1.0
-
-    def __post_init__(self):
-        if self.radius_sum <= 0:
-            raise ValueError("radius_sum must be positive")
-        if self.downwash < 1.0:
-            raise ValueError("downwash must be >= 1")
-
-    @property
-    def scale(self) -> np.ndarray:
-        """Diagonal of E: maps model space to sphere space."""
-        return np.array([1.0, 1.0, 1.0 / self.downwash])
-
-    @property
-    def inverse_scale(self) -> np.ndarray:
-        """Diagonal of E^-1: maps sphere space back to model space."""
-        return np.array([1.0, 1.0, self.downwash])
-
-
-def to_sphere_frame(points, model: EllipsoidModel) -> np.ndarray:
-    """Apply E to each point; the model becomes a sphere of radius radius_sum."""
+def to_sphere_frame(points, downwash: float) -> np.ndarray:
+    """Multiply each point by [1, 1, 1/downwash], the diagonal of E: in this
+    frame the collision model is a sphere of radius R."""
     pts = np.asarray(points, dtype=float)
-    return pts * model.scale
+    return pts * np.array([1.0, 1.0, 1.0 / downwash])
 
 
 # Subset index tables for the face enumeration, cached per point count:

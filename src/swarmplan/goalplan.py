@@ -27,16 +27,12 @@ class SwarmView:
     step by `swarm_view_from_arrays` and read by every agent's
     `plan_current_goal`.
 
-    `ids` lists the agents in ascending order; `rows` maps an id back to
-    its index in `ids` and in every array. Row a of the read-only arrays
-    `positions`, `horizon_ends`, `goals` and `radii` describes agent
-    ids[a]. `gaps[a, b]` is the distance between agents ids[a] and ids[b],
-    and `outranks[a, b]` says agent ids[b] has priority over agent ids[a].
+    Agent a is row a of the read-only arrays `positions`, `horizon_ends`,
+    `goals` and `radii`. `gaps[a, b]` is the distance between agents a and
+    b, and `outranks[a, b]` says agent b has priority over agent a.
     """
 
     params: PlanningParams
-    ids: tuple[int, ...]
-    rows: dict[int, int]
     positions: np.ndarray
     horizon_ends: np.ndarray
     goals: np.ndarray
@@ -46,17 +42,16 @@ class SwarmView:
 
 
 def swarm_view_from_arrays(
-    ids, positions, horizon_ends, goals, radii, params: PlanningParams
+    positions, horizon_ends, goals, radii, params: PlanningParams
 ) -> SwarmView:
     """Gaps and the priority relation between every pair of agents.
 
-    `ids` must be ascending; row a of the (N, 3) arrays `positions`,
-    `horizon_ends` and `goals` and of `radii` belongs to agent ids[a]. The
-    view keeps the arrays, made read-only; a non-finite entry in any of the
-    three raises ValueError.
+    Row a of the (N, 3) arrays `positions`, `horizon_ends` and `goals` and
+    of `radii` belongs to agent a. The view keeps the arrays, made
+    read-only; a non-finite entry in any of the three raises ValueError.
 
     Agent b outranks agent a when b is strictly closer to its goal (ties go
-    to the lower id), has not reached it, and is not clearly receding from
+    to the lower row), has not reached it, and is not clearly receding from
     a over its planning horizon. Once a is goal-reached itself it yields to
     every agent still under way, so parked agents never block traffic.
 
@@ -85,7 +80,7 @@ def swarm_view_from_arrays(
 
     reach = params.goal_reach_dist
     recede_slack = 0.05 * params.horizon * max(params.max_velocity)
-    order = np.arange(len(ids))
+    order = np.arange(len(positions))
     closer = (goal_dist[None, :] < goal_dist[:, None]) | (
         (goal_dist[None, :] == goal_dist[:, None]) & (order[None, :] < order[:, None])
     )
@@ -94,14 +89,11 @@ def swarm_view_from_arrays(
     outranks = (closer & under_way[None, :] & (toward_me >= -recede_slack)) | (
         reached[:, None] & ~reached[None, :]
     )
-    rows = {i: row for row, i in enumerate(ids)}
-    return SwarmView(
-        params, tuple(ids), rows, positions, horizon_ends, goals, radii, gaps, outranks
-    )
+    return SwarmView(params, positions, horizon_ends, goals, radii, gaps, outranks)
 
 
-def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.ndarray:
-    """Pick this step's tracking target for agent `self_id`.
+def plan_current_goal(view: SwarmView, me: int, grid: OccupancyGrid) -> np.ndarray:
+    """Pick this step's tracking target for agent `me`, a row of the view.
 
     If the nearest higher-priority agent is too close, the target pushes
     straight away from it. Otherwise plan a grid path to the final goal with
@@ -111,16 +103,15 @@ def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.
     objective; it never generates constraints.
     """
     params = view.params
-    row = view.rows[self_id]
-    position, goal = view.positions[row], view.goals[row]
-    radius = float(view.radii[row])
-    outranking = np.flatnonzero(view.outranks[row])
+    position, goal = view.positions[me], view.goals[me]
+    radius = float(view.radii[me])
+    outranking = np.flatnonzero(view.outranks[me])
 
     if outranking.size:
-        # argmin keeps the first of equal gaps, which is the lowest id.
-        nearest = outranking[np.argmin(view.gaps[row, outranking])]
+        # argmin keeps the first of equal gaps, which is the lowest row.
+        nearest = outranking[np.argmin(view.gaps[me, outranking])]
         q_position = view.positions[nearest]
-        gap = float(view.gaps[row, nearest])
+        gap = float(view.gaps[me, nearest])
         if gap < params.repulsion_trigger_dist:
             away = position - q_position
             if math.hypot(away[0], away[1]) < _STACKED_EPS:
@@ -156,14 +147,12 @@ def plan_current_goal(view: SwarmView, self_id: int, grid: OccupancyGrid) -> np.
     if path is None and obstacles:
         path = grid.astar(position, goal, routing, (), budget=params.astar_budget)
     if path is None:
-        raise GoalUnreachableError(f"agent {self_id}: no grid path to goal {goal.tolist()}")
+        raise GoalUnreachableError(f"agent {me}: no grid path to goal {goal.tolist()}")
     # The goal itself was just found blocked from here, so only the path's
     # waypoints remain; one batched query tests every sight line.
     visible = np.flatnonzero(
-        grid.sight_lines_free(
-            position, path.waypoints, seeing, obstacles, downwash=params.downwash
-        )
+        grid.sight_lines_free(position, path, seeing, obstacles, downwash=params.downwash)
     )
     if visible.size:
-        return path.waypoints[visible[-1]].copy()
+        return path[visible[-1]].copy()
     return position.copy()

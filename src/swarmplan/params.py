@@ -9,8 +9,33 @@ goal-planning distances used by the priority rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
+
+_POSITIVE = (
+    "segment_time",
+    "agent_radius",
+    "max_velocity",
+    "max_acceleration",
+    "goal_reach_dist",
+    "repulsion_dist",
+    "qp_tolerance",
+    "safety_buffer",
+)
+_NON_NEGATIVE = ("jerk_weight", "goal_weights", "repulsion_trigger_dist")
+
+
+def _check_int(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+
+
+def _check_floats(name, value, rule, words):
+    """Raise unless every entry of `value` is finite and passes `rule`."""
+    values = np.asarray(value, dtype=float)
+    if not (np.all(np.isfinite(values)) and np.all(rule(values))):
+        raise ValueError(f"{name} must be finite and {words}, got {value!r}")
 
 
 def _triple(value) -> tuple[float, float, float]:
@@ -45,9 +70,18 @@ class PlanningParams:
             1e-6 default is physically negligible but restores the strict
             separation the feasibility argument needs.
         qp_tolerance: feasibility/stationarity tolerance of the QP solver.
-        qp_max_iterations: active-set iteration budget (None = automatic).
+        qp_max_iterations: active-set iteration budget; None (automatic)
+            lets qp.solve set 3 x inequality rows + 120 for each problem.
         astar_budget: node-expansion cap of the grid search before it gives
             up and the caller falls back to the agent-free retry.
+
+    Construction raises ValueError for any value the planner cannot run:
+    degree, segment_count and astar_budget are ints of at least 1 (degree
+    at most 10) and qp_max_iterations is None or an int of at least 0;
+    every float is finite; segment_time, agent_radius, each axis of
+    max_velocity and max_acceleration, goal_reach_dist, repulsion_dist,
+    qp_tolerance and safety_buffer are positive; jerk_weight, goal_weights
+    and repulsion_trigger_dist are at least 0; downwash is at least 1.
     """
 
     degree: int = 5
@@ -68,29 +102,24 @@ class PlanningParams:
     astar_budget: int = 20000
 
     def __post_init__(self):
-        if not 1 <= self.degree <= 10:
+        for name in ("degree", "segment_count", "astar_budget"):
+            _check_int(name, getattr(self, name), 1)
+        if self.degree > 10:
             raise ValueError(f"degree must be in [1, 10], got {self.degree}")
-        if self.segment_count < 1:
-            raise ValueError("segment_count must be >= 1")
-        if self.segment_time <= 0:
-            raise ValueError("segment_time must be positive")
-        if self.downwash < 1.0:
-            raise ValueError("downwash must be >= 1")
-        if self.agent_radius <= 0:
-            raise ValueError("agent_radius must be positive")
+        if self.qp_max_iterations is not None:
+            _check_int("qp_max_iterations", self.qp_max_iterations, 0)
         if self.goal_weights is None:
             object.__setattr__(self, "goal_weights", (1.0,) * self.segment_count)
         if len(self.goal_weights) != self.segment_count:
             raise ValueError("goal_weights must have one entry per segment")
-        if any(w < 0 for w in self.goal_weights):
-            raise ValueError("goal_weights must be non-negative")
-        if self.jerk_weight < 0:
-            raise ValueError("jerk_weight must be non-negative")
-        if self.goal_reach_dist <= 0 or self.repulsion_dist <= 0:
-            raise ValueError("goal distances must be positive")
         object.__setattr__(self, "max_velocity", _triple(self.max_velocity))
         object.__setattr__(self, "max_acceleration", _triple(self.max_acceleration))
         object.__setattr__(self, "goal_weights", tuple(float(w) for w in self.goal_weights))
+        for name in _POSITIVE:
+            _check_floats(name, getattr(self, name), lambda v: v > 0, "positive")
+        for name in _NON_NEGATIVE:
+            _check_floats(name, getattr(self, name), lambda v: v >= 0, "non-negative")
+        _check_floats("downwash", self.downwash, lambda v: v >= 1, "at least 1")
 
     @property
     def horizon(self) -> float:

@@ -94,12 +94,11 @@ def shared_pair_separations(
     """Separating half-spaces for every unordered pair, through one
     separate_pairs call on the shifted plans.
 
-    Radii are indexed by agent id. The table's ids are 0..N-1, and its pairs
-    run (low, high) in row-major upper-triangle order. Each pair's result
-    does not depend on the batch it is built in.
+    Radii are indexed by agent, and the table's pairs run (low, high) in
+    row-major upper-triangle order. Each pair's result does not depend on
+    the batch it is built in.
     """
-    count = len(inits.points)
-    low, high = np.triu_indices(count, k=1)
+    low, high = np.triu_indices(len(inits.points), k=1)
     radius = np.array(radii, dtype=float)
     return separate_pairs(
         inits.points,
@@ -108,7 +107,6 @@ def shared_pair_separations(
         radius[low] + radius[high],
         params.downwash,
         params.safety_buffer,
-        range(count),
     )
 
 
@@ -121,9 +119,8 @@ def goal_view(
     """Every agent's motion over its shifted plan, from its first and last
     control points, and the priority relation between them: the
     goal-planning view all agents of a step share. Goals and radii are
-    indexed by agent id."""
+    indexed by agent."""
     return swarm_view_from_arrays(
-        range(len(inits.points)),
         inits.points[:, 0, 0],
         inits.points[:, -1, -1],
         np.array(goals, dtype=float),
@@ -147,14 +144,15 @@ def plan_step(
     from which the agent gathers its own rows, and the goal-planning view
     with its priority relation and radii (`goal_view`). The corridor is
     grown for the view's radius, the one the pair table was built with.
-    Raises ValueError when the inputs lack this agent, and StepAbortError
-    when they are not shifted to the agent's step or a sub-step detects
-    broken assumptions (occupied seed, unreachable goal); solver failures
-    are absorbed by falling back to the shifted previous plan.
+    An agent is its row in every input. Raises ValueError when an input
+    lacks this agent's row, and StepAbortError when the inputs are not
+    shifted to the agent's step or a sub-step detects broken assumptions
+    (occupied seed, unreachable goal); solver failures are absorbed by
+    falling back to the shifted previous plan.
     """
     params = state.params
     me = state.agent_id
-    if me not in range(len(inits.points)):
+    if not all(0 <= me < len(rows) for rows in (inits.points, pairs.points, view.positions)):
         raise ValueError(f"shared inputs are missing agent {me}")
 
     try:
@@ -164,7 +162,7 @@ def plan_step(
         normals, anchors, margins = pairs.rows_for(me)
         goal = plan_current_goal(view, me, grid)
         corridor = advance_corridor(
-            state.previous_corridor, my_init, grid, float(view.radii[view.rows[me]]),
+            state.previous_corridor, my_init, grid, float(view.radii[me]),
             toward=goal - my_init[-1, -1],
         )
     except PlannerError as exc:

@@ -66,18 +66,6 @@ class AxisBox:
         object.__setattr__(self, "max_corner", (float(hi[0]), float(hi[1]), float(hi[2])))
 
 
-@dataclass(frozen=True)
-class GridPath:
-    """Ordered 6-connected voxel-center waypoints from a grid search."""
-
-    waypoints: np.ndarray
-
-    def __post_init__(self):
-        wp = np.asarray(self.waypoints, dtype=float)
-        wp.setflags(write=False)
-        object.__setattr__(self, "waypoints", wp)
-
-
 class OccupancyGrid:
     """Voxelized static world with conservative inflated free-space queries."""
 
@@ -455,9 +443,9 @@ class OccupancyGrid:
         agent_obstacles=(),
         budget: int = 120000,
         downwash: float = 1.0,
-    ) -> GridPath | None:
+    ) -> np.ndarray | None:
         """Shortest 6-connected path between the cells containing start and
-        goal, or None.
+        goal, as its voxel-center waypoints (L, 3), read-only, or None.
 
         Cells whose inflated center overlaps an obstacle are blocked, as are
         cells within inflation + radius of an agent obstacle in the
@@ -580,13 +568,15 @@ class OccupancyGrid:
         )
         blocked.reshape(-1)[flat[hit]] = True
 
-    def _reconstruct(self, parent, start_flat, goal_flat, shape) -> GridPath:
+    def _reconstruct(self, parent, start_flat, goal_flat, shape) -> np.ndarray:
         chain = [goal_flat]
         while chain[-1] != start_flat:
             chain.append(parent[chain[-1]])
         chain.reverse()
         cells = np.array(np.unravel_index(chain, shape), dtype=float).T - 1
-        return GridPath(self.bounds_min + (cells + 0.5) * self.resolution)
+        waypoints = self.bounds_min + (cells + 0.5) * self.resolution
+        waypoints.setflags(write=False)
+        return waypoints
 
     # -- line of sight -------------------------------------------------------
 

@@ -232,12 +232,11 @@ class AgentMotion:
 
 
 def swarm_view(agents: dict[int, AgentMotion], params) -> SwarmView:
-    """The shared view of `agents` (id -> AgentMotion), through
-    `swarm_view_from_arrays`."""
-    ids = sorted(agents)
-    motions = [agents[i] for i in ids]
+    """The shared view of `agents` (row -> AgentMotion, rows 0..N-1),
+    through `swarm_view_from_arrays`."""
+    assert sorted(agents) == list(range(len(agents))), "agents must be rows 0..N-1"
+    motions = [agents[i] for i in range(len(agents))]
     return swarm_view_from_arrays(
-        ids,
         np.array([m.position for m in motions]),
         np.array([m.horizon_end for m in motions]),
         np.array([m.goal for m in motions]),
@@ -247,10 +246,10 @@ def swarm_view(agents: dict[int, AgentMotion], params) -> SwarmView:
 
 
 def view_motions(view: SwarmView) -> dict[int, AgentMotion]:
-    """Every agent's row of a SwarmView as an AgentMotion, by id."""
+    """Every agent's row of a SwarmView as an AgentMotion, by row."""
     return {
         agent: AgentMotion(position, horizon_end, goal, float(radius))
-        for agent, position, horizon_end, goal, radius in zip(
-            view.ids, view.positions, view.horizon_ends, view.goals, view.radii
+        for agent, (position, horizon_end, goal, radius) in enumerate(
+            zip(view.positions, view.horizon_ends, view.goals, view.radii)
         )
     }

@@ -214,17 +214,18 @@ def dijkstra_grid(free: np.ndarray, start_idx, goal_idx):
     return None
 
 
-def support(model, direction) -> float:
-    """Largest dot product of the collision model with direction.
+def support(radius_sum, downwash, direction) -> float:
+    """Largest dot product of the collision model (radius sum R, downwash
+    factor dw) with direction.
 
-    Closed form R * ||E^-1 n||; separate_pairs computes the same quantity
-    inline as each plane's reach.
+    Closed form R * ||E^-1 n|| with E^-1 = diag(1, 1, dw); separate_pairs
+    computes the same quantity inline as each plane's reach.
     """
     n = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(model.inverse_scale * n)
+    norm = np.linalg.norm(np.array([1.0, 1.0, downwash]) * n)
     if norm == 0.0:
         raise ValueError("support direction must be non-zero")
-    return model.radius_sum * norm
+    return radius_sum * norm
 
 
 # -- occupancy-grid referees ---------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 
 from swarmplan.bernstein import basis_row, derivative
 from swarmplan.corridor import build_pair_separations
-from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.qp import jerk_gram_matrix
 
@@ -245,8 +244,7 @@ class TestCriterion5OracleEquivalences:
         assert worst <= 1e-9
 
     def test_separation_hand_example(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
-        for_i, for_j = build_pair_separations(hold_plan((1, 0, 0)), hold_plan((-1, 0, 0)), model)
+        for_i, for_j = build_pair_separations(hold_plan((1, 0, 0)), hold_plan((-1, 0, 0)), 0.3, 1.0)
         ok = True
         for seg_i, seg_j in zip(pair_segments(for_i), pair_segments(for_j)):
             ok &= bool(np.array_equal(seg_i.normal, [1.0, 0.0, 0.0]))
@@ -278,12 +276,11 @@ class TestCriterion6InvariantSuite:
 
     def test_mirror_symmetry_exact(self):
         rng = np.random.default_rng(104)
-        model = EllipsoidModel(0.3, 2.0)
         checked = 0
         while checked < 25:
             a = hold_plan(rng.uniform(-1, 1, 3))
             b = hold_plan(rng.uniform(-1, 1, 3) + [2.5, 0, 0])
-            for_a, for_b = build_pair_separations(a, b, model)
+            for_a, for_b = build_pair_separations(a, b, 0.3, 2.0)
             for sa, sb in zip(pair_segments(for_a), pair_segments(for_b)):
                 assert np.array_equal(sa.normal, -sb.normal)
                 assert np.array_equal(sa.margins, sb.margins)

@@ -11,7 +11,6 @@ from swarmplan.corridor import (
     separate_pairs,
 )
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
-from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan.planner import ShiftedPlans, shared_pair_separations
 from swarmplan.world import AxisBox, OccupancyGrid
@@ -96,9 +95,8 @@ class TestPairSeparations:
     def test_hovering_pair_hand_example(self):
         # Agents hovering at +-1 on x with sphere model radius 0.3 must get
         # the half-spaces x >= 0.15 and x <= -0.15.
-        model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
         for_i, for_j = build_pair_separations(
-            hold_plan((1.0, 0.0, 0.0)), hold_plan((-1.0, 0.0, 0.0)), model
+            hold_plan((1.0, 0.0, 0.0)), hold_plan((-1.0, 0.0, 0.0)), 0.3, 1.0
         )
         for seg_i, seg_j in zip(pair_segments(for_i), pair_segments(for_j)):
             assert np.array_equal(seg_i.normal, [1.0, 0.0, 0.0])
@@ -113,10 +111,9 @@ class TestPairSeparations:
 
     def test_constant_offset_gives_identical_segments(self):
         rng = np.random.default_rng(41)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         base = random_trajectory(rng, scale=0.3)
         offset = np.array([1.5, -0.7, 0.4])
-        for_a, _ = build_pair_separations(base, base - offset, model)
+        for_a, _ = build_pair_separations(base, base - offset, 0.3, 2.0)
         # The construction sees only difference points; with a constant
         # offset all segments agree (up to the float noise of re-deriving
         # the offset from differently-valued control points).
@@ -127,10 +124,9 @@ class TestPairSeparations:
 
     def test_mirror_symmetry_exact(self):
         rng = np.random.default_rng(42)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         a = random_trajectory(rng, scale=0.3)
         b = random_trajectory(rng, scale=0.3) + np.array([2.5, 0, 0])
-        for_a, for_b = build_pair_separations(a, b, model)
+        for_a, for_b = build_pair_separations(a, b, 0.3, 2.0)
         for seg_a, seg_b in zip(pair_segments(for_a), pair_segments(for_b)):
             assert np.array_equal(seg_a.normal, -seg_b.normal)
             assert np.array_equal(seg_a.margins, seg_b.margins)
@@ -140,11 +136,10 @@ class TestPairSeparations:
         # same constraints bit for bit, so decentralized recomputation and
         # shared computation coincide.
         rng = np.random.default_rng(43)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         a = random_trajectory(rng, scale=0.3)
         b = random_trajectory(rng, scale=0.3) + np.array([0.9, 0.8, 0.45])
-        for_a1, for_b1 = build_pair_separations(a, b, model)
-        for_b2, for_a2 = build_pair_separations(b, a, model)
+        for_a1, for_b1 = build_pair_separations(a, b, 0.3, 2.0)
+        for_b2, for_a2 = build_pair_separations(b, a, 0.3, 2.0)
         for s1, s2 in zip(pair_segments(for_a1), pair_segments(for_a2)):
             assert np.array_equal(s1.normal, s2.normal)
             assert np.array_equal(s1.margins, s2.margins)
@@ -155,13 +150,12 @@ class TestPairSeparations:
 
     def test_positive_slack_on_random_configurations(self):
         rng = np.random.default_rng(44)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         built = 0
         for _ in range(60):
             a = random_trajectory(rng, scale=0.25)
             b = random_trajectory(rng, scale=0.25) + rng.normal(size=3) * 2.0
             try:
-                for_a, for_b = build_pair_separations(a, b, model)
+                for_a, for_b = build_pair_separations(a, b, 0.3, 2.0)
             except SafetyDegeneracyError:
                 continue
             built += 1
@@ -174,14 +168,13 @@ class TestPairSeparations:
         # If both agents' control points satisfy their half-spaces, their
         # sampled scaled distance never undercuts the model radius.
         rng = np.random.default_rng(45)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
-        scale = np.array(model.scale)
+        scale = np.array([1.0, 1.0, 0.5])
         checked = 0
         for _ in range(30):
             a = random_trajectory(rng, scale=0.25)
             b = random_trajectory(rng, scale=0.25) + rng.normal(size=3) * 1.5
             try:
-                for_a, for_b = build_pair_separations(a, b, model)
+                for_a, for_b = build_pair_separations(a, b, 0.3, 2.0)
             except SafetyDegeneracyError:
                 continue
             checked += 1
@@ -191,13 +184,12 @@ class TestPairSeparations:
                 for tau in np.linspace(0, 1, 200):
                     tau = float(tau)
                     delta = (segment_point(sa, tau) - segment_point(sb, tau)) * scale
-                    assert np.linalg.norm(delta) >= model.radius_sum - 1e-6
+                    assert np.linalg.norm(delta) >= 0.3 - 1e-6
         assert checked > 10
 
     def test_touching_hull_raises(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
         with pytest.raises(SafetyDegeneracyError):
-            build_pair_separations(hold_plan((0.15, 0.0, 0.0)), hold_plan((-0.15, 0.0, 0.0)), model)
+            build_pair_separations(hold_plan((0.15, 0.0, 0.0)), hold_plan((-0.15, 0.0, 0.0)), 0.3, 1.0)
 
 
 def random_swarm(rng, count):
@@ -226,9 +218,8 @@ class TestBatchedSeparations:
         assert pairs == list(itertools.combinations(range(count), 2))
         for p, (a, b) in enumerate(pairs):
             for_a, for_b = shared.pair(p)
-            model = EllipsoidModel(radii[a] + radii[b], params.downwash)
             ref_a, ref_b = build_pair_separations(
-                points[a], points[b], model, params.safety_buffer
+                points[a], points[b], radii[a] + radii[b], params.downwash, params.safety_buffer
             )
             for got, ref in ((for_a, ref_a), (for_b, ref_b)):
                 for name in ("normals", "anchors", "margins"):
@@ -250,17 +241,17 @@ class TestBatchedSeparations:
                 assert np.array_equal(gathered[index], expected.reshape(gathered[index].shape))
 
     def test_table_names_pairs_by_its_ids(self):
-        # Agents 5 and 9 hover with touching hulls (0.3 m apart on x,
-        # radius sum 0.3); agent 2 is clear of both.
+        # Agents 1 and 2 hover with touching hulls (0.3 m apart on x,
+        # radius sum 0.3); agent 0 is clear of both.
         points = np.stack([hold_plan(p) for p in ((0.5, 0.5, 1.0), (1.5, 1.5, 1.0), (1.8, 1.5, 1.0))])
         low, high = np.triu_indices(3, k=1)
-        with pytest.raises(SafetyDegeneracyError, match=r"^agents 5 and 9, segment 0: "):
-            separate_pairs(points, low, high, np.full(3, 0.3), 2.0, 0.0, (2, 5, 9))
+        with pytest.raises(SafetyDegeneracyError, match=r"^agents 1 and 2, segment 0: "):
+            separate_pairs(points, low, high, np.full(3, 0.3), 2.0, 0.0)
 
     def test_segments_view_rows(self):
         rng = np.random.default_rng(63)
         points = random_swarm(rng, 2)
-        for_a, _ = build_pair_separations(points[0], points[1], EllipsoidModel(0.3, 2.0))
+        for_a, _ = build_pair_separations(points[0], points[1], 0.3, 2.0)
         assert len(pair_segments(for_a)) == len(for_a.normals)
         for m, seg in enumerate(pair_segments(for_a)):
             assert np.array_equal(seg.normal, for_a.normals[m])

@@ -2,79 +2,63 @@ import numpy as np
 import pytest
 
 from swarmplan import geometry
-from swarmplan.geometry import EllipsoidModel, closest_points_to_origin, to_sphere_frame
+from swarmplan.geometry import closest_points_to_origin, to_sphere_frame
 
 from helpers import closest_point_to_origin
 from oracles import closest_by_enumeration, min_norm_point_pgd, support
 
 
-class TestModel:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EllipsoidModel(radius_sum=0.0)
-        with pytest.raises(ValueError):
-            EllipsoidModel(radius_sum=0.3, downwash=0.5)
-
-
 class TestSupport:
     def test_sphere_equals_radius(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
-        assert support(model, (1, 0, 0)) == pytest.approx(0.3, abs=1e-15)
+        assert support(0.3, 1.0, (1, 0, 0)) == pytest.approx(0.3, abs=1e-15)
 
     def test_downwash_stretches_z(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
-        assert support(model, (0, 0, 1)) == pytest.approx(0.6, abs=1e-15)
+        assert support(0.3, 2.0, (0, 0, 1)) == pytest.approx(0.6, abs=1e-15)
 
     def test_downwash_leaves_x_alone(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
-        assert support(model, (1, 0, 0)) == pytest.approx(0.3, abs=1e-15)
+        assert support(0.3, 2.0, (1, 0, 0)) == pytest.approx(0.3, abs=1e-15)
 
     def test_sampled_maximization_oracle(self):
         # Sampled max of x.n over boundary points never exceeds the closed
         # form and approaches it.
         rng = np.random.default_rng(20)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         raw = rng.normal(size=(100000, 3))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        boundary = model.radius_sum * raw * model.inverse_scale
+        boundary = 0.3 * raw * np.array([1.0, 1.0, 2.0])
         for _ in range(5):
             n = rng.normal(size=3)
-            closed = support(model, n)
+            closed = support(0.3, 2.0, n)
             sampled = float(np.max(boundary @ n))
             assert sampled <= closed + 1e-12
             assert sampled >= closed - 1e-3 * np.linalg.norm(n)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(21)
-        model = EllipsoidModel(radius_sum=0.45, downwash=1.7)
         for _ in range(20):
             n = rng.normal(size=3)
             a = float(rng.uniform(0.1, 10.0))
-            assert support(model, a * n) == pytest.approx(
-                a * support(model, n), rel=1e-12
+            assert support(0.45, 1.7, a * n) == pytest.approx(
+                a * support(0.45, 1.7, n), rel=1e-12
             )
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            support(EllipsoidModel(0.3), (0, 0, 0))
+            support(0.3, 1.0, (0, 0, 0))
 
 
 class TestSphereFrame:
     def test_scaling(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
-        out = to_sphere_frame([[1.0, 1.0, 2.0]], model)
+        out = to_sphere_frame([[1.0, 1.0, 2.0]], 2.0)
         assert np.allclose(out, [[1.0, 1.0, 1.0]], atol=1e-15)
 
     def test_identity_without_downwash(self):
-        model = EllipsoidModel(radius_sum=0.3, downwash=1.0)
         pts = np.array([[0.3, -2.0, 5.5]])
-        assert np.array_equal(to_sphere_frame(pts, model), pts)
+        assert np.array_equal(to_sphere_frame(pts, 1.0), pts)
 
     def test_round_trip(self):
         rng = np.random.default_rng(22)
-        model = EllipsoidModel(radius_sum=0.3, downwash=2.0)
         pts = rng.normal(size=(30, 3)) * 4
-        back = to_sphere_frame(pts, model) * model.inverse_scale
+        back = to_sphere_frame(pts, 2.0) * np.array([1.0, 1.0, 2.0])
         assert np.max(np.abs(back - pts)) < 1e-12
 
 

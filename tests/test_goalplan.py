@@ -28,9 +28,9 @@ def empty_grid():
 
 
 def outranking(agents, me):
-    """Ids whose rows the shared relation marks as outranking agent me."""
+    """Rows the shared relation marks as outranking agent me."""
     view = swarm_view(agents, PARAMS)
-    return {view.ids[j] for j in np.flatnonzero(view.outranks[view.rows[me]])}
+    return set(np.flatnonzero(view.outranks[me]).tolist())
 
 
 class TestPriority:
@@ -214,7 +214,7 @@ class TestPlanCurrentGoal:
             if path is None:
                 path = grid.astar(points[0], points[1], 0.15 + pad, (), PARAMS.astar_budget)
             expected = farthest_visible_by_scan(
-                grid, points[0], list(path.waypoints) + [points[1]], seeing, obstacles,
+                grid, points[0], list(path) + [points[1]], seeing, obstacles,
                 PARAMS.downwash,
             )
             got = plan_current_goal(swarm_view(agents, PARAMS), 0, grid)
@@ -226,13 +226,12 @@ def assert_relation_matches_referee(view):
     """Every row of the shared relation against the per-agent loop: the
     outranking set, every gap bitwise, and the nearest outranking agent."""
     agents = view_motions(view)
-    for me in view.ids:
-        row = view.rows[me]
+    for me in agents:
         expected = higher_priority_ids(me, agents, PARAMS)
-        assert {view.ids[j] for j in np.flatnonzero(view.outranks[row])} == expected
-        for other in view.ids:
+        assert set(np.flatnonzero(view.outranks[me]).tolist()) == expected
+        for other in agents:
             gap = float(np.linalg.norm(agents[me].position - agents[other].position))
-            assert view.gaps[row, view.rows[other]] == gap
+            assert view.gaps[me, other] == gap
         if expected:
             nearest, gap = nearest_priority(me, agents, expected)
             if gap < PARAMS.repulsion_trigger_dist:
@@ -255,12 +254,12 @@ class TestSharedRelation:
     def test_equal_goal_distances_lower_id_wins(self):
         # Mirror images: equal goal distances, each approaching the other.
         agents = {
-            3: motion((1.0, 1.5, 1.0), (0.5, 1.5, 1.0), horizon_end=(1.1, 1.5, 1.0)),
-            5: motion((2.0, 1.5, 1.0), (2.5, 1.5, 1.0), horizon_end=(1.9, 1.5, 1.0)),
+            0: motion((1.0, 1.5, 1.0), (0.5, 1.5, 1.0), horizon_end=(1.1, 1.5, 1.0)),
+            1: motion((2.0, 1.5, 1.0), (2.5, 1.5, 1.0), horizon_end=(1.9, 1.5, 1.0)),
         }
         view = swarm_view(agents, PARAMS)
         assert_relation_matches_referee(view)
-        assert outranking(agents, 5) == {3} and outranking(agents, 3) == set()
+        assert outranking(agents, 1) == {0} and outranking(agents, 0) == set()
 
     def test_agent_exactly_at_goal_reach(self):
         # Goal distance exactly goal_reach_dist: neither reached nor under

@@ -196,6 +196,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=r"missing agent 7$"):
             plan_step(PlannerState(7, PARAMS), swarm.grid, *shared)
 
+    def test_every_input_must_hold_the_agents_row(self):
+        # An agent is its row: a pair table or a view one agent short, or a
+        # negative agent, is refused rather than read as no neighbours or as
+        # a row counted from the end.
+        starts = [(0.5, 0.5, 1.0), (2.5, 0.5, 1.0), (1.5, 2.5, 1.0)]
+        goals = [(2.5, 2.5, 1.5), (0.5, 2.5, 1.5), (1.5, 0.5, 1.5)]
+        inits, pairs, view = MiniSwarm(starts, goals, empty_grid()).shared_inputs()
+        _, short_pairs, short_view = MiniSwarm(starts[:2], goals[:2], empty_grid()).shared_inputs()
+        for inputs in ((inits, short_pairs, view), (inits, pairs, short_view)):
+            with pytest.raises(ValueError, match=r"missing agent 2$"):
+                plan_step(PlannerState(2, PARAMS), empty_grid(), *inputs)
+        with pytest.raises(ValueError, match=r"missing agent -1$"):
+            plan_step(PlannerState(-1, PARAMS), empty_grid(), inits, pairs, view)
+
 
 class TestFallback:
     def test_zero_iteration_budget_returns_shifted_plan(self):

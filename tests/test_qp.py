@@ -6,7 +6,6 @@ import pytest
 from swarmplan.bernstein import derivative
 from swarmplan.corridor import advance_corridor, build_pair_separations
 from swarmplan.errors import QpInfeasibleError
-from swarmplan.geometry import EllipsoidModel
 from swarmplan.params import PlanningParams
 from swarmplan import qp
 from swarmplan.qp import (
@@ -125,7 +124,7 @@ class TestAssemble:
         # only the bounds and the separation coefficients are per step.
         grid = empty_grid()
         a = hover((1.0, 1.5, 1.0))
-        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), EllipsoidModel(0.3, 2.0))[0]
+        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), 0.3, 2.0)[0]
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
         for separations in ([], [pair], [pair, pair]):
             problem, _ = assemble(
@@ -175,10 +174,9 @@ class TestAssemble:
 
     def test_separation_rows_present(self):
         grid = empty_grid()
-        model = EllipsoidModel(0.3, 2.0)
         a = hover((1.0, 1.5, 1.0))
         b = hover((2.0, 1.5, 1.0))
-        for_a, _ = build_pair_separations(a, b, model)
+        for_a, _ = build_pair_separations(a, b, 0.3, 2.0)
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
         problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, *neighbour_rows([for_a]), PARAMS)
         n_static = param_matrices(PARAMS).reduction.static_rows.shape[0]
@@ -197,8 +195,8 @@ class TestAssemble:
         for _ in range(4):
             direction = rng.normal(size=3)
             other = hover(np.array([1.5, 1.5, 1.0]) + 1.5 * direction / np.linalg.norm(direction))
-            model = EllipsoidModel(float(rng.uniform(0.2, 0.5)), 2.0)
-            separations.append(build_pair_separations(mine, other, model, 1e-6)[0])
+            radius_sum = float(rng.uniform(0.2, 0.5))
+            separations.append(build_pair_separations(mine, other, radius_sum, 2.0, 1e-6)[0])
         corridor = advance_corridor(None, mine, grid, PARAMS.agent_radius)
         problem, _ = assemble(mine, (2.0, 1.0, 1.0), corridor, *neighbour_rows(separations), PARAMS)
         mats = param_matrices(PARAMS)
@@ -325,7 +323,6 @@ class TestSolve:
     def test_never_worse_than_warm_start(self):
         rng = np.random.default_rng(52)
         grid = empty_grid()
-        model = EllipsoidModel(0.3, 2.0)
         for _ in range(10):
             pa = rng.uniform([0.5, 0.5, 0.5], [2.5, 2.5, 1.5])
             pb = rng.uniform([0.5, 0.5, 0.5], [2.5, 2.5, 1.5])
@@ -333,7 +330,7 @@ class TestSolve:
                 continue
             a = hover(pa)
             b = hover(pb)
-            for_a, _ = build_pair_separations(a, b, model)
+            for_a, _ = build_pair_separations(a, b, 0.3, 2.0)
             corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
             problem, candidate = assemble(a, goal, corridor, *neighbour_rows([for_a]), PARAMS)
@@ -560,7 +557,6 @@ class TestSolve:
         # own quadratic, equalities and dense rows must give the same point.
         rng = np.random.default_rng(55)
         grid = empty_grid()
-        model = EllipsoidModel(0.3, 2.0)
         solved = 0
         for _ in range(8):
             pa = rng.uniform([0.5, 0.5, 0.5], [2.5, 2.5, 1.5])
@@ -568,7 +564,7 @@ class TestSolve:
             if np.linalg.norm((pa - pb) * [1, 1, 0.5]) < 0.4:
                 continue
             a = hover(pa)
-            separations = [build_pair_separations(a, hover(pb), model, 1e-6)[0]]
+            separations = [build_pair_separations(a, hover(pb), 0.3, 2.0, 1e-6)[0]]
             corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
             goal = rng.uniform([0.3, 0.3, 0.3], [2.7, 2.7, 1.7])
             problem, candidate = assemble(a, goal, corridor, *neighbour_rows(separations), PARAMS)
@@ -700,9 +696,8 @@ class TestStructuredRows:
         # A separation row of zero norm is refused like any other.
         grid = empty_grid()
         a = hover((1.0, 1.5, 1.0))
-        model = EllipsoidModel(0.3, 2.0)
         corridor = advance_corridor(None, a, grid, PARAMS.agent_radius)
-        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), model)[0]
+        pair = build_pair_separations(a, hover((2.0, 1.5, 1.0)), 0.3, 2.0)[0]
         problem, candidate = assemble(a, (2.5, 1.5, 1.0), corridor, *neighbour_rows([pair, pair]), PARAMS)
         n_static = len(problem.reduction.static_norms)
         problem.separation_coefficients[31] = 0.0

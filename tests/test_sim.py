@@ -668,6 +668,25 @@ class TestCli:
         assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
         assert "unknown parameter keys: ['grid_resolution']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("safety_buffer", -1e-6),
+            ("degree", 5.5),
+            ("downwash", float("nan")),
+            ("max_velocity", [0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_unrunnable_params_are_config_error(self, tmp_path, capsys, key, value):
+        data = generate_scenario("circle", 4, seed=1).to_dict()
+        data["params"][key] = value
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "logs"
+        assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_check_missing_dir_is_config_error(self, tmp_path):
         assert cli_main(["check", "--log", str(tmp_path / "nope")]) == 3
 

@@ -164,17 +164,17 @@ class TestAstar:
     def test_start_equals_goal(self):
         grid = empty_grid()
         path = grid.astar((1.51, 1.52, 1.0), (1.54, 1.55, 1.02), 0.15)
-        assert len(path.waypoints) == 1
-        assert np.allclose(path.waypoints[0], grid.voxel_center((15, 15, 10)))
+        assert len(path) == 1
+        assert np.allclose(path[0], grid.voxel_center((15, 15, 10)))
 
     def test_straight_corridor_matches_dijkstra(self):
         grid = corridor_grid()
         path = grid.astar((0.15, 0.15, 0.15), (0.55, 0.15, 0.15), 0.04)
-        assert path is not None
-        assert len(path.waypoints) == 5
+        assert path.shape == (5, 3) and path.dtype == float
+        assert not path.flags.writeable
         free = ~static_blocked(grid, 0.04)
         hops = dijkstra_grid(free, (1, 1, 1), (5, 1, 1))
-        assert hops == len(path.waypoints) - 1
+        assert hops == len(path) - 1
 
     def test_unreachable_goal(self):
         # Goal cell enclosed by an occupied shell.
@@ -200,7 +200,7 @@ class TestAstar:
             if hops is None:
                 assert path is None
             else:
-                assert path is not None and len(path.waypoints) - 1 == hops
+                assert path is not None and len(path) - 1 == hops
 
     def test_agent_obstacle_blocks(self):
         grid = empty_grid()
@@ -209,9 +209,9 @@ class TestAstar:
         blocker = [((1.5, 1.55, 1.0), 0.15)]
         detour = grid.astar(start, goal, 0.15, agent_obstacles=blocker)
         assert detour is not None
-        assert len(detour.waypoints) > len(direct.waypoints)
+        assert len(detour) > len(direct)
         # Every detour waypoint clears the blocked disc.
-        d = np.linalg.norm(detour.waypoints - np.array([1.5, 1.55, 1.0]), axis=1)
+        d = np.linalg.norm(detour - np.array([1.5, 1.55, 1.0]), axis=1)
         assert np.all(d > 0.3)
 
     def test_start_cell_exempt_from_agent_blocking(self):
@@ -222,7 +222,7 @@ class TestAstar:
         agent = [((1.75, 1.5, 1.0), 0.15)]
         path = grid.astar(start, (2.5, 1.5, 1.0), 0.15, agent_obstacles=agent)
         assert path is not None
-        d = np.linalg.norm(path.waypoints[1:] - np.array([1.75, 1.5, 1.0]), axis=1)
+        d = np.linalg.norm(path[1:] - np.array([1.75, 1.5, 1.0]), axis=1)
         assert np.all(d > 0.3)
 
     def test_start_exit_check_reads_true_neighbours(self, monkeypatch):
@@ -252,7 +252,7 @@ class TestAstar:
         occupied[1, 0, 1] = False
         grid = OccupancyGrid(0.25, (0, 0, 0), (0.75, 0.75, 0.75), occupied)
         path = grid.astar(start, goal, 0.0)
-        assert path is not None and len(path.waypoints) == 4
+        assert path is not None and len(path) == 4
         assert pops
 
     def test_budget_gives_none(self):
@@ -263,14 +263,14 @@ class TestAstar:
         grid = grid_with_boxes([((1.2, 1.2, 0.0), (1.5, 1.5, 2.0))])
         p1 = grid.astar((0.3, 0.3, 1.0), (2.7, 2.7, 1.0), 0.15)
         p2 = grid.astar((0.3, 0.3, 1.0), (2.7, 2.7, 1.0), 0.15)
-        assert np.array_equal(p1.waypoints, p2.waypoints)
+        assert np.array_equal(p1, p2)
 
     def test_waypoints_adjacent_and_los_at_grid_granularity(self):
         grid = grid_with_boxes([((1.2, 1.2, 0.0), (1.5, 1.5, 2.0))])
         path = grid.astar((0.3, 0.3, 1.0), (2.7, 2.7, 1.0), 0.15)
-        steps = np.diff(path.waypoints, axis=0)
+        steps = np.diff(path, axis=0)
         assert np.allclose(np.abs(steps).sum(axis=1), grid.resolution)
-        for a, b in zip(path.waypoints[:-1], path.waypoints[1:]):
+        for a, b in zip(path[:-1], path[1:]):
             assert grid.line_of_sight_free(a, b, 0.15)
 
 
