@@ -16,46 +16,41 @@ import numpy as np
 
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
 from swarmplan.geometry import closest_points_to_origin, to_sphere_frame
-from swarmplan.world import AxisBox, OccupancyGrid
+from swarmplan.world import OccupancyGrid
 
 _DEGENERACY_EPS = 1e-9  # minimum hull-to-model clearance in the sphere frame
 _CONTAINMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SafeBoxCorridor:
-    """One free AxisBox per trajectory segment, confining its control points."""
-
-    boxes: tuple[AxisBox, ...]
-
-
 def advance_corridor(
-    prev: SafeBoxCorridor | None,
+    prev: np.ndarray | None,
     points: np.ndarray,
     grid: OccupancyGrid,
     radius: float,
     toward=None,
-) -> SafeBoxCorridor:
+) -> np.ndarray:
     """Corridor for this step: inherit boxes 2..M, grow a fresh final box.
 
-    `points` (M, n+1, 3) is one agent's shifted plan. On the first step
-    every segment shares one box grown at the (constant) plan's terminal
-    control point. Afterwards segment m reuses the previous step's box m+1,
-    which contained the previous segment m+1 and therefore contains this
-    step's inherited segment m; only the new final segment, constant at the
-    previous terminal point, needs a new box grown at that point. `toward`
-    biases the growth order of that fresh box (see grow_free_box). Every
-    control point of segment m is verified to lie in box m.
+    A corridor is a read-only (M, 2, 3) array: box m, [min, max] corners,
+    confines the control points of segment m. `points` (M, n+1, 3) is one
+    agent's shifted plan. On the first step every segment shares one box
+    grown at the (constant) plan's terminal control point. Afterwards
+    segment m reuses the previous step's box m+1, which contained the
+    previous segment m+1 and therefore contains this step's inherited
+    segment m; only the new final segment, constant at the previous
+    terminal point, needs a new box grown at that point. `toward` biases
+    the growth order of that fresh box (see grow_free_box). Every control
+    point of segment m is verified to lie in box m.
     """
     fresh = grid.grow_free_box(points[-1, -1], radius, toward=toward)
     if prev is None:
-        corridor = SafeBoxCorridor((fresh,) * len(points))
+        corridor = np.repeat(fresh[None], len(points), axis=0)
     else:
-        if len(prev.boxes) != len(points):
+        if len(prev) != len(points):
             raise ValueError("previous corridor length does not match trajectory")
-        corridor = SafeBoxCorridor(prev.boxes[1:] + (fresh,))
-    lo = np.array([box.min_corner for box in corridor.boxes])[:, None, :]
-    hi = np.array([box.max_corner for box in corridor.boxes])[:, None, :]
+        corridor = np.concatenate([prev[1:], fresh[None]])
+    corridor.setflags(write=False)
+    lo, hi = corridor[:, None, 0], corridor[:, None, 1]
     if not (np.all(points >= lo - _CONTAINMENT_TOL) and np.all(points <= hi + _CONTAINMENT_TOL)):
         raise PlannerError(
             "corridor does not contain the shifted trajectory; the previous "

@@ -77,7 +77,9 @@ class PlanningParams:
 
     Construction raises ValueError for any value the planner cannot run:
     degree, segment_count and astar_budget are ints of at least 1 (degree
-    at most 10) and qp_max_iterations is None or an int of at least 0;
+    at most 10), segment_count * (degree - 2) exceeds degree, else the
+    equalities pin every control point, and qp_max_iterations is None or
+    an int of at least 0;
     every float is finite; segment_time, agent_radius, each axis of
     max_velocity and max_acceleration, goal_reach_dist, repulsion_dist,
     qp_tolerance and safety_buffer are positive; jerk_weight, goal_weights
@@ -106,6 +108,11 @@ class PlanningParams:
             _check_int(name, getattr(self, name), 1)
         if self.degree > 10:
             raise ValueError(f"degree must be in [1, 10], got {self.degree}")
+        if self.segment_count * (self.degree - 2) <= self.degree:
+            raise ValueError(
+                f"degree {self.degree} with segment_count {self.segment_count} leaves "
+                "no free control point: segment_count * (degree - 2) must exceed degree"
+            )
         if self.qp_max_iterations is not None:
             _check_int("qp_max_iterations", self.qp_max_iterations, 0)
         if self.goal_weights is None:

@@ -24,7 +24,6 @@ from swarmplan.bernstein import shift_for_initial
 # perfbench/tracing.py patches it under this module's name.
 from swarmplan.corridor import (
     PairTable,
-    SafeBoxCorridor,
     advance_corridor,
     build_pair_separations,
     separate_pairs,
@@ -50,7 +49,7 @@ class PlannerState:
     agent_id: int
     params: PlanningParams
     step: int = 0
-    previous_corridor: SafeBoxCorridor | None = None
+    previous_corridor: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class StepDiagnostics:
 @dataclass
 class PlanStepResult:
     trajectory: np.ndarray
-    corridor: SafeBoxCorridor
+    corridor: np.ndarray
     diagnostics: StepDiagnostics
 
 

@@ -32,13 +32,9 @@ from swarmplan.errors import QpInfeasibleError
 
 
 def difference_operator(degree: int, duration: float) -> np.ndarray:
-    """Matrix mapping segment control points to derivative control points."""
-    op = np.zeros((degree, degree + 1))
-    scale = degree / duration
-    for l in range(degree):
-        op[l, l] = -scale
-        op[l, l + 1] = scale
-    return op
+    """Matrix mapping segment control points to derivative control points:
+    row l is degree / duration * (x[l+1] - x[l])."""
+    return degree / duration * np.diff(np.eye(degree + 1), axis=0)
 
 
 def basis_product_integrals(degree: int) -> np.ndarray:
@@ -218,123 +214,65 @@ class QpSolution:
     iterations: int
 
 
+def _on_axes(point_rows: np.ndarray) -> np.ndarray:
+    """Rows over control points widened to the three axes: row (r, axis)
+    puts entry [r, p] on column (p, axis) of the decision vector. Adding 0.0
+    clears the -0.0 that zero times a negative entry leaves."""
+    return np.kron(point_rows, np.eye(3)) + 0.0
+
+
 class ParamMatrices:
-    """Static assembly pieces for one parameter set (shared across steps)."""
+    """Static assembly pieces for one parameter set (shared across steps).
+
+    Every block is a per-segment stencil over control points, placed on
+    each segment's columns and widened to the three axes (`_on_axes`).
+    """
 
     def __init__(self, params):
         n = params.degree
         m_count = params.segment_count
         dt = params.segment_time
         self.dim = 3 * m_count * (n + 1)
-        pts_per_seg = n + 1
-
-        def idx(m, l, axis):
-            return ((m * pts_per_seg + l) * 3) + axis
+        per_segment = np.eye(m_count)
+        points = np.eye(n + 1)
+        first = np.diff(points, axis=0)  # x[l+1] - x[l]
+        second = np.diff(points, 2, axis=0)  # x[l+2] - 2 x[l+1] + x[l]
 
         # Quadratic cost: jerk energy plus goal-endpoint weights (static; the
         # goal position only enters the linear term).
-        gram = jerk_gram_matrix(n, dt)
-        p_mat = np.zeros((self.dim, self.dim))
-        for m in range(m_count):
-            base = m * pts_per_seg * 3
-            block = 2.0 * params.jerk_weight * np.kron(gram, np.eye(3))
-            p_mat[base : base + pts_per_seg * 3, base : base + pts_per_seg * 3] += block
-        for m in range(m_count):
-            w = params.goal_weights[m]
-            for axis in range(3):
-                p_mat[idx(m, n, axis), idx(m, n, axis)] += 2.0 * w
-        self.quadratic = p_mat
-        self.goal_indices = np.array(
-            [[idx(m, n, axis) for axis in range(3)] for m in range(m_count)]
-        )
+        cost = np.kron(per_segment, 2.0 * params.jerk_weight * jerk_gram_matrix(n, dt))
+        ends = np.arange(m_count) * (n + 1) + n
+        cost[ends, ends] += 2.0 * np.array(params.goal_weights)
+        self.quadratic = _on_axes(cost)
 
-        # Equalities: 9 initial-state rows, 9 per interior knot, 3n terminal.
-        rows = []
-        r = np.zeros((9, self.dim))
-        for axis in range(3):
-            r[axis, idx(0, 0, axis)] = 1.0
-            r[3 + axis, idx(0, 1, axis)] = 1.0
-            r[3 + axis, idx(0, 0, axis)] = -1.0
-            r[6 + axis, idx(0, 2, axis)] = 1.0
-            r[6 + axis, idx(0, 1, axis)] = -2.0
-            r[6 + axis, idx(0, 0, axis)] = 1.0
-        rows.append(r)
-        for m in range(m_count - 1):
-            r = np.zeros((9, self.dim))
-            for axis in range(3):
-                r[axis, idx(m, n, axis)] = 1.0
-                r[axis, idx(m + 1, 0, axis)] = -1.0
-                r[3 + axis, idx(m, n, axis)] = 1.0
-                r[3 + axis, idx(m, n - 1, axis)] = -1.0
-                r[3 + axis, idx(m + 1, 1, axis)] = -1.0
-                r[3 + axis, idx(m + 1, 0, axis)] = 1.0
-                r[6 + axis, idx(m, n, axis)] = 1.0
-                r[6 + axis, idx(m, n - 1, axis)] = -2.0
-                r[6 + axis, idx(m, n - 2, axis)] = 1.0
-                r[6 + axis, idx(m + 1, 2, axis)] = -1.0
-                r[6 + axis, idx(m + 1, 1, axis)] = 2.0
-                r[6 + axis, idx(m + 1, 0, axis)] = -1.0
-            rows.append(r)
-        r = np.zeros((3 * n, self.dim))
-        for l in range(1, n + 1):
-            for axis in range(3):
-                r[(l - 1) * 3 + axis, idx(m_count - 1, l, axis)] = 1.0
-                r[(l - 1) * 3 + axis, idx(m_count - 1, 0, axis)] = -1.0
-        rows.append(r)
-        self.eq_matrix = np.vstack(rows)
-        self.initial_rows = slice(0, 9)
+        # Equalities: position, velocity and acceleration differences at the
+        # start (9 rows), equal across each interior knot (9 per knot), and
+        # the final segment held at its first point (3n rows).
+        start = np.stack([points[0], first[0], second[0]])
+        end = np.stack([points[n], first[-1], second[-1]])
+        self.eq_matrix = _on_axes(np.vstack([
+            np.kron(per_segment[:1], start),
+            np.kron(per_segment[:-1], end) - np.kron(per_segment[1:], start),
+            np.kron(per_segment[-1:], points[1:] - points[0]),
+        ]))
 
-        # Dynamic limits on derivative control points, one pair of rows per
-        # point and axis.
-        vel_rows = []
-        vel_rhs = []
-        k1 = n / dt
-        for m in range(m_count):
-            for l in range(n):
-                for axis in range(3):
-                    row = np.zeros(self.dim)
-                    row[idx(m, l + 1, axis)] = k1
-                    row[idx(m, l, axis)] = -k1
-                    vel_rows.append(row)
-                    vel_rhs.append(params.max_velocity[axis])
-                    vel_rows.append(-row)
-                    vel_rhs.append(params.max_velocity[axis])
-        acc_rows = []
-        acc_rhs = []
+        # The static inequality rows every step shares, read-only, each row
+        # followed by its negation: limits on the velocity and acceleration
+        # control points, then the safe-box rows, one per control point and
+        # axis, whose bounds come from the step's corridor.
         k2 = n * (n - 1) / dt / dt
-        for m in range(m_count):
-            for l in range(n - 1):
-                for axis in range(3):
-                    row = np.zeros(self.dim)
-                    row[idx(m, l + 2, axis)] = k2
-                    row[idx(m, l + 1, axis)] = -2.0 * k2
-                    row[idx(m, l, axis)] = k2
-                    acc_rows.append(row)
-                    acc_rhs.append(params.max_acceleration[axis])
-                    acc_rows.append(-row)
-                    acc_rhs.append(params.max_acceleration[axis])
-        self.dyn_matrix = np.vstack([np.array(vel_rows), np.array(acc_rows)])
-        self.dyn_rhs = np.array(vel_rhs + acc_rhs)
-
-        # Safe-box rows: +-1 coefficient per control point and axis; the
-        # right-hand side comes from the step's corridor.
-        box_rows = []
-        for m in range(m_count):
-            for l in range(pts_per_seg):
-                for axis in range(3):
-                    row = np.zeros(self.dim)
-                    row[idx(m, l, axis)] = 1.0
-                    box_rows.append(row)
-                    box_rows.append(-row)
-        self.box_matrix = np.vstack(box_rows)
-
-        # The static inequality rows every step shares, read-only, and the
-        # equality elimination for the solver built with them.
-        self.ineq_matrix = np.vstack([self.dyn_matrix, self.box_matrix])
+        velocity = np.kron(per_segment, difference_operator(n, dt))
+        acceleration = np.kron(per_segment, k2 * second)
+        rows = np.vstack([_on_axes(np.vstack([velocity, acceleration])), np.eye(self.dim)])
+        self.ineq_matrix = np.stack([rows, -rows], axis=1).reshape(-1, self.dim)
         self.ineq_matrix.setflags(write=False)
-        self.reduction = reduce_equalities(
-            self.quadratic, self.eq_matrix, (self.dyn_matrix, self.box_matrix)
-        )
+        self.dyn_rhs = np.repeat(np.concatenate([
+            np.tile(params.max_velocity, len(velocity)),
+            np.tile(params.max_acceleration, len(acceleration)),
+        ]), 2)
+        self.dyn_matrix, self.box_matrix = np.split(self.ineq_matrix, [len(self.dyn_rhs)])
+        # The equality elimination for the solver, built with those rows.
+        self.reduction = reduce_equalities(self.quadratic, self.eq_matrix, (self.ineq_matrix,))
 
 
 _MATRIX_CACHE: dict = {}
@@ -358,7 +296,7 @@ def assemble(
     params,
 ) -> tuple[QpProblem, np.ndarray]:
     """Build the step QP around one agent's shifted plan, `points`
-    (M, n+1, 3).
+    (M, n+1, 3), in its corridor (M, 2, 3) of [min, max] box corners.
 
     normals (K, M, 3), anchors (K, M, n+1, 3) and margins (K, M, n+1) hold
     the separating half-spaces against K neighbours (see PairSeparation):
@@ -370,27 +308,27 @@ def assemble(
     """
     if points.shape != (params.segment_count, params.degree + 1, 3):
         raise ValueError("trajectory shape does not match parameters")
-    if len(corridor.boxes) != params.segment_count:
+    if corridor.shape != (params.segment_count, 2, 3):
         raise ValueError("corridor length does not match parameters")
     mats = param_matrices(params)
-    n = params.degree
     m_count = params.segment_count
-    pts_per_seg = n + 1
+    pts_per_seg = params.degree + 1
     if anchors.shape[1:] != (m_count, pts_per_seg, 3):
         raise ValueError("separation constraint length does not match parameters")
 
     candidate = points.reshape(-1)
     goal = np.asarray(goal, dtype=float).reshape(3)
 
+    # The goal weights act on each segment's last control point.
+    weights = np.array(params.goal_weights)
     linear = np.zeros(mats.dim)
+    linear.reshape(m_count, pts_per_seg, 3)[:, -1] = -2.0 * weights[:, None] * goal
     constant = 0.0
-    for m in range(m_count):
-        w = params.goal_weights[m]
-        linear[mats.goal_indices[m]] = -2.0 * w * goal
+    for w in params.goal_weights:
         constant += w * float(goal @ goal)
 
     eq_rhs = np.zeros(mats.eq_matrix.shape[0])
-    eq_rhs[mats.initial_rows] = mats.eq_matrix[mats.initial_rows] @ candidate
+    eq_rhs[:9] = mats.eq_matrix[:9] @ candidate  # the initial-state rows
 
     # Box rows per (m, l, axis) are interleaved (upper, lower).
     n_dyn = len(mats.dyn_rhs)
@@ -398,8 +336,8 @@ def assemble(
     ineq_rhs = np.empty(n_static + len(anchors) * m_count * pts_per_seg)
     ineq_rhs[:n_dyn] = mats.dyn_rhs
     box_pairs = ineq_rhs[n_dyn:n_static].reshape(m_count, pts_per_seg, 3, 2)
-    box_pairs[..., 0] = np.array([box.max_corner for box in corridor.boxes])[:, None, :]
-    box_pairs[..., 1] = -np.array([box.min_corner for box in corridor.boxes])[:, None, :]
+    box_pairs[..., 0] = corridor[:, None, 1]
+    box_pairs[..., 1] = -corridor[:, None, 0]
     # A batched matrix-vector product per segment: bit-identical to
     # anchors[k, m] @ normals[k, m], which einsum is not.
     offsets = (anchors @ normals[..., None])[..., 0] + margins

@@ -106,6 +106,8 @@ class Scenario:
         """Enforce the start/goal invariants the planner's guarantees rest on."""
         if not self.agents:
             raise ValueError("scenario has no agents")
+        if not 0.0 <= self.timeout < np.inf:
+            raise ValueError(f"timeout must be finite and non-negative, got {self.timeout}")
         grid = grid if grid is not None else self.grid()
         scale = np.array([1.0, 1.0, 1.0 / self.params.downwash])
         for i, spec in enumerate(self.agents):

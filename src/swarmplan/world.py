@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +36,11 @@ _COARSE = 8  # sight-line samples per first-pass test
 
 
 def _grid_dims(resolution: float, bounds_min, bounds_max) -> tuple[int, int, int]:
-    """Cells per axis of a grid; rejects a non-positive resolution and
-    bounds whose extent is not a positive multiple of it."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    """Cells per axis of a grid; rejects a non-finite or non-positive
+    resolution, non-finite bounds and bounds whose extent is not a positive
+    multiple of the resolution."""
+    if not (0 < resolution < math.inf and np.all(np.isfinite([bounds_min, bounds_max]))):
+        raise ValueError("resolution must be positive and finite, and bounds finite")
     extent = bounds_max - bounds_min
     if np.any(extent <= 0):
         raise ValueError("bounds must have positive extent")
@@ -48,22 +48,6 @@ def _grid_dims(resolution: float, bounds_min, bounds_max) -> tuple[int, int, int
     if np.any(np.abs(dims * resolution - extent) > 1e-6):
         raise ValueError("bounds extent must be a multiple of resolution")
     return tuple(int(d) for d in dims)
-
-
-@dataclass(frozen=True)
-class AxisBox:
-    """Closed axis-aligned box, min_corner <= max_corner componentwise."""
-
-    min_corner: tuple[float, float, float]
-    max_corner: tuple[float, float, float]
-
-    def __post_init__(self):
-        lo = np.asarray(self.min_corner, dtype=float).reshape(3)
-        hi = np.asarray(self.max_corner, dtype=float).reshape(3)
-        if np.any(hi < lo):
-            raise ValueError(f"box min {lo} exceeds max {hi}")
-        object.__setattr__(self, "min_corner", (float(lo[0]), float(lo[1]), float(lo[2])))
-        object.__setattr__(self, "max_corner", (float(hi[0]), float(hi[1]), float(hi[2])))
 
 
 class OccupancyGrid:
@@ -111,6 +95,8 @@ class OccupancyGrid:
         for box in raw_boxes:
             lo = np.asarray(box["min"], dtype=float).reshape(3)
             hi = np.asarray(box["max"], dtype=float).reshape(3)
+            if not np.all(np.isfinite([lo, hi])):
+                raise ValueError("obstacle box corners must be finite")
             if np.any(hi < lo):
                 raise ValueError("obstacle box has min > max")
             rel_lo = (lo - bmin) / resolution
@@ -200,12 +186,14 @@ class OccupancyGrid:
 
     # -- free-space queries --------------------------------------------------
 
-    def box_is_free(self, box: AxisBox, inflation: float) -> bool:
-        """True iff the box inflated on every axis touches no occupied cell
-        with positive measure and stays inside the world bounds."""
+    def box_is_free(self, box, inflation: float) -> bool:
+        """True iff the box (2, 3) [min, max], inflated on every axis,
+        touches no occupied cell with positive measure and stays inside the
+        world bounds."""
         _check_inflation(inflation)
-        lo = [v - inflation for v in box.min_corner]
-        hi = [v + inflation for v in box.max_corner]
+        corners = np.asarray(box, dtype=float).reshape(2, 3).tolist()
+        lo = [v - inflation for v in corners[0]]
+        hi = [v + inflation for v in corners[1]]
         return self._in_bounds(lo, hi) and self._cells_occupied(*self._cube_cells(lo, hi)) == 0
 
     def _in_bounds(self, lo, hi) -> bool:
@@ -233,8 +221,9 @@ class OccupancyGrid:
 
     # -- safe-box growth -----------------------------------------------------
 
-    def grow_free_box(self, seed, inflation: float, toward=None) -> AxisBox:
-        """Largest-effort free box around a seed point.
+    def grow_free_box(self, seed, inflation: float, toward=None) -> np.ndarray:
+        """Largest-effort free box around a seed point, as a read-only (2, 3)
+        array [min corner, max corner].
 
         Starts from the cells covering the inflated seed cube and adds one
         voxel layer per direction round-robin until every direction is
@@ -346,10 +335,12 @@ class OccupancyGrid:
         # the same expressions as bounds_min + index * resolution on arrays.
         res = self.resolution
         base = self.bounds_min.tolist()
-        return AxisBox(
-            tuple(m + i * res + inflation for m, i in zip(base, lo)),
-            tuple(m + i * res - inflation for m, i in zip(base, hi)),
-        )
+        box = np.array([
+            [m + i * res + inflation for m, i in zip(base, lo)],
+            [m + i * res - inflation for m, i in zip(base, hi)],
+        ])
+        box.setflags(write=False)
+        return box
 
     # -- grid search ---------------------------------------------------------
     # The search works on arrays padded by one cell per face: blocked on

@@ -149,10 +149,10 @@ def solve_from_origin(problem, max_iterations=None):
 
 
 def box_contains(box, point, tol=0.0):
-    """True iff point lies in the closed AxisBox grown by tol on every side."""
+    """True iff point lies in the closed box (2, 3) [min, max] grown by tol
+    on every side."""
     p = np.asarray(point, dtype=float)
-    lo, hi = np.array(box.min_corner), np.array(box.max_corner)
-    return bool(np.all(p >= lo - tol) and np.all(p <= hi + tol))
+    return bool(np.all(p >= box[0] - tol) and np.all(p <= box[1] + tol))
 
 
 def static_blocked(grid, inflation):

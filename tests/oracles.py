@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from swarmplan.errors import LogFormatError, QpInfeasibleError
+from swarmplan.qp import jerk_gram_matrix
 from swarmplan.scenarios import Scenario
 from swarmplan.verify import (
     _MAX_REPORTED,
@@ -387,8 +388,8 @@ def sight_lines_by_samples(
 def box_free_by_counts(grid, box, inflation: float) -> bool:
     """Inflated box inside the bounds and overlapping no occupied cell, by
     one vectorized summed-area count."""
-    lo = np.array(box.min_corner) - inflation
-    hi = np.array(box.max_corner) + inflation
+    lo = box[0] - inflation
+    hi = box[1] + inflation
     if np.any(lo < grid.bounds_min - 1e-9) or np.any(hi > grid.bounds_max + 1e-9):
         return False
     return int(grid._count_occupied(*grid._overlap_range(lo, hi))) == 0
@@ -431,6 +432,104 @@ def block_discs_by_loop(grid, blocked, agent_obstacles, inflation: float, downwa
 
 
 # -- QP set-up referee ----------------------------------------------------------
+
+
+def param_matrices_by_loops(params) -> dict[str, np.ndarray]:
+    """qp.ParamMatrices' static data written entry by entry: one zero row
+    per constraint with its coefficients set at hand-computed indices, and
+    each limit or box row followed by its negation. Returns quadratic,
+    eq_matrix, dyn_matrix, box_matrix and dyn_rhs."""
+    n = params.degree
+    m_count = params.segment_count
+    dt = params.segment_time
+    dim = 3 * m_count * (n + 1)
+    pts_per_seg = n + 1
+
+    def idx(m, l, axis):
+        return ((m * pts_per_seg + l) * 3) + axis
+
+    gram = jerk_gram_matrix(n, dt)
+    p_mat = np.zeros((dim, dim))
+    for m in range(m_count):
+        base = m * pts_per_seg * 3
+        block = 2.0 * params.jerk_weight * np.kron(gram, np.eye(3))
+        p_mat[base : base + pts_per_seg * 3, base : base + pts_per_seg * 3] += block
+    for m in range(m_count):
+        w = params.goal_weights[m]
+        for axis in range(3):
+            p_mat[idx(m, n, axis), idx(m, n, axis)] += 2.0 * w
+
+    # 9 initial-state rows, 9 per interior knot, 3n terminal.
+    rows = []
+    r = np.zeros((9, dim))
+    for axis in range(3):
+        r[axis, idx(0, 0, axis)] = 1.0
+        r[3 + axis, idx(0, 1, axis)] = 1.0
+        r[3 + axis, idx(0, 0, axis)] = -1.0
+        r[6 + axis, idx(0, 2, axis)] = 1.0
+        r[6 + axis, idx(0, 1, axis)] = -2.0
+        r[6 + axis, idx(0, 0, axis)] = 1.0
+    rows.append(r)
+    for m in range(m_count - 1):
+        r = np.zeros((9, dim))
+        for axis in range(3):
+            r[axis, idx(m, n, axis)] = 1.0
+            r[axis, idx(m + 1, 0, axis)] = -1.0
+            r[3 + axis, idx(m, n, axis)] = 1.0
+            r[3 + axis, idx(m, n - 1, axis)] = -1.0
+            r[3 + axis, idx(m + 1, 1, axis)] = -1.0
+            r[3 + axis, idx(m + 1, 0, axis)] = 1.0
+            r[6 + axis, idx(m, n, axis)] = 1.0
+            r[6 + axis, idx(m, n - 1, axis)] = -2.0
+            r[6 + axis, idx(m, n - 2, axis)] = 1.0
+            r[6 + axis, idx(m + 1, 2, axis)] = -1.0
+            r[6 + axis, idx(m + 1, 1, axis)] = 2.0
+            r[6 + axis, idx(m + 1, 0, axis)] = -1.0
+        rows.append(r)
+    r = np.zeros((3 * n, dim))
+    for l in range(1, n + 1):
+        for axis in range(3):
+            r[(l - 1) * 3 + axis, idx(m_count - 1, l, axis)] = 1.0
+            r[(l - 1) * 3 + axis, idx(m_count - 1, 0, axis)] = -1.0
+    rows.append(r)
+
+    vel_rows, vel_rhs = [], []
+    k1 = n / dt
+    for m in range(m_count):
+        for l in range(n):
+            for axis in range(3):
+                row = np.zeros(dim)
+                row[idx(m, l + 1, axis)] = k1
+                row[idx(m, l, axis)] = -k1
+                vel_rows += [row, -row]
+                vel_rhs += [params.max_velocity[axis]] * 2
+    acc_rows, acc_rhs = [], []
+    k2 = n * (n - 1) / dt / dt
+    for m in range(m_count):
+        for l in range(n - 1):
+            for axis in range(3):
+                row = np.zeros(dim)
+                row[idx(m, l + 2, axis)] = k2
+                row[idx(m, l + 1, axis)] = -2.0 * k2
+                row[idx(m, l, axis)] = k2
+                acc_rows += [row, -row]
+                acc_rhs += [params.max_acceleration[axis]] * 2
+
+    box_rows = []
+    for m in range(m_count):
+        for l in range(pts_per_seg):
+            for axis in range(3):
+                row = np.zeros(dim)
+                row[idx(m, l, axis)] = 1.0
+                box_rows += [row, -row]
+
+    return {
+        "quadratic": p_mat,
+        "eq_matrix": np.vstack(rows),
+        "dyn_matrix": np.vstack([np.array(vel_rows), np.array(acc_rows)]),
+        "box_matrix": np.vstack(box_rows),
+        "dyn_rhs": np.array(vel_rhs + acc_rhs),
+    }
 
 
 def dense_inequalities(problem):

@@ -5,7 +5,6 @@ import pytest
 
 from swarmplan.bernstein import shift_for_initial
 from swarmplan.corridor import (
-    SafeBoxCorridor,
     advance_corridor,
     build_pair_separations,
     separate_pairs,
@@ -13,7 +12,7 @@ from swarmplan.corridor import (
 from swarmplan.errors import PlannerError, SafetyDegeneracyError
 from swarmplan.params import PlanningParams
 from swarmplan.planner import ShiftedPlans, shared_pair_separations
-from swarmplan.world import AxisBox, OccupancyGrid
+from swarmplan.world import OccupancyGrid
 
 from helpers import (
     hold_plan,
@@ -36,18 +35,18 @@ def empty_grid():
 class TestAdvanceCorridor:
     def test_first_step_empty_map(self):
         corridor = advance_corridor(None, hold_plan((1.5, 1.5, 1.0)), empty_grid(), 0.15)
-        assert len(corridor.boxes) == 5
-        for box in corridor.boxes:
-            assert box == corridor.boxes[0]
-            assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
-            assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
+        assert corridor.shape == (5, 2, 3) and not corridor.flags.writeable
+        for box in corridor:
+            assert np.array_equal(box, corridor[0])
+            assert np.allclose(box[0], [0.15, 0.15, 0.15])
+            assert np.allclose(box[1], [2.85, 2.85, 1.85])
 
     def test_shift_reuses_boxes(self):
         grid = empty_grid()
         traj = hold_plan((1.5, 1.5, 1.0))
         first = advance_corridor(None, traj, grid, 0.15)
         second = advance_corridor(first, shifted(traj), grid, 0.15)
-        assert second.boxes[:-1] == first.boxes[1:]
+        assert np.array_equal(second[:-1], first[1:])
 
     def test_containment_over_many_steps(self):
         # Shift a plan step after step on a map with obstacles; the corridor
@@ -68,9 +67,9 @@ class TestAdvanceCorridor:
         for _ in range(20):
             traj = shifted(traj)
             corridor = advance_corridor(corridor, traj, grid, 0.15)
-            for seg_box, seg in zip(corridor.boxes, traj):
-                assert np.all(seg >= np.array(seg_box.min_corner) - 1e-9)
-                assert np.all(seg <= np.array(seg_box.max_corner) + 1e-9)
+            for seg_box, seg in zip(corridor, traj):
+                assert np.all(seg >= seg_box[0] - 1e-9)
+                assert np.all(seg <= seg_box[1] + 1e-9)
 
 
     @pytest.mark.parametrize("segment", range(4))
@@ -79,15 +78,15 @@ class TestAdvanceCorridor:
         # segment's inherited box: the containment tolerance is 1e-9.
         grid = empty_grid()
         points = hold_plan((1.5, 1.5, 1.0))
-        tight = AxisBox((1.0, 1.0, 0.5), (2.0, 2.0, 1.5))
-        prev = SafeBoxCorridor((tight,) * 5)
+        tight = np.array([(1.0, 1.0, 0.5), (2.0, 2.0, 1.5)])
+        prev = np.stack([tight] * 5)
         inside = advance_corridor(prev, points, grid, 0.15)
-        assert inside.boxes[:-1] == prev.boxes[1:]
+        assert np.array_equal(inside[:-1], prev[1:])
         # The inherited boxes serve segments 0..3; segment 4 gets a fresh box.
-        points[segment, 2, 1] = tight.max_corner[1] + 2e-9
+        points[segment, 2, 1] = tight[1, 1] + 2e-9
         with pytest.raises(PlannerError, match="does not contain"):
             advance_corridor(prev, points, grid, 0.15)
-        points[segment, 2, 1] = tight.max_corner[1] + 0.5e-9
+        points[segment, 2, 1] = tight[1, 1] + 0.5e-9
         advance_corridor(prev, points, grid, 0.15)
 
 

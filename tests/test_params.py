@@ -50,6 +50,12 @@ INF = math.inf
         {"goal_weights": (1.0, 1.0)},
         {"repulsion_trigger_dist": -0.4},
         {"repulsion_trigger_dist": INF},
+        # The equalities pin every control point when
+        # segment_count * (degree - 2) <= degree.
+        {"degree": 1, "segment_count": 5},
+        {"degree": 2, "segment_count": 5},
+        {"degree": 3, "segment_count": 3},
+        {"degree": 5, "segment_count": 1, "goal_weights": (1.0,)},
     ],
     ids=lambda changes: "-".join(f"{k}={v}" for k, v in changes.items()),
 )
@@ -68,4 +74,7 @@ def test_accepts_the_boundary_values():
         repulsion_trigger_dist=0.0,
     )
     assert params.degree == 10 and params.qp_max_iterations == 0
+    for degree, count in ((3, 4), (5, 2)):
+        params = PlanningParams(degree=degree, segment_count=count)
+        assert (params.degree, params.segment_count) == (degree, count)
     assert PlanningParams.from_dict(PlanningParams().to_dict()) == PlanningParams()

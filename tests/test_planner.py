@@ -171,8 +171,10 @@ class TestRadius:
         result = plan_step(swarm.states[1], grid, inits, pairs, view)
         terminal = inits.points[1, -1, -1]
         fresh = grid.grow_free_box(terminal, 0.25, toward=result.diagnostics.goal - terminal)
-        assert result.corridor.boxes[-1] == fresh
-        assert fresh != grid.grow_free_box(terminal, 0.15, toward=result.diagnostics.goal - terminal)
+        assert np.array_equal(result.corridor[-1], fresh)
+        assert not np.array_equal(
+            fresh, grid.grow_free_box(terminal, 0.15, toward=result.diagnostics.goal - terminal)
+        )
 
 
 class TestInputChecks:

@@ -36,6 +36,7 @@ from oracles import (
     dense_reduced_rows,
     dense_residuals,
     gauss_legendre_integral,
+    param_matrices_by_loops,
     solve_by_kkt,
 )
 
@@ -118,6 +119,27 @@ class TestAssemble:
         assert mats.reduction.static_rows.shape == (450, 30)
         assert np.array_equal(mats.ineq_matrix, np.vstack([mats.dyn_matrix, mats.box_matrix]))
         assert not mats.ineq_matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PARAMS,
+            PlanningParams(segment_time=0.1),
+            PlanningParams(degree=7, segment_count=4, segment_time=0.25),
+            PlanningParams(degree=3, segment_count=6, segment_time=0.3),
+            PlanningParams(goal_weights=(0.5, 1.0, 2.0, 0.0, 3.0)),
+            PlanningParams(degree=4, segment_count=3, jerk_weight=0.0),
+        ],
+        ids=["defaults", "dt-0.1", "n7-M4", "n3-M6", "weights", "n4-M3"],
+    )
+    def test_static_data_matches_loops(self, params):
+        # Bit for bit, zero signs included: the negated rows hold -0.0.
+        mats = qp.ParamMatrices(params)
+        for name, expected in param_matrices_by_loops(params).items():
+            actual = getattr(mats, name)
+            assert actual.shape == expected.shape, name
+            assert np.array_equal(actual, expected), name
+            assert np.array_equal(np.signbit(actual), np.signbit(expected)), name
 
     def test_static_rows_shared_not_copied(self):
         # Every step's problem reads the parameter set's one static block;
@@ -426,7 +448,7 @@ class TestSolve:
         corridor = advance_corridor(None, traj, grid, PARAMS.agent_radius)
         problem, candidate = assemble(traj, (2.5, 2.5, 1.0), corridor, *neighbour_rows([]), PARAMS)
         outside = candidate.copy()
-        outside[0::3] = np.array(corridor.boxes[0].max_corner)[0] + 0.5  # every point, same x
+        outside[0::3] = corridor[0, 1, 0] + 0.5  # every point, same x
         with pytest.raises(QpInfeasibleError, match="start point is infeasible"):
             solve(problem, TOL, outside, BUDGET)
 

@@ -17,7 +17,7 @@ from swarmplan.qp import param_matrices
 from swarmplan.scenarios import AgentSpec, Scenario, generate_scenario
 from swarmplan.sim import export_csv, run
 from swarmplan.verify import verify
-from swarmplan.world import AxisBox, OccupancyGrid
+from swarmplan.world import OccupancyGrid
 
 from oracles import (
     closest_by_enumeration,
@@ -317,7 +317,7 @@ class TestRun:
             return bool(lines(self, p, [q], inflation, agent_obstacles, downwash)[0])
 
         def box(self, seed, inflation, toward=None):
-            return AxisBox(*grow_box_by_layers(self, seed, inflation, toward))
+            return np.array(grow_box_by_layers(self, seed, inflation, toward))
 
         monkeypatch.setattr(OccupancyGrid, "sight_lines_free", lines)
         monkeypatch.setattr(OccupancyGrid, "line_of_sight_free", line)
@@ -685,6 +685,37 @@ class TestCli:
         out_dir = tmp_path / "logs"
         assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
         assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_finite_obstacle_corner_is_config_error(self, tmp_path, capsys):
+        data = generate_scenario("circle", 4, seed=1).to_dict()
+        data["map"]["boxes"] = [{"min": [-4.0, 4.0, float("-inf")], "max": [-3.5, 4.5, 2.0]}]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "logs"
+        assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "scenario_timeout, override",
+        [("NaN", None), ("Infinity", None), ("-1.0", None), ("60.0", "nan"), ("60.0", "inf")],
+    )
+    def test_unbounded_timeout_is_config_error(self, tmp_path, capsys, scenario_timeout, override):
+        # A NaN or infinite limit is never reached: a run that missed its
+        # goals would never stop. The scenario reaches its goals, so a
+        # missing check shows as exit 0, not as a hang.
+        text = generate_scenario("circle", 2, seed=1).to_json()
+        text = text.replace('"timeout": 60.0', f'"timeout": {scenario_timeout}')
+        assert f'"timeout": {scenario_timeout}' in text
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(text)
+        out_dir = tmp_path / "logs"
+        args = ["run", "--scenario", str(scenario_path), "--out", str(out_dir)]
+        if override is not None:
+            args += ["--timeout", override]
+        assert cli_main(args) == 3
+        assert "timeout" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_check_missing_dir_is_config_error(self, tmp_path):

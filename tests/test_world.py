@@ -8,7 +8,7 @@ import pytest
 from swarmplan import world
 from swarmplan.errors import InfeasibleSeedError
 from swarmplan.scenarios import generate_scenario
-from swarmplan.world import AxisBox, OccupancyGrid
+from swarmplan.world import OccupancyGrid
 
 from helpers import box_contains, goal_distance_field, static_blocked
 from oracles import (
@@ -63,19 +63,44 @@ class TestVoxelization:
         with pytest.raises(ValueError):
             OccupancyGrid(0.0, (0, 0, 0), (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("resolution",), float("nan")),
+            (("resolution",), float("inf")),
+            (("bounds", "min", 0), float("-inf")),
+            (("bounds", "max", 2), float("nan")),
+            (("boxes", 0, "min", 1), float("-inf")),
+            (("boxes", 0, "max", 0), float("nan")),
+        ],
+    )
+    def test_non_finite_map_values_rejected(self, path, value):
+        data = {
+            "resolution": 0.1,
+            "bounds": {"min": [0.0, 0.0, 0.0], "max": [3.0, 3.0, 2.0]},
+            "boxes": [{"min": [1.0, 1.0, 0.0], "max": [1.2, 1.2, 2.0]}],
+        }
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ValueError, match="finite"):
+            OccupancyGrid.from_dict(data)
+
 
 class TestBoxIsFree:
     def test_empty_grid_in_bounds(self):
         grid = empty_grid()
-        assert grid.box_is_free(AxisBox((0.5, 0.5, 0.5), (2.0, 2.0, 1.5)), 0.15)
+        assert grid.box_is_free(np.array([(0.5, 0.5, 0.5), (2.0, 2.0, 1.5)]), 0.15)
 
     def test_overlapping_occupied(self):
         grid = grid_with_boxes([((1.0, 1.0, 0.0), (1.2, 1.2, 2.0))])
-        assert not grid.box_is_free(AxisBox((0.9, 0.9, 0.5), (1.1, 1.1, 0.6)), 0.0)
+        assert not grid.box_is_free(np.array([(0.9, 0.9, 0.5), (1.1, 1.1, 0.6)]), 0.0)
 
     def test_out_of_bounds(self):
         grid = empty_grid()
-        assert not grid.box_is_free(AxisBox((0.1, 0.1, 0.1), (0.3, 0.3, 0.3)), 0.15)
+        assert not grid.box_is_free(np.array([(0.1, 0.1, 0.1), (0.3, 0.3, 0.3)]), 0.15)
 
     def test_inflation_distance_threshold(self):
         # Box at distance d from the nearest occupied cell face is free iff
@@ -85,13 +110,13 @@ class TestBoxIsFree:
         grid = grid_with_boxes([((1.001, 0.001, 0.001), (1.099, 2.999, 1.999))])
         occ_cells = np.argwhere(grid.occupied)
         for d in [0.05, 0.1, 0.15, 0.1499, 0.1501, 0.2]:
-            box = AxisBox((0.5, 1.0, 0.5), (1.0 - d, 1.5, 1.0))
+            box = np.array([(0.5, 1.0, 0.5), (1.0 - d, 1.5, 1.0)])
             expected = d >= 0.15 - 1e-12
             assert grid.box_is_free(box, 0.15) == expected
             # Exhaustive oracle: positive-measure overlap of the inflated
             # box with any occupied cell.
-            lo = np.array(box.min_corner) - 0.15
-            hi = np.array(box.max_corner) + 0.15
+            lo = box[0] - 0.15
+            hi = box[1] + 0.15
             overlap = False
             for cell in occ_cells:
                 clo = grid.bounds_min + cell * grid.resolution
@@ -106,16 +131,16 @@ class TestGrowFreeBox:
     def test_empty_grid_fills_bounds(self):
         grid = empty_grid()
         box = grid.grow_free_box((1.5, 1.5, 1.0), 0.15)
-        assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
-        assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
+        assert np.allclose(box[0], [0.15, 0.15, 0.15])
+        assert np.allclose(box[1], [2.85, 2.85, 1.85])
 
     def test_corridor(self):
         grid = corridor_grid()
         inflation = 0.04
         box = grid.grow_free_box((0.35, 0.15, 0.15), inflation)
         # The free region is cells [1..5] x 1 x 1, eroded by the inflation.
-        assert np.allclose(box.min_corner, [0.1 + inflation, 0.1 + inflation, 0.1 + inflation])
-        assert np.allclose(box.max_corner, [0.6 - inflation, 0.2 - inflation, 0.2 - inflation])
+        assert np.allclose(box[0], [0.1 + inflation, 0.1 + inflation, 0.1 + inflation])
+        assert np.allclose(box[1], [0.6 - inflation, 0.2 - inflation, 0.2 - inflation])
         assert grid.box_is_free(box, inflation)
 
     def test_contains_seed_and_positive_extent(self):
@@ -129,7 +154,7 @@ class TestGrowFreeBox:
                 continue
             box = grid.grow_free_box(seed, 0.15)
             assert box_contains(box, seed, tol=1e-12)
-            assert np.all(np.array(box.max_corner) >= box.min_corner)
+            assert np.all(box[1] >= box[0])
             assert grid.box_is_free(box, 0.15)
 
     def test_infeasible_seed(self):
@@ -141,7 +166,7 @@ class TestGrowFreeBox:
         grid = grid_with_boxes([((1.3, 0.9, 0.0), (1.5, 1.8, 2.0))])
         a = grid.grow_free_box((0.8, 0.8, 1.0), 0.15)
         b = grid.grow_free_box((0.8, 0.8, 1.0), 0.15)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_obstacle_free_map_costs_one_query(self, monkeypatch):
         grid = empty_grid()
@@ -152,8 +177,8 @@ class TestGrowFreeBox:
         )
         box = grid.grow_free_box((1.5, 1.5, 1.0), 0.15, toward=(1.0, 0.0, 0.0))
         assert len(queries) == 1
-        assert np.allclose(box.min_corner, [0.15, 0.15, 0.15])
-        assert np.allclose(box.max_corner, [2.85, 2.85, 1.85])
+        assert np.allclose(box[0], [0.15, 0.15, 0.15])
+        assert np.allclose(box[1], [2.85, 2.85, 1.85])
 
     def test_negative_inflation_rejected(self):
         with pytest.raises(ValueError):
@@ -388,6 +413,13 @@ def referee_grid(request):
     return OccupancyGrid.from_dict(generate_scenario(kind, 2, seed=4).map_data)
 
 
+def assert_box(box, corners):
+    """box is a read-only (2, 3) float array equal, bit for bit, to the
+    referee's (min_corner, max_corner)."""
+    assert box.shape == (2, 3) and box.dtype == float and not box.flags.writeable
+    assert np.array_equal(box, corners)
+
+
 def free_points(grid, inflation, rng, count):
     pts = rng.uniform(grid.bounds_min, grid.bounds_max, size=(8 * count, 3))
     return pts[grid.points_free(pts, inflation)][:count]
@@ -450,9 +482,7 @@ class TestExactAgainstReferees:
         for seed in seeds:
             for toward in (None, rng.normal(size=3)):
                 box = grid.grow_free_box(seed, inflation, toward)
-                assert (box.min_corner, box.max_corner) == grow_box_by_layers(
-                    grid, seed, inflation, toward
-                )
+                assert_box(box, grow_box_by_layers(grid, seed, inflation, toward))
 
     @pytest.mark.parametrize("inflation", (0.04, 0.175))
     def test_grow_free_box_matches_layers_in_every_order(self, referee_grid, inflation):
@@ -467,9 +497,7 @@ class TestExactAgainstReferees:
         for seed in free_points(grid, inflation, rng, 2):
             for toward in towards:
                 box = grid.grow_free_box(seed, inflation, toward)
-                assert (box.min_corner, box.max_corner) == grow_box_by_layers(
-                    grid, seed, inflation, toward
-                )
+                assert_box(box, grow_box_by_layers(grid, seed, inflation, toward))
 
     @pytest.mark.parametrize("inflation", INFLATIONS)
     def test_seed_test_matches_point_is_free(self, referee_grid, inflation):
@@ -499,7 +527,7 @@ class TestExactAgainstReferees:
         outcomes = set()
         for point in points:
             free = grid.point_is_free(point, inflation)
-            assert grid.box_is_free(AxisBox(tuple(point), tuple(point)), inflation) == free
+            assert grid.box_is_free(np.array([point, point]), inflation) == free
             if free:
                 # Seeds within the bounds' 1e-9 slack get boxes clipped to them.
                 assert box_contains(grid.grow_free_box(point, inflation), point, tol=1e-9)
@@ -515,7 +543,7 @@ class TestExactAgainstReferees:
         rng = np.random.default_rng(9)
         for _ in range(200):
             lo = rng.uniform(grid.bounds_min - 0.2, grid.bounds_max)
-            box = AxisBox(tuple(lo), tuple(lo + rng.uniform(0, 1.0, size=3)))
+            box = np.array([lo, lo + rng.uniform(0, 1.0, size=3)])
             assert grid.box_is_free(box, inflation) == box_free_by_counts(grid, box, inflation)
 
     @pytest.mark.parametrize("inflation", INFLATIONS)
