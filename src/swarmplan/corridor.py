@@ -60,23 +60,6 @@ def advance_corridor(
 
 
 @dataclass(frozen=True)
-class PairSeparation:
-    """Separating half-spaces of one agent against one neighbor, all segments.
-
-    Row m holds segment m's half-spaces: normals (M, 3), anchors
-    (M, n+1, 3) and margins (M, n+1). The constrained agent's control point
-    l of segment m must satisfy
-    (c_l - anchors[m, l]) . normals[m] - margins[m, l] >= 0, where anchors
-    are the neighbor's shifted control points. The arrays are read-only
-    views into a PairTable's arrays.
-    """
-
-    normals: np.ndarray
-    anchors: np.ndarray
-    margins: np.ndarray
-
-
-@dataclass(frozen=True)
 class PairTable:
     """Separating half-spaces of many pairs, as separate_pairs computes them.
 
@@ -102,15 +85,6 @@ class PairTable:
         others = np.where(is_low, self.high[pick], self.low[pick])
         sign = np.where(is_low, 1.0, -1.0)[:, None, None]
         return self.normals[pick] * sign, self.points[others], self.margins[pick]
-
-    def pair(self, p) -> tuple[PairSeparation, PairSeparation]:
-        """Pair p as (constraints for low, for high)."""
-        mirrored = -self.normals[p]
-        mirrored.setflags(write=False)
-        return (
-            PairSeparation(self.normals[p], self.points[self.high[p]], self.margins[p]),
-            PairSeparation(mirrored, self.points[self.low[p]], self.margins[p]),
-        )
 
 
 def separate_pairs(
@@ -208,12 +182,10 @@ def build_pair_separations(
     radius_sum: float,
     downwash: float,
     safety_buffer: float = 0.0,
-) -> tuple[PairSeparation, PairSeparation]:
-    """Separating half-spaces for both agents of one pair (see separate_pairs),
-    from their shifted plans, two (M, n+1, 3) arrays of one shape; degeneracy
-    errors name them agents 0 and 1."""
-    if np.shape(init_a) != np.shape(init_b):
-        raise ValueError("trajectories must have the same shape")
+):
+    """Both agents' rows_for triples (K = 1) of the one-pair table of their
+    shifted plans, two (M, n+1, 3) arrays of one shape (see separate_pairs);
+    degeneracy errors name them agents 0 and 1."""
     table = separate_pairs(
         np.stack([init_a, init_b]),
         np.array([0]),
@@ -222,5 +194,5 @@ def build_pair_separations(
         downwash,
         safety_buffer,
     )
-    return table.pair(0)
+    return table.rows_for(0), table.rows_for(1)
 

@@ -299,7 +299,7 @@ def assemble(
     (M, n+1, 3), in its corridor (M, 2, 3) of [min, max] box corners.
 
     normals (K, M, 3), anchors (K, M, n+1, 3) and margins (K, M, n+1) hold
-    the separating half-spaces against K neighbours (see PairSeparation):
+    the separating half-spaces against K neighbours (PairTable.rows_for):
     point l of segment m must keep (c - anchors[k, m, l]) . normals[k, m]
     >= margins[k, m, l]. Returns the problem and the candidate decision
     vector (`points` flattened). The initial-state rows take their

@@ -106,10 +106,9 @@ class Scenario:
         """Enforce the start/goal invariants the planner's guarantees rest on."""
         if not self.agents:
             raise ValueError("scenario has no agents")
-        if not 0.0 <= self.timeout < np.inf:
-            raise ValueError(f"timeout must be finite and non-negative, got {self.timeout}")
+        if not 0.0 < self.timeout < np.inf:
+            raise ValueError(f"timeout must be finite and positive, got {self.timeout}")
         grid = grid if grid is not None else self.grid()
-        scale = np.array([1.0, 1.0, 1.0 / self.params.downwash])
         for i, spec in enumerate(self.agents):
             if not 0 < spec.radius < np.inf:
                 raise ValueError(f"agent {i} radius {spec.radius} is not positive and finite")
@@ -117,13 +116,17 @@ class Scenario:
                 raise ValueError(f"agent {i} start is not free under inflation")
             if not grid.point_is_free(spec.goal, spec.radius):
                 raise ValueError(f"agent {i} goal is not free under inflation")
-        for i, a in enumerate(self.agents):
-            for j, b in enumerate(self.agents[:i]):
-                gap = np.linalg.norm((np.array(a.start) - np.array(b.start)) * scale)
-                if gap <= a.radius + b.radius:
-                    raise ValueError(
-                        f"agents {j} and {i} start within collision distance"
-                    )
+        # Pairs (j, i), j < i, in order of i, then j: the starts, then the goals.
+        i, j = np.tril_indices(len(self.agents), k=-1)
+        radii = np.array([spec.radius for spec in self.agents])
+        scale = np.array([1.0, 1.0, 1.0 / self.params.downwash])
+        for name in ("start", "goal"):
+            points = np.array([getattr(spec, name) for spec in self.agents], dtype=float)
+            diffs = (points[i] - points[j]) * scale
+            close = np.sqrt(np.vecdot(diffs, diffs)) <= radii[i] + radii[j]
+            if close.any():
+                p = np.argmax(close)
+                raise ValueError(f"agents {j[p]} and {i[p]} {name} within collision distance")
 
 
 def generate_scenario(

@@ -97,8 +97,8 @@ def run(scenario: Scenario, out_dir, threads: int = 1, timeout=None) -> RunMetri
     if abs(ticks - dt * _TICKS_PER_SECOND) > 1e-9 or ticks < 1:
         raise ValueError("segment_time must be a multiple of the 10 ms log period")
     limit = scenario.timeout if timeout is None else float(timeout)
-    if not 0.0 <= limit < np.inf:
-        raise ValueError(f"timeout must be finite and non-negative, got {limit}")
+    if not 0.0 < limit < np.inf:
+        raise ValueError(f"timeout must be finite and positive, got {limit}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     basis = _segment_basis(params.degree, [j / ticks for j in range(ticks)])

@@ -78,9 +78,17 @@ def _de_casteljau(points: np.ndarray, tau) -> np.ndarray:
     return points[..., 0, :]
 
 
-def _derivative_points(points: np.ndarray, duration: float) -> np.ndarray:
+def _boundary_states(points: np.ndarray, duration: float, end: bool = False) -> np.ndarray:
+    """Position, velocity and acceleration (..., 3, 3) at the start, or the
+    end, of Bezier segments of `duration` (control points along axis -2),
+    from their first or last three control points by difference stencils."""
     n = points.shape[-2] - 1
-    return n * (points[..., 1:, :] - points[..., :-1, :]) / duration
+    near = points[..., -3:, :] if end else points[..., :3, :]
+    states = []
+    for q in range(3):
+        states.append(near[..., -1 if end else 0, :])
+        near = (n - q) * (near[..., 1:, :] - near[..., :-1, :]) / duration
+    return np.stack(states, axis=-2)
 
 
 def load_states(path: Path) -> np.ndarray:
@@ -213,26 +221,14 @@ def verify(log_dir) -> VerificationReport:
             )
 
     # Acceleration-level continuity between consecutive plans: the earlier
-    # plan at the later plan's start time, one segment on, against the later
-    # plan at tau 0. The segment is indexed by the step difference, not by
-    # floor of the float difference of start times, which falls just short
-    # of one segment on many steps: segment 1 at tau 0, or segment 0 at
-    # tau 1 in a one-segment plan.
-    segment = min(1, params.segment_count - 1)
-    tau = 1.0 - segment
-    before = cpts[:-1, :, segment]
-    after = cpts[1:, :, 0]
+    # plan's segment 1, which starts at the later plan's start time, against
+    # the later plan's segment 0, both at their start. The segment is
+    # indexed by the step difference, not by floor of the float difference
+    # of start times, which falls just short of one segment on many steps.
     names = ("position", "velocity", "acceleration")
-    jumps = []
-    for _ in names:
-        gap = _de_casteljau(before, tau) - _de_casteljau(after, 0.0)
-        jumps.append(np.sqrt(np.vecdot(gap, gap)))
-        before, after = _derivative_points(before, dt), _derivative_points(after, dt)
-    jumps = np.stack(jumps, axis=-1)  # (step pairs, agents, 3)
-    cont = {
-        name: float(np.fmax.reduce(jumps[..., q], axis=None, initial=0.0))
-        for q, name in enumerate(names)
-    }
+    gap = _boundary_states(cpts[:-1, :, 1], dt) - _boundary_states(cpts[1:, :, 0], dt)
+    jumps = np.sqrt(np.vecdot(gap, gap))  # (step pairs, agents, 3)
+    cont = dict(zip(names, np.fmax.reduce(jumps.reshape(-1, 3), initial=0.0).tolist()))
     for p, i, q in np.argwhere(jumps > CONTINUITY_TOL)[: 10 * _MAX_REPORTED]:
         report(
             f"agent {i} step {p + 1}: {names[q]} jumps by {jumps[p, i, q]:.3e} "
@@ -240,21 +236,11 @@ def verify(log_dir) -> VerificationReport:
         )
 
     # Acceleration-level continuity at the internal joints of every dumped
-    # plan: segment m - 1 at tau 1 against segment m at tau 0. De Casteljau
-    # returns the end points there exactly, so only the last three control
-    # points of one segment and the first three of the next are read,
-    # differenced as _derivative_points differences whole segments. Only
-    # violations are reported; the planner's equality constraints hold
-    # these joints to round-off.
-    ends, starts = cpts[:, :, :-1, -3:], cpts[:, :, 1:, :3]
-    jumps = []
-    for q in range(len(names)):
-        gap = ends[..., -1, :] - starts[..., 0, :]
-        jumps.append(np.sqrt(np.vecdot(gap, gap)))
-        n = cpts.shape[-2] - 1 - q
-        ends = n * (ends[..., 1:, :] - ends[..., :-1, :]) / dt
-        starts = n * (starts[..., 1:, :] - starts[..., :-1, :]) / dt
-    jumps = np.stack(jumps, axis=-1)  # (steps, agents, joints, 3)
+    # plan: segment m - 1's end against segment m's start. Only violations
+    # are reported; the planner's equality constraints hold these joints to
+    # round-off.
+    gap = _boundary_states(cpts[:, :, :-1], dt, end=True) - _boundary_states(cpts[:, :, 1:], dt)
+    jumps = np.sqrt(np.vecdot(gap, gap))  # (steps, agents, joints, 3)
     for k, i, m, q in np.argwhere(jumps > CONTINUITY_TOL)[: 10 * _MAX_REPORTED]:
         report(
             f"agent {i} step {k}: {names[q]} jumps by {jumps[k, i, m, q]:.3e} "

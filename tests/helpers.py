@@ -187,22 +187,26 @@ class SegmentSeparation:
     margins: np.ndarray
 
 
-def pair_segments(pair) -> tuple[SegmentSeparation, ...]:
-    """Row m of a PairSeparation as segment m's SegmentSeparation."""
+def pair_segments(rows) -> tuple[SegmentSeparation, ...]:
+    """Segment m of one agent's (normals, anchors, margins) against a single
+    neighbour (K = 1, as build_pair_separations returns them) as segment m's
+    SegmentSeparation."""
+    (normals,), (anchors,), (margins,) = rows
     return tuple(
-        SegmentSeparation(normal, anchors, margins)
-        for normal, anchors, margins in zip(pair.normals, pair.anchors, pair.margins)
+        SegmentSeparation(normal, seg_anchors, seg_margins)
+        for normal, seg_anchors, seg_margins in zip(normals, anchors, margins)
     )
 
 
 def neighbour_rows(separations, segment_count=5, degree=5):
     """`assemble`'s neighbour arrays (normals, anchors, margins) from a list
-    of PairSeparation, one row per neighbour; empty arrays for no list."""
+    of one-neighbour triples, one row per neighbour; empty arrays for no
+    list."""
     m, pts = segment_count, degree + 1
     return (
-        np.array([pair.normals for pair in separations]).reshape(-1, m, 3),
-        np.array([pair.anchors for pair in separations]).reshape(-1, m, pts, 3),
-        np.array([pair.margins for pair in separations]).reshape(-1, m, pts),
+        np.array([rows[0] for rows in separations]).reshape(-1, m, 3),
+        np.array([rows[1] for rows in separations]).reshape(-1, m, pts, 3),
+        np.array([rows[2] for rows in separations]).reshape(-1, m, pts),
     )
 
 

@@ -16,6 +16,7 @@ from swarmplan.world import OccupancyGrid
 
 from helpers import (
     hold_plan,
+    neighbour_rows,
     pair_segments,
     random_trajectory,
     segment_point,
@@ -215,29 +216,26 @@ class TestBatchedSeparations:
         shared = shared_pair_separations(ShiftedPlans(0.0, points), radii, params)
         pairs = list(zip(shared.low.tolist(), shared.high.tolist()))
         assert pairs == list(itertools.combinations(range(count), 2))
+        mine = {me: [] for me in range(count)}
         for p, (a, b) in enumerate(pairs):
-            for_a, for_b = shared.pair(p)
             ref_a, ref_b = build_pair_separations(
                 points[a], points[b], radii[a] + radii[b], params.downwash, params.safety_buffer
             )
-            for got, ref in ((for_a, ref_a), (for_b, ref_b)):
-                for name in ("normals", "anchors", "margins"):
-                    assert np.array_equal(getattr(got, name), getattr(ref, name))
-            assert np.array_equal(for_a.anchors, points[b])
-            assert np.array_equal(for_b.anchors, points[a])
-            assert np.array_equal(for_b.normals, -for_a.normals)
-            assert np.array_equal(for_b.margins, for_a.margins)
-        # Each agent's gathered rows are its side of its pairs, in neighbour
-        # order.
+            assert np.array_equal(shared.normals[p], ref_a[0][0])
+            assert np.array_equal(shared.margins[p], ref_a[2][0])
+            assert np.array_equal(ref_a[1][0], points[b])
+            assert np.array_equal(ref_b[1][0], points[a])
+            assert np.array_equal(ref_b[0], -ref_a[0])
+            assert np.array_equal(ref_b[2], ref_a[2])
+            mine[a].append(ref_a)
+            mine[b].append(ref_b)
+        # Each agent's gathered rows are its side of its pairs, each built
+        # alone, in neighbour order.
         for me in range(count):
-            mine = [
-                shared.pair(p)[0 if a == me else 1] for p, (a, b) in enumerate(pairs) if me in (a, b)
-            ]
             gathered = shared.rows_for(me)
-            assert len(mine) == count - 1
-            for index, name in enumerate(("normals", "anchors", "margins")):
-                expected = np.array([getattr(pair, name) for pair in mine])
-                assert np.array_equal(gathered[index], expected.reshape(gathered[index].shape))
+            assert len(mine[me]) == count - 1
+            for got, expected in zip(gathered, neighbour_rows(mine[me])):
+                assert np.array_equal(got, expected)
 
     def test_table_names_pairs_by_its_ids(self):
         # Agents 1 and 2 hover with touching hulls (0.3 m apart on x,
@@ -251,10 +249,13 @@ class TestBatchedSeparations:
         rng = np.random.default_rng(63)
         points = random_swarm(rng, 2)
         for_a, _ = build_pair_separations(points[0], points[1], 0.3, 2.0)
-        assert len(pair_segments(for_a)) == len(for_a.normals)
+        normals, anchors, margins = for_a
+        assert len(pair_segments(for_a)) == normals.shape[1]
         for m, seg in enumerate(pair_segments(for_a)):
-            assert np.array_equal(seg.normal, for_a.normals[m])
-            assert np.array_equal(seg.anchors, for_a.anchors[m])
-            assert np.array_equal(seg.margins, for_a.margins[m])
-        for name in ("normals", "anchors", "margins"):
-            assert not getattr(for_a, name).flags.writeable
+            assert np.array_equal(seg.normal, normals[0, m])
+            assert np.array_equal(seg.anchors, anchors[0, m])
+            assert np.array_equal(seg.margins, margins[0, m])
+        # The rows are copies gathered from a read-only table.
+        table = separate_pairs(points, np.array([0]), np.array([1]), np.array([0.3]), 2.0, 0.0)
+        for arr in (table.points, table.normals, table.margins):
+            assert not arr.flags.writeable

@@ -105,6 +105,26 @@ class TestGeneration:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize("name", ["start", "goal"])
+    def test_first_close_pair_named_by_validate(self, name):
+        # Agents 0 and 3, and 1 and 2, are 0.1 m apart on x (radius sum
+        # 0.3); every other pair is clear. Pairs are checked in (i, j < i)
+        # order, so (1, 2) is named, not (0, 3). Goals that close would
+        # leave both agents short of them until the timeout.
+        close = [(0.5, 1.0, 1.0), (2.0, 1.0, 1.0), (2.1, 1.0, 1.0), (0.6, 1.0, 1.0)]
+        clear = [(0.5, 2.5, 1.0), (1.2, 2.5, 1.0), (1.9, 2.5, 1.0), (2.6, 2.5, 1.0)]
+        pairs = zip(close, clear) if name == "start" else zip(clear, close)
+        bad = Scenario(
+            kind="custom",
+            map_data=generate_scenario("empty", 1, seed=4).map_data,
+            agents=[AgentSpec(start, goal, 0.15) for start, goal in pairs],
+            params=PlanningParams(),
+            seed=0,
+            timeout=10.0,
+        )
+        with pytest.raises(ValueError, match=rf"^agents 1 and 2 {name} within collision distance$"):
+            bad.validate()
+
     @pytest.mark.parametrize("radius", [0.0, -0.15, float("nan"), float("inf")])
     def test_bad_radius_rejected_by_validate(self, radius):
         sc = generate_scenario("circle", 4, seed=1)
@@ -699,12 +719,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "scenario_timeout, override",
-        [("NaN", None), ("Infinity", None), ("-1.0", None), ("60.0", "nan"), ("60.0", "inf")],
+        [
+            ("NaN", None), ("Infinity", None), ("-1.0", None), ("60.0", "nan"), ("60.0", "inf"),
+            ("0.0", None), ("60.0", "0"),
+        ],
     )
     def test_unbounded_timeout_is_config_error(self, tmp_path, capsys, scenario_timeout, override):
         # A NaN or infinite limit is never reached: a run that missed its
-        # goals would never stop. The scenario reaches its goals, so a
-        # missing check shows as exit 0, not as a hang.
+        # goals would never stop. A zero limit takes no step, and its empty
+        # log is no run. The scenario reaches its goals, so a missing check
+        # shows as exit 0, not as a hang.
         text = generate_scenario("circle", 2, seed=1).to_json()
         text = text.replace('"timeout": 60.0', f'"timeout": {scenario_timeout}')
         assert f'"timeout": {scenario_timeout}' in text
@@ -716,6 +740,16 @@ class TestCli:
             args += ["--timeout", override]
         assert cli_main(args) == 3
         assert "timeout" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_goals_within_collision_distance_is_config_error(self, tmp_path, capsys):
+        data = generate_scenario("circle", 4, seed=1).to_dict()
+        data["agents"][1]["goal"] = [v + d for v, d in zip(data["agents"][0]["goal"], (0.1, 0, 0))]
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(data))
+        out_dir = tmp_path / "logs"
+        assert cli_main(["run", "--scenario", str(scenario_path), "--out", str(out_dir)]) == 3
+        assert "agents 0 and 1 goal within collision distance" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_check_missing_dir_is_config_error(self, tmp_path):

@@ -152,6 +152,31 @@ class TestAgainstLoopVerifier:
             "agent 1 step 3: position jumps by 1.000e-03 between segments 0 and 1"
         )
 
+    def test_velocity_and_acceleration_jumps_between_plans(self, copy_logs):
+        # Step 3's plans keep their start points. Moving agent 7's points 1
+        # and 2 of segment 0 by 1 mm and 2 mm bends only its start velocity,
+        # and moving agent 5's point 2 by 1 mm only its start acceleration.
+        # Neither move reaches a joint; both move the logged positions off
+        # the dumped plans.
+        logs = copy_logs("circle-32")
+
+        def move(payloads):
+            bent = payloads[3]["cpts"]["7"][0]
+            bent[1][1] += 1e-3
+            bent[2][1] += 2e-3
+            payloads[3]["cpts"]["5"][0][2][1] += 1e-3
+
+        edit_steps(logs, move)
+        report = assert_same_report(logs)
+        jumps = [v for v in report.violations if " jumps by " in v]
+        assert jumps == [
+            "agent 5 step 3: acceleration jumps by 5.000e-01 at t=0.60",
+            "agent 7 step 3: velocity jumps by 2.500e-02 at t=0.60",
+        ]
+        deviations = [v for v in report.violations if v not in jumps]
+        assert {v.split()[1] for v in deviations} == {"5", "7"}
+        assert all("deviates from the dumped plan" in v for v in deviations)
+
     @pytest.mark.parametrize("name", ["circle-32", "indoor-8"])
     def test_moved_internal_joint_is_caught(self, copy_logs, name):
         # Segment 2 of a dumped plan is read by no other check: neither the
